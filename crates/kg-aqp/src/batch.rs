@@ -3,22 +3,19 @@
 //!
 //! Much of the per-query cost of [`AqpEngine::execute`] is per-component,
 //! not per-query: preparing a sampler (building the n-bounded scope and
-//! iterating the random walk of Eq. 6 to convergence) and validating each
-//! sampled answer. Realistic workloads repeat components — a plain query
-//! and its filtered / GROUP-BY / aggregate variants all share one
-//! underlying simple query, chain planning re-anchors the same hop
-//! queries, and dashboards re-issue the same shapes with different
-//! operators. [`BatchEngine`] plans the whole batch against a shared
-//! [`SamplerCache`] (each distinct component is prepared exactly once),
-//! shares a validation cache across the batch's sessions, and fans the
-//! per-query sampling–estimation loops out on the rayon pool.
+//! iterating the random walk of Eq. 6 to convergence). Realistic workloads
+//! repeat components — a plain query and its filtered / GROUP-BY /
+//! aggregate variants all share one underlying simple query, chain planning
+//! re-anchors the same hop queries, and dashboards re-issue the same shapes
+//! with different operators. [`BatchEngine`] plans the whole batch against a shared
+//! [`SamplerCache`] (each distinct component is prepared exactly once) and
+//! fans the per-query sampling–estimation loops out on the rayon pool.
 //!
 //! Batched answers are **bitwise-identical** to the serial per-query loop
 //! for a fixed seed: every query still runs its own
 //! [`InteractiveSession`] seeded from the engine configuration, and the
-//! only shared state — prepared samplers and validation outcomes — is the
-//! result of deterministic computation, so sharing changes who computes a
-//! value, never the value.
+//! only shared state — prepared samplers — is the result of deterministic
+//! computation, so sharing changes who computes a value, never the value.
 //!
 //! ```
 //! use kg_aqp::{BatchEngine, EngineConfig};
@@ -45,14 +42,13 @@
 use crate::config::EngineConfig;
 use crate::engine::AqpEngine;
 use crate::result::QueryAnswer;
-use crate::session::{InteractiveSession, SharedValidationCache};
+use crate::session::InteractiveSession;
 use crate::sharded::{ShardedSession, ShardedStats};
 use kg_core::{KgResult, KnowledgeGraph, ShardedGraph};
 use kg_embed::PredicateSimilarity;
 use kg_query::AggregateQuery;
 use kg_sampling::{CacheStats, SamplerCache, ShardSamplerCache};
 use rayon::prelude::*;
-use std::sync::Arc;
 
 /// Exact nearest-rank percentile over latency samples (`q` in `[0, 1]`),
 /// tolerant of unsorted input and returning 0 for an empty set.
@@ -272,22 +268,12 @@ impl BatchEngine {
     ) -> (Vec<KgResult<InteractiveSession>>, BatchStats) {
         let config = self.engine.config();
         let cache_before = cache.stats();
-        // One validation cache for the whole batch: queries sharing a
-        // component (hence a cached sampler) validate each sampled entity
-        // once instead of once per query.
-        let shared_validation = SharedValidationCache::default();
         let sessions: Vec<KgResult<InteractiveSession>> = queries
             .iter()
             .map(|query| {
                 self.engine
                     .plan_with_cache(graph, query, similarity, Some(cache))
-                    .map(|plan| {
-                        InteractiveSession::with_shared_validation(
-                            config.clone(),
-                            plan,
-                            Some(Arc::clone(&shared_validation)),
-                        )
-                    })
+                    .map(|plan| InteractiveSession::new(config.clone(), plan))
             })
             .collect();
         let cache_after = cache.stats();
@@ -385,8 +371,8 @@ impl BatchEngine {
         (answers, stats)
     }
 
-    /// Opens one [`ShardedSession`] per query with shared planning, a shared
-    /// validation cache, and shared per-shard restrictions: the sharded
+    /// Opens one [`ShardedSession`] per query with shared planning and
+    /// shared per-shard restrictions: the sharded
     /// counterpart of [`Self::open_sessions_cached`].
     pub fn open_sharded_sessions_cached<S: PredicateSimilarity + ?Sized>(
         &self,
@@ -397,7 +383,6 @@ impl BatchEngine {
         shard_cache: &ShardSamplerCache,
     ) -> (Vec<KgResult<ShardedSession>>, BatchStats) {
         let cache_before = cache.stats();
-        let shared_validation = SharedValidationCache::default();
         let sessions: Vec<KgResult<ShardedSession>> = queries
             .iter()
             .map(|query| {
@@ -408,7 +393,6 @@ impl BatchEngine {
                     similarity,
                     Some(cache),
                     Some(shard_cache),
-                    Some(Arc::clone(&shared_validation)),
                 )
             })
             .collect();

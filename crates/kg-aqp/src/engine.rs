@@ -6,6 +6,7 @@ use crate::result::QueryAnswer;
 use crate::session::InteractiveSession;
 use kg_core::{EntityId, KgResult, KnowledgeGraph};
 use kg_embed::PredicateSimilarity;
+use kg_estimate::{validate_answer, ValidationConfig, ValidationTable};
 use kg_query::{
     AggregateQuery, QuerySpec, ResolvedAggregate, ResolvedChainQuery, ResolvedComplexQuery,
     ResolvedComponent, ResolvedFilter, ResolvedSimpleQuery,
@@ -13,24 +14,70 @@ use kg_query::{
 use kg_sampling::{prepare, AliasTable, PreparedSampler, SamplerCache};
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// One prepared simple query and the validation outcomes of its candidates.
+///
+/// The greedy π-guided search does not depend on the answer it validates, so
+/// it runs once per component — on first use, whichever session or stratum
+/// gets there first — and every candidate is answered from the resulting
+/// [`ValidationTable`]. The table lives and dies with the plan.
+pub(crate) struct ComponentSearch {
+    pub(crate) query: ResolvedSimpleQuery,
+    pub(crate) sampler: Arc<PreparedSampler>,
+    table: OnceLock<ValidationTable>,
+}
+
+impl ComponentSearch {
+    fn new(query: ResolvedSimpleQuery, sampler: Arc<PreparedSampler>) -> Self {
+        Self {
+            query,
+            sampler,
+            table: OnceLock::new(),
+        }
+    }
+
+    /// `(correct, best similarity)` of `entity`: what
+    /// [`validate_answer`] returns for it, bit for bit.
+    pub(crate) fn validate<S: PredicateSimilarity + ?Sized>(
+        &self,
+        graph: &KnowledgeGraph,
+        similarity: &S,
+        entity: EntityId,
+        config: &ValidationConfig,
+    ) -> (bool, f64) {
+        let table = self.table.get_or_init(|| {
+            ValidationTable::build(graph, &self.query, &self.sampler, similarity, config)
+        });
+        let outcome = table.lookup(entity, config).unwrap_or_else(|| {
+            validate_answer(
+                graph,
+                &self.query,
+                entity,
+                &self.sampler,
+                similarity,
+                config,
+            )
+        });
+        (outcome.correct, outcome.best_similarity)
+    }
+}
 
 /// How the correctness of a sampled answer is checked for one component of
 /// the (possibly decomposed) query.
 pub(crate) enum ComponentValidator {
     /// A single-edge component: validate against the component's query with
     /// the greedy π-guided search.
-    Simple {
-        query: ResolvedSimpleQuery,
-        sampler: Arc<PreparedSampler>,
-    },
+    Simple(ComponentSearch),
     /// A chain component: each final answer is validated against the last
     /// hop's query anchored at the intermediate that contributed most of its
     /// probability (hop-level decomposition of §V-B).
     Chain {
-        final_queries: HashMap<EntityId, (ResolvedSimpleQuery, usize)>,
-        samplers: Vec<Arc<PreparedSampler>>,
+        /// Final answer → index into `hops` of the hop that validates it.
+        final_hops: HashMap<EntityId, usize>,
+        /// One search per anchored hop query.
+        hops: Vec<ComponentSearch>,
     },
 }
 
@@ -232,10 +279,7 @@ impl AqpEngine {
         Ok(ComponentPlan {
             distribution,
             candidate_count: sampler.candidate_count(),
-            validator: ComponentValidator::Simple {
-                query: query.clone(),
-                sampler,
-            },
+            validator: ComponentValidator::Simple(ComponentSearch::new(query.clone(), sampler)),
         })
     }
 
@@ -248,8 +292,8 @@ impl AqpEngine {
     ) -> KgResult<ComponentPlan> {
         // First-level sampling from the specific node towards the first hop.
         let mut anchors: Vec<(EntityId, f64)> = vec![(chain.specific, 1.0)];
-        let mut samplers: Vec<Arc<PreparedSampler>> = Vec::new();
-        let mut final_queries: HashMap<EntityId, (ResolvedSimpleQuery, usize)> = HashMap::new();
+        let mut hops: Vec<ComponentSearch> = Vec::new();
+        let mut final_hops: HashMap<EntityId, usize> = HashMap::new();
         let mut distribution: HashMap<EntityId, f64> = HashMap::new();
         let mut candidate_count = 0usize;
 
@@ -280,20 +324,20 @@ impl AqpEngine {
             for hop_result in hop_results {
                 let (_anchor, anchor_prob, hop_query, sampler) = hop_result?;
                 candidate_count = candidate_count.max(sampler.candidate_count());
-                let sampler_index = samplers.len();
-                samplers.push(Arc::clone(&sampler));
+                let hop_index = hops.len();
+                hops.push(ComponentSearch::new(hop_query, Arc::clone(&sampler)));
                 for a in sampler.answer_distribution() {
                     let combined = anchor_prob * a.probability;
                     if is_last {
                         let entry = distribution.entry(a.entity).or_insert(0.0);
                         *entry += combined;
                         // Remember the strongest-contributing anchor for validation.
-                        let replace = match final_queries.get(&a.entity) {
+                        let replace = match final_hops.get(&a.entity) {
                             None => true,
                             Some(_) => *entry <= combined + f64::EPSILON,
                         };
                         if replace {
-                            final_queries.insert(a.entity, (hop_query.clone(), sampler_index));
+                            final_hops.insert(a.entity, hop_index);
                         }
                     } else {
                         *next_anchors.entry(a.entity).or_insert(0.0) += combined;
@@ -334,10 +378,7 @@ impl AqpEngine {
         Ok(ComponentPlan {
             distribution,
             candidate_count,
-            validator: ComponentValidator::Chain {
-                final_queries,
-                samplers,
-            },
+            validator: ComponentValidator::Chain { final_hops, hops },
         })
     }
 }
@@ -438,6 +479,138 @@ mod tests {
         // Some cars are planted with both hubs, so the intersection is non-empty.
         assert!(answer.estimate >= 0.0);
         assert!(answer.candidate_count > 0);
+    }
+
+    /// Counts predicate-similarity evaluations: planning aside, only a
+    /// validation search makes them.
+    struct Counting<'a> {
+        inner: &'a kg_embed::PredicateVectorStore,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl PredicateSimilarity for Counting<'_> {
+        fn similarity(&self, a: kg_core::PredicateId, b: kg_core::PredicateId) -> f64 {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.similarity(a, b)
+        }
+    }
+
+    #[test]
+    fn strata_validating_in_parallel_build_the_table_once() {
+        use crate::session::{validate_entity, validation_config};
+        use std::sync::atomic::Ordering;
+
+        let d = dataset();
+        let engine = AqpEngine::new(EngineConfig::default());
+        let query = AggregateQuery::simple(
+            SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
+            AggregateFunction::Count,
+        );
+        let counting = Counting {
+            inner: &d.oracle,
+            calls: Default::default(),
+        };
+        let plan = engine.plan(&d.graph, &query, &counting).unwrap();
+        let validation = validation_config(engine.config());
+        let ComponentValidator::Simple(search) = &plan.components[0].validator else {
+            panic!("a simple query plans one simple component");
+        };
+
+        counting.calls.store(0, Ordering::Relaxed);
+        ValidationTable::build(
+            &d.graph,
+            &search.query,
+            &search.sampler,
+            &counting,
+            &validation,
+        );
+        let one_build = counting.calls.swap(0, Ordering::Relaxed);
+        assert!(one_build > 0);
+
+        // Four strata, released together onto a plan whose table is unbuilt.
+        const STRATA: usize = 4;
+        let barrier = std::sync::Barrier::new(STRATA);
+        let outcomes: Vec<Vec<(EntityId, (bool, f64))>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..STRATA)
+                .map(|k| {
+                    let (plan, barrier, counting, graph) = (&plan, &barrier, &counting, &d.graph);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        plan.distribution
+                            .iter()
+                            .skip(k)
+                            .step_by(STRATA)
+                            .map(|(e, _)| {
+                                let out =
+                                    validate_entity(plan, true, &validation, graph, counting, *e);
+                                (*e, out)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(counting.calls.load(Ordering::Relaxed), one_build);
+
+        let validated: usize = outcomes.iter().map(Vec::len).sum();
+        assert_eq!(validated, plan.distribution.len());
+        for (entity, (correct, sim)) in outcomes.into_iter().flatten() {
+            let reference = validate_answer(
+                &d.graph,
+                &search.query,
+                entity,
+                &search.sampler,
+                &d.oracle,
+                &validation,
+            );
+            assert_eq!(correct, reference.correct);
+            assert_eq!(sim.to_bits(), reference.best_similarity.to_bits());
+        }
+    }
+
+    #[test]
+    fn entities_the_table_declines_fall_back_to_the_per_answer_search() {
+        let d = dataset();
+        let engine = AqpEngine::new(EngineConfig::default());
+        let query = AggregateQuery::simple(
+            SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
+            AggregateFunction::Count,
+        );
+        let plan = engine.plan(&d.graph, &query, &d.oracle).unwrap();
+        let validation = crate::session::validation_config(engine.config());
+        let ComponentValidator::Simple(search) = &plan.components[0].validator else {
+            panic!("a simple query plans one simple component");
+        };
+        // The mapping node, another hub, and an intermediate a path may pass
+        // through (as the answer it ends the walk there, so the table, which
+        // walked on, cannot speak for it).
+        let company = d
+            .graph
+            .neighbors(search.query.specific)
+            .iter()
+            .map(|edge| edge.neighbor)
+            .find(|e| kg_query::admissible_intermediate(&d.graph, &search.query, *e))
+            .unwrap();
+        let china = d.graph.entity_by_name("China").unwrap();
+        for entity in [search.query.specific, china, company] {
+            let reference = validate_answer(
+                &d.graph,
+                &search.query,
+                entity,
+                &search.sampler,
+                &d.oracle,
+                &validation,
+            );
+            let (correct, sim) = search.validate(&d.graph, &d.oracle, entity, &validation);
+            assert_eq!(correct, reference.correct, "{entity:?}");
+            assert_eq!(sim.to_bits(), reference.best_similarity.to_bits());
+        }
+        assert!(
+            search.validate(&d.graph, &d.oracle, company, &validation).1 > 0.0,
+            "an intermediate next to the hub is reached"
+        );
     }
 
     #[test]

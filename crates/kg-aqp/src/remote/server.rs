@@ -301,7 +301,7 @@ impl ShardServerCore {
         // the prepared component sampler.
         let component_key = match plan.components.as_slice() {
             [single] => match &single.validator {
-                ComponentValidator::Simple { sampler, .. } => Some(Arc::as_ptr(sampler) as usize),
+                ComponentValidator::Simple(search) => Some(Arc::as_ptr(&search.sampler) as usize),
                 ComponentValidator::Chain { .. } => None,
             },
             _ => None,
@@ -401,7 +401,6 @@ impl ShardServerCore {
                 global,
                 self.similarity.as_ref(),
                 entity,
-                None,
             );
             state.stratum.validation.insert(entity, outcome);
         }

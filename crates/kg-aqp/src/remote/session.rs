@@ -26,7 +26,7 @@ use crate::engine::{AqpEngine, ComponentValidator, QueryPlan};
 use crate::remote::fleet::ShardFleet;
 use crate::remote::protocol::{ShardRequest, ShardResponse};
 use crate::result::{QueryAnswer, RoundTrace, StepTimings};
-use crate::session::{RoundOutcome, SharedValidationCache};
+use crate::session::RoundOutcome;
 use crate::sharded::{open_sharded_inner, ShardedSession, EXPLORATION_FLOOR, MIN_STRATUM_DRAWS};
 use kg_core::{EntityId, KgResult, ShardedGraph};
 use kg_embed::PredicateSimilarity;
@@ -120,7 +120,7 @@ pub(crate) fn open_remote<S: PredicateSimilarity + ?Sized>(
     let plan = engine.plan_with_cache(sharded.global(), query, similarity, cache)?;
     let component_key = match plan.components.as_slice() {
         [single] => match &single.validator {
-            ComponentValidator::Simple { sampler, .. } => Some(Arc::as_ptr(sampler) as usize),
+            ComponentValidator::Simple(search) => Some(Arc::as_ptr(&search.sampler) as usize),
             ComponentValidator::Chain { .. } => None,
         },
         _ => None,
@@ -584,12 +584,11 @@ impl AqpEngine {
         similarity: &S,
         fleet: Arc<ShardFleet>,
     ) -> KgResult<ShardedSession> {
-        self.open_remote_session_cached(sharded, query, similarity, fleet, None, None, None)
+        self.open_remote_session_cached(sharded, query, similarity, fleet, None, None)
     }
 
     /// [`Self::open_remote_session`] with planner and shard-sampler caches
     /// (the batch/service entry point).
-    #[allow(clippy::too_many_arguments)]
     pub fn open_remote_session_cached<S: PredicateSimilarity + ?Sized>(
         &self,
         sharded: &ShardedGraph,
@@ -598,7 +597,6 @@ impl AqpEngine {
         fleet: Arc<ShardFleet>,
         cache: Option<&SamplerCache>,
         shard_cache: Option<&ShardSamplerCache>,
-        _shared_validation: Option<SharedValidationCache>,
     ) -> KgResult<ShardedSession> {
         let session = open_remote(self, sharded, query, similarity, fleet, cache, shard_cache)?;
         Ok(open_sharded_inner(session))

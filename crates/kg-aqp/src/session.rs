@@ -7,22 +7,14 @@ use crate::result::{QueryAnswer, RoundTrace, StepTimings};
 use kg_core::{EntityId, KnowledgeGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{
-    additional_sample_size, blb_moe, estimate, satisfies_error_bound, validate_answer,
-    ValidatedAnswer, ValidationConfig,
+    additional_sample_size, blb_moe, estimate, satisfies_error_bound, ValidatedAnswer,
+    ValidationConfig,
 };
 use kg_query::matches_all;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// A validation cache shared by the sessions of one batch: maps a simple
-/// component (identified by its prepared sampler's address, stable for the
-/// lifetime of the batch) and an entity to the validation outcome.
-/// Sound to share because `validate_answer` is deterministic — whichever
-/// session computes an entry first, the value is the same.
-pub(crate) type SharedValidationCache = Arc<Mutex<HashMap<(usize, EntityId), (bool, f64)>>>;
 
 /// The [`ValidationConfig`] implied by an engine configuration (one code
 /// path for the serial, batched and sharded sessions).
@@ -36,11 +28,13 @@ pub(crate) fn validation_config(config: &EngineConfig) -> ValidationConfig {
     }
 }
 
-/// Validates one sampled entity against every component of a plan: the
-/// greedy π-guided search per component, with outcomes AND-ed and the
-/// weakest similarity kept. Shared by [`InteractiveSession`] and the
-/// sharded session so the two execution paths cannot drift. `validate:
-/// false` is the Fig. 5(b) ablation (trust every sampled answer).
+/// Validates one sampled entity against every component of a plan: each
+/// component answers from its validation table (one greedy π-guided search
+/// per component, see [`crate::engine::ComponentSearch`]), with outcomes
+/// AND-ed and the weakest similarity kept. Shared by [`InteractiveSession`],
+/// the sharded session and the remote shard server so the execution paths
+/// cannot drift. `validate: false` is the Fig. 5(b) ablation (trust every
+/// sampled answer).
 pub(crate) fn validate_entity<S: PredicateSimilarity + ?Sized>(
     plan: &QueryPlan,
     validate: bool,
@@ -48,7 +42,6 @@ pub(crate) fn validate_entity<S: PredicateSimilarity + ?Sized>(
     graph: &KnowledgeGraph,
     similarity: &S,
     entity: EntityId,
-    shared_validation: Option<&SharedValidationCache>,
 ) -> (bool, f64) {
     if !validate {
         return (true, 1.0);
@@ -57,40 +50,12 @@ pub(crate) fn validate_entity<S: PredicateSimilarity + ?Sized>(
     let mut sim = 1.0_f64;
     for component in &plan.components {
         let (c, s) = match &component.validator {
-            ComponentValidator::Simple { query, sampler } => {
-                let key = (Arc::as_ptr(sampler) as usize, entity);
-                let cached = shared_validation
-                    .as_ref()
-                    .and_then(|shared| shared.lock().unwrap().get(&key).copied());
-                match cached {
-                    Some(outcome) => outcome,
-                    None => {
-                        let out =
-                            validate_answer(graph, query, entity, sampler, similarity, validation);
-                        let outcome = (out.correct, out.best_similarity);
-                        if let Some(shared) = shared_validation {
-                            shared.lock().unwrap().insert(key, outcome);
-                        }
-                        outcome
-                    }
-                }
+            ComponentValidator::Simple(search) => {
+                search.validate(graph, similarity, entity, validation)
             }
-            ComponentValidator::Chain {
-                final_queries,
-                samplers,
-            } => match final_queries.get(&entity) {
+            ComponentValidator::Chain { final_hops, hops } => match final_hops.get(&entity) {
                 None => (false, 0.0),
-                Some((query, sampler_index)) => {
-                    let out = validate_answer(
-                        graph,
-                        query,
-                        entity,
-                        &samplers[*sampler_index],
-                        similarity,
-                        validation,
-                    );
-                    (out.correct, out.best_similarity)
-                }
+                Some(hop) => hops[*hop].validate(graph, similarity, entity, validation),
             },
         };
         correct &= c;
@@ -134,9 +99,6 @@ pub struct InteractiveSession {
     sample: Vec<(EntityId, f64)>,
     /// Validation cache: entity → (correct, similarity).
     validation_cache: HashMap<EntityId, (bool, f64)>,
-    /// Batch-shared per-component validation cache, when this session was
-    /// opened by a [`crate::BatchEngine`].
-    shared_validation: Option<SharedValidationCache>,
     timings: StepTimings,
     rounds: Vec<RoundTrace>,
     /// Whether the most recent round met the requested bound (Theorem 2).
@@ -145,14 +107,6 @@ pub struct InteractiveSession {
 
 impl InteractiveSession {
     pub(crate) fn new(config: EngineConfig, plan: QueryPlan) -> Self {
-        Self::with_shared_validation(config, plan, None)
-    }
-
-    pub(crate) fn with_shared_validation(
-        config: EngineConfig,
-        plan: QueryPlan,
-        shared_validation: Option<SharedValidationCache>,
-    ) -> Self {
         let seed = config.seed;
         let mut timings = StepTimings::default();
         timings.sampling_ms += plan.plan_ms;
@@ -162,7 +116,6 @@ impl InteractiveSession {
             rng: SmallRng::seed_from_u64(seed),
             sample: Vec::new(),
             validation_cache: HashMap::new(),
-            shared_validation,
             timings,
             rounds: Vec::new(),
             guarantee_met: false,
@@ -223,23 +176,19 @@ impl InteractiveSession {
     ) {
         let start = Instant::now();
         let validation = validation_config(&self.config);
-        let entities: Vec<EntityId> = self
-            .sample
-            .iter()
-            .map(|(e, _)| *e)
-            .filter(|e| !self.validation_cache.contains_key(e))
-            .collect();
-        for entity in entities {
+        for (entity, _) in &self.sample {
+            if self.validation_cache.contains_key(entity) {
+                continue;
+            }
             let outcome = validate_entity(
                 &self.plan,
                 self.config.validate,
                 &validation,
                 graph,
                 similarity,
-                entity,
-                self.shared_validation.as_ref(),
+                *entity,
             );
-            self.validation_cache.insert(entity, outcome);
+            self.validation_cache.insert(*entity, outcome);
         }
         self.timings.estimation_ms += start.elapsed().as_secs_f64() * 1e3;
     }

@@ -31,9 +31,7 @@ use crate::config::EngineConfig;
 use crate::engine::{AqpEngine, ComponentValidator, QueryPlan};
 use crate::remote::session::RemoteSession;
 use crate::result::{QueryAnswer, RoundTrace, StepTimings};
-use crate::session::{
-    validate_entity, validation_config, InteractiveSession, RoundOutcome, SharedValidationCache,
-};
+use crate::session::{validate_entity, validation_config, InteractiveSession, RoundOutcome};
 use kg_core::{EntityId, KgResult, ShardedGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{
@@ -145,7 +143,6 @@ struct StratifiedSession {
     config: EngineConfig,
     plan: QueryPlan,
     strata: Vec<Stratum>,
-    shared_validation: Option<SharedValidationCache>,
     timings: StepTimings,
     rounds: Vec<RoundTrace>,
     merge_ms: f64,
@@ -190,17 +187,12 @@ pub(crate) fn open_sharded<S: PredicateSimilarity + ?Sized>(
     similarity: &S,
     cache: Option<&SamplerCache>,
     shard_cache: Option<&ShardSamplerCache>,
-    shared_validation: Option<SharedValidationCache>,
 ) -> KgResult<ShardedSession> {
     let config = engine.config().clone();
     let plan = engine.plan_with_cache(sharded.global(), query, similarity, cache)?;
     if sharded.shard_count() == 1 {
         return Ok(ShardedSession {
-            inner: Inner::Single(Box::new(InteractiveSession::with_shared_validation(
-                config,
-                plan,
-                shared_validation,
-            ))),
+            inner: Inner::Single(Box::new(InteractiveSession::new(config, plan))),
         });
     }
 
@@ -210,7 +202,7 @@ pub(crate) fn open_sharded<S: PredicateSimilarity + ?Sized>(
     // the prepared sampler's identity.
     let component_key = match plan.components.as_slice() {
         [single] => match &single.validator {
-            ComponentValidator::Simple { sampler, .. } => Some(Arc::as_ptr(sampler) as usize),
+            ComponentValidator::Simple(search) => Some(Arc::as_ptr(&search.sampler) as usize),
             ComponentValidator::Chain { .. } => None,
         },
         _ => None,
@@ -241,7 +233,6 @@ pub(crate) fn open_sharded<S: PredicateSimilarity + ?Sized>(
             config,
             plan,
             strata,
-            shared_validation,
             timings,
             rounds: Vec::new(),
             merge_ms: 0.0,
@@ -494,7 +485,6 @@ impl StratifiedSession {
         // out across the rayon pool; strata are mutually disjoint.
         let plan = &self.plan;
         let config = &self.config;
-        let shared = self.shared_validation.as_ref();
         let per_stratum: Vec<(StratumEstimate, f64, f64)> = self
             .strata
             .par_iter_mut()
@@ -513,7 +503,6 @@ impl StratifiedSession {
                         global,
                         similarity,
                         entity,
-                        shared,
                     );
                     stratum.validation.insert(entity, outcome);
                 }
@@ -733,7 +722,7 @@ impl AqpEngine {
         query: &AggregateQuery,
         similarity: &S,
     ) -> KgResult<ShardedSession> {
-        open_sharded(self, sharded, query, similarity, None, None, None)
+        open_sharded(self, sharded, query, similarity, None, None)
     }
 
     /// Executes one query over a sharded graph until the Theorem-2

@@ -46,4 +46,4 @@ pub use stratified::{
     allocate_proportional, combine_point_terms, merge_strata, neutral_point_terms,
     stratified_point, stratum_point_terms, MergedEstimate, StratumEstimate,
 };
-pub use validation::{validate_answer, ValidationConfig, ValidationOutcome};
+pub use validation::{validate_answer, ValidationConfig, ValidationOutcome, ValidationTable};

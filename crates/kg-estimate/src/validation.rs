@@ -9,10 +9,15 @@
 //! budget) it keeps the best similarity found. False positives are impossible
 //! (an incorrect answer has *no* match with similarity ≥ τ); false negatives
 //! shrink as `repeat_factor` grows (Fig. 6(c)).
+//!
+//! The walk itself does not depend on the answer being validated, so a
+//! [`ValidationTable`] runs it once per prepared component and answers every
+//! candidate from that one run; [`validate_answer`] remains the per-answer
+//! form and the reference the table is tested against.
 
-use kg_core::{EntityId, KnowledgeGraph, Path};
+use kg_core::{EntityId, KnowledgeGraph, PredicateId};
 use kg_embed::PredicateSimilarity;
-use kg_query::{admissible_intermediate, path_similarity, PathAggregation, ResolvedSimpleQuery};
+use kg_query::{admissible_intermediate, PathAggregation, ResolvedSimpleQuery};
 use kg_sampling::PreparedSampler;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -55,25 +60,166 @@ pub struct ValidationOutcome {
     pub paths_examined: usize,
 }
 
-struct QueueEntry {
-    priority: f64,
-    path: Path,
+/// One frontier state: `node` reached over `predicate` from the state at
+/// `parent`. States live in an arena and link backwards, so extending a path
+/// allocates nothing and a path is only walked when something asks about it.
+#[derive(Clone, Copy)]
+struct Step {
+    node: EntityId,
+    /// The edge that reached `node` (unused at depth 0).
+    predicate: PredicateId,
+    depth: u32,
+    parent: usize,
 }
 
-impl PartialEq for QueueEntry {
+/// Heap entry ordered by priority alone, so ties break by push order.
+struct Frontier {
+    priority: f64,
+    step: usize,
+}
+
+impl PartialEq for Frontier {
     fn eq(&self, other: &Self) -> bool {
         self.priority == other.priority
     }
 }
-impl Eq for QueueEntry {}
-impl PartialOrd for QueueEntry {
+impl Eq for Frontier {}
+impl PartialOrd for Frontier {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for QueueEntry {
+impl Ord for Frontier {
     fn cmp(&self, other: &Self) -> Ordering {
         self.priority.total_cmp(&other.priority)
+    }
+}
+
+/// True when the path ending at `steps[step]` already visits `node`.
+fn visits(steps: &[Step], mut step: usize, node: EntityId) -> bool {
+    loop {
+        let s = &steps[step];
+        if s.node == node {
+            return true;
+        }
+        if s.depth == 0 {
+            return false;
+        }
+        step = s.parent;
+    }
+}
+
+/// What the search does with the answers it reaches.
+trait HitSink {
+    /// True once nothing further can change the sink's result.
+    fn satisfied(&self) -> bool;
+    /// Offers a node the search reached over a new simple path. Returns
+    /// false when the sink does not track `node`; the search may then extend
+    /// the path through it. `similarity` computes the path's similarity.
+    fn offer(&mut self, node: EntityId, similarity: impl FnOnce() -> f64) -> bool;
+}
+
+/// The greedy π-guided search of §IV-B2: expand the frontier state with the
+/// highest stationary probability, offer every neighbour to `sink`, and
+/// extend the path through admissible intermediates.
+///
+/// Nothing here depends on which answer is being validated except through
+/// `sink`: a sink only ever consumes nodes that are not admissible
+/// intermediates, so it can cut the walk short but never reorder it.
+fn search<S: PredicateSimilarity + ?Sized>(
+    graph: &KnowledgeGraph,
+    query: &ResolvedSimpleQuery,
+    sampler: &PreparedSampler,
+    similarity: &S,
+    config: &ValidationConfig,
+    sink: &mut impl HitSink,
+) {
+    let mut steps = vec![Step {
+        node: query.specific,
+        predicate: query.predicate,
+        depth: 0,
+        parent: 0,
+    }];
+    let mut heap = BinaryHeap::new();
+    heap.push(Frontier {
+        priority: 1.0,
+        step: 0,
+    });
+    let mut sims: Vec<f64> = Vec::with_capacity(config.max_path_len);
+    let mut expansions = 0usize;
+    let edge_similarity =
+        |p: PredicateId| similarity.similarity(p, query.predicate).clamp(0.0, 1.0);
+
+    while let Some(entry) = heap.pop() {
+        if sink.satisfied() || expansions >= config.max_expansions {
+            break;
+        }
+        expansions += 1;
+        let tail = steps[entry.step];
+        for edge in graph.neighbors(tail.node) {
+            if visits(&steps, entry.step, edge.neighbor) {
+                continue;
+            }
+            // Same per-edge terms in the same order as `path_similarity`
+            // over the materialised path.
+            let hit = sink.offer(edge.neighbor, || {
+                sims.clear();
+                sims.push(edge_similarity(edge.predicate));
+                let mut step = entry.step;
+                while steps[step].depth > 0 {
+                    sims.push(edge_similarity(steps[step].predicate));
+                    step = steps[step].parent;
+                }
+                sims.reverse();
+                config.aggregation.aggregate(&sims)
+            });
+            if hit {
+                if sink.satisfied() {
+                    break;
+                }
+                continue;
+            }
+            // Only admissible intermediates may extend the search: paths
+            // through another hub- or answer-typed entity are not subgraph
+            // matches of the query edge (same rule as exhaustive matching).
+            if (tail.depth as usize) + 1 < config.max_path_len
+                && admissible_intermediate(graph, query, edge.neighbor)
+            {
+                steps.push(Step {
+                    node: edge.neighbor,
+                    predicate: edge.predicate,
+                    depth: tail.depth + 1,
+                    parent: entry.step,
+                });
+                heap.push(Frontier {
+                    priority: sampler.stationary_probability(edge.neighbor),
+                    step: steps.len() - 1,
+                });
+            }
+        }
+    }
+}
+
+/// Sink of [`validate_answer`]: the first `repeat_factor` paths to one answer.
+struct SingleAnswer {
+    answer: EntityId,
+    repeat_factor: usize,
+    best: f64,
+    paths: usize,
+}
+
+impl HitSink for SingleAnswer {
+    fn satisfied(&self) -> bool {
+        self.paths >= self.repeat_factor
+    }
+
+    fn offer(&mut self, node: EntityId, similarity: impl FnOnce() -> f64) -> bool {
+        if node != self.answer {
+            return false;
+        }
+        self.best = self.best.max(similarity());
+        self.paths += 1;
+        true
     }
 }
 
@@ -86,53 +232,114 @@ pub fn validate_answer<S: PredicateSimilarity + ?Sized>(
     similarity: &S,
     config: &ValidationConfig,
 ) -> ValidationOutcome {
-    let mut heap: BinaryHeap<QueueEntry> = BinaryHeap::new();
-    heap.push(QueueEntry {
-        priority: 1.0,
-        path: Path::trivial(query.specific),
-    });
-    let mut best = 0.0_f64;
-    let mut paths_found = 0usize;
-    let mut expansions = 0usize;
+    let mut sink = SingleAnswer {
+        answer,
+        repeat_factor: config.repeat_factor,
+        best: 0.0,
+        paths: 0,
+    };
+    search(graph, query, sampler, similarity, config, &mut sink);
+    ValidationOutcome {
+        correct: sink.best >= config.tau,
+        best_similarity: sink.best,
+        paths_examined: sink.paths,
+    }
+}
 
-    while let Some(entry) = heap.pop() {
-        if paths_found >= config.repeat_factor || expansions >= config.max_expansions {
-            break;
-        }
-        expansions += 1;
-        let tail = entry.path.target();
-        for edge in graph.neighbors(tail) {
-            if entry.path.visits(edge.neighbor) {
-                continue;
-            }
-            let next = entry.path.extended(edge.predicate, edge.neighbor);
-            if edge.neighbor == answer {
-                let s = path_similarity(&next, query.predicate, similarity, config.aggregation);
-                best = best.max(s);
-                paths_found += 1;
-                if paths_found >= config.repeat_factor {
-                    break;
-                }
-                continue;
-            }
-            // Only admissible intermediates may extend the search: paths
-            // through another hub- or answer-typed entity are not subgraph
-            // matches of the query edge (same rule as exhaustive matching).
-            if next.len() < config.max_path_len
-                && admissible_intermediate(graph, query, edge.neighbor)
-            {
-                heap.push(QueueEntry {
-                    priority: sampler.stationary_probability(edge.neighbor),
-                    path: next,
-                });
-            }
-        }
+/// One candidate's row of a [`ValidationTable`].
+#[derive(Debug)]
+struct TableEntry {
+    entity: EntityId,
+    paths: u32,
+    best: f64,
+}
+
+/// The outcome of [`validate_answer`] for every candidate answer of one
+/// prepared component, from a single run of the search.
+///
+/// A candidate is never an admissible intermediate, so the search for one
+/// candidate walks exactly the frontier the search for any other does, and
+/// stops early only by truncating that walk. One run to the expansion budget
+/// that keeps, per candidate, the first `repeat_factor` paths it meets
+/// therefore reproduces every per-answer outcome bit for bit.
+#[derive(Debug)]
+pub struct ValidationTable {
+    config: ValidationConfig,
+    /// Sorted by entity.
+    entries: Vec<TableEntry>,
+}
+
+impl HitSink for ValidationTable {
+    fn satisfied(&self) -> bool {
+        false
     }
 
-    ValidationOutcome {
-        correct: best >= config.tau,
-        best_similarity: best,
-        paths_examined: paths_found,
+    fn offer(&mut self, node: EntityId, similarity: impl FnOnce() -> f64) -> bool {
+        let Ok(index) = self.entries.binary_search_by_key(&node, |e| e.entity) else {
+            return false;
+        };
+        let entry = &mut self.entries[index];
+        if (entry.paths as usize) < self.config.repeat_factor {
+            entry.best = entry.best.max(similarity());
+            entry.paths += 1;
+        }
+        true
+    }
+}
+
+impl ValidationTable {
+    /// Runs the search once for all candidate answers of `sampler`.
+    pub fn build<S: PredicateSimilarity + ?Sized>(
+        graph: &KnowledgeGraph,
+        query: &ResolvedSimpleQuery,
+        sampler: &PreparedSampler,
+        similarity: &S,
+        config: &ValidationConfig,
+    ) -> Self {
+        // An entity the search could extend a path through would change the
+        // walk when it is the answer; it stays out and `lookup` declines it.
+        let mut entries: Vec<TableEntry> = sampler
+            .answer_distribution()
+            .iter()
+            .filter(|a| !admissible_intermediate(graph, query, a.entity))
+            .map(|a| TableEntry {
+                entity: a.entity,
+                paths: 0,
+                best: 0.0,
+            })
+            .collect();
+        entries.sort_unstable_by_key(|e| e.entity);
+        let mut table = Self {
+            config: *config,
+            entries,
+        };
+        search(graph, query, sampler, similarity, config, &mut table);
+        table
+    }
+
+    /// The outcome [`validate_answer`] would return for `answer`, or `None`
+    /// when `answer` is not a candidate the table covers (the caller falls
+    /// back to [`validate_answer`]). `config` must be the configuration the
+    /// table was built under, up to τ, which is applied here.
+    pub fn lookup(&self, answer: EntityId, config: &ValidationConfig) -> Option<ValidationOutcome> {
+        assert!(
+            config.repeat_factor == self.config.repeat_factor
+                && config.max_path_len == self.config.max_path_len
+                && config.max_expansions == self.config.max_expansions
+                && config.aggregation == self.config.aggregation,
+            "validation table built under {:?}, looked up under {config:?}",
+            self.config
+        );
+        let index = self
+            .entries
+            .binary_search_by_key(&answer, |e| e.entity)
+            .ok()?;
+        let entry = &self.entries[index];
+        Some(ValidationOutcome {
+            correct: entry.best >= config.tau,
+            best_similarity: entry.best,
+            paths_examined: entry.paths as usize,
+        })
     }
 }
 

@@ -1787,7 +1787,6 @@ fn triage_jobs(
                         Arc::clone(&remote.fleet),
                         Some(samplers),
                         Some(shard_samplers),
-                        None,
                     )
                 })
                 .collect()

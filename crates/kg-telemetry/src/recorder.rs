@@ -382,8 +382,10 @@ impl Recorder {
     }
 
     fn push(&self, mut event: Event) {
-        event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut buffer = self.buffer.lock().unwrap();
+        // Numbered under the buffer lock: buffer order is `seq` order. The
+        // counter stays atomic only so `seq_watermark` reads it lock-free.
+        event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         if buffer.len() >= self.capacity {
             buffer.pop_front();
         }
@@ -619,6 +621,40 @@ mod tests {
         rec.log_line("{\"slow_query\":true}");
         let text = String::from_utf8(shared.0.lock().unwrap().clone()).unwrap();
         assert_eq!(text, "{\"slow_query\":true}\n");
+    }
+
+    /// Emitters released together, round after round: any window between
+    /// taking a sequence number and enqueueing the event shows up as a
+    /// drained event whose `seq` is below its predecessor's.
+    #[test]
+    fn contended_emitters_drain_in_seq_order() {
+        const EMITTERS: usize = 4;
+        for round in 0..200 {
+            let rec = Recorder::new(1 << 14);
+            rec.set_enabled(true);
+            let barrier = std::sync::Barrier::new(EMITTERS);
+            std::thread::scope(|scope| {
+                for _ in 0..EMITTERS {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        for _ in 0..1_000 {
+                            rec.point("tick", &[]);
+                        }
+                    });
+                }
+            });
+            let events = rec.drain();
+            assert_eq!(events.len(), EMITTERS * 1_000);
+            for pair in events.windows(2) {
+                assert!(
+                    pair[1].seq > pair[0].seq,
+                    "round {round}: seq {} drained after {}",
+                    pair[1].seq,
+                    pair[0].seq
+                );
+            }
+            assert_eq!(rec.seq_watermark(), events.last().unwrap().seq + 1);
+        }
     }
 
     #[test]
