@@ -41,14 +41,17 @@
 
 use crate::config::EngineConfig;
 use crate::engine::AqpEngine;
+use crate::remote::fleet::ShardFleet;
 use crate::result::QueryAnswer;
-use crate::session::InteractiveSession;
+use crate::session::{InteractiveSession, Session};
 use crate::sharded::{ShardedSession, ShardedStats};
+use crate::stratum::{GraphHandle, GraphView};
 use kg_core::{KgResult, KnowledgeGraph, ShardedGraph};
 use kg_embed::PredicateSimilarity;
 use kg_query::AggregateQuery;
 use kg_sampling::{CacheStats, SamplerCache, ShardSamplerCache};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// Exact nearest-rank percentile over latency samples (`q` in `[0, 1]`),
 /// tolerant of unsorted input and returning 0 for an empty set.
@@ -165,14 +168,87 @@ impl BatchEngine {
         }
     }
 
-    /// Wraps an existing engine (same configuration, batched surface).
-    pub fn from_engine(engine: AqpEngine) -> Self {
-        Self { engine }
+    fn fresh_cache(&self) -> SamplerCache {
+        let config = self.engine.config();
+        SamplerCache::new(config.strategy, config.sampler_config())
     }
 
-    /// The wrapped per-query engine.
-    pub fn engine(&self) -> &AqpEngine {
-        &self.engine
+    /// Opens one session per query, in input order, planning through
+    /// `cache`. The reported cache stats cover only this call, not the
+    /// cache's history.
+    fn open_all<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
+        &self,
+        graph: &G,
+        queries: &[AggregateQuery],
+        similarity: &S,
+        cache: &SamplerCache,
+        shard_cache: Option<&ShardSamplerCache>,
+        fleet: Option<&Arc<ShardFleet>>,
+    ) -> (Vec<KgResult<Session<G>>>, BatchStats) {
+        let before = cache.stats();
+        let open = |query| {
+            let cache = Some(cache);
+            self.engine
+                .open(graph, query, similarity, cache, shard_cache, fleet)
+        };
+        let sessions: Vec<KgResult<Session<G>>> = queries.iter().map(open).collect();
+        let after = cache.stats();
+        let stats = BatchStats {
+            queries: queries.len(),
+            failures: sessions.iter().filter(|s| s.is_err()).count(),
+            sampler_cache: CacheStats {
+                hits: after.hits - before.hits,
+                misses: after.misses - before.misses,
+            },
+            ..BatchStats::default()
+        };
+        (sessions, stats)
+    }
+
+    /// Opens every query ([`Self::open_all`]) and refines each to the
+    /// engine's error bound on the rayon pool, folding per-query latency
+    /// and — over a sharded graph — per-shard draw counts and merge time
+    /// into the stats.
+    fn run_all<G: GraphHandle + Sync + ?Sized, S: PredicateSimilarity + ?Sized>(
+        &self,
+        graph: &G,
+        queries: &[AggregateQuery],
+        similarity: &S,
+        cache: &SamplerCache,
+        shard_cache: Option<&ShardSamplerCache>,
+    ) -> (Vec<KgResult<QueryAnswer>>, BatchStats) {
+        let (sessions, mut stats) =
+            self.open_all(graph, queries, similarity, cache, shard_cache, None);
+        let error_bound = self.engine.config().error_bound;
+        let refine = |mut session: Session<G>| {
+            let answer = session.refine_to(graph, similarity, error_bound);
+            (answer, session.sharded_stats())
+        };
+        let results: Vec<KgResult<(QueryAnswer, ShardedStats)>> = sessions
+            .into_par_iter()
+            .map(|session| session.map(refine))
+            .collect();
+        if let GraphView::Sharded(sharded) = graph.view() {
+            stats.shard_samples = vec![0; sharded.shard_count()];
+        }
+        let mut answers = Vec::with_capacity(results.len());
+        for result in results {
+            let slot = result.map(|(answer, session)| {
+                for (total, &n) in stats
+                    .shard_samples
+                    .iter_mut()
+                    .zip(&session.per_shard_samples)
+                {
+                    *total += n as u64;
+                }
+                stats.merge_overhead_ms += session.merge_ms;
+                answer
+            });
+            let elapsed = slot.as_ref().map_or(f64::NAN, |answer| answer.elapsed_ms);
+            stats.per_query_ms.push(elapsed);
+            answers.push(slot);
+        }
+        (answers, stats)
     }
 
     /// Executes every query in `queries`, returning one result per query in
@@ -195,9 +271,7 @@ impl BatchEngine {
         queries: &[AggregateQuery],
         similarity: &S,
     ) -> (Vec<KgResult<QueryAnswer>>, BatchStats) {
-        let config = self.engine.config();
-        let cache = SamplerCache::new(config.strategy, config.sampler_config());
-        self.execute_with_stats_cached(graph, queries, similarity, &cache)
+        self.execute_with_stats_cached(graph, queries, similarity, &self.fresh_cache())
     }
 
     /// [`Self::execute_with_stats`] against a caller-owned [`SamplerCache`],
@@ -214,40 +288,13 @@ impl BatchEngine {
         similarity: &S,
         cache: &SamplerCache,
     ) -> (Vec<KgResult<QueryAnswer>>, BatchStats) {
-        let (sessions, mut stats) =
-            self.open_sessions_with_stats(graph, queries, similarity, cache);
-        let error_bound = self.engine.config().error_bound;
-        let answers: Vec<KgResult<QueryAnswer>> = sessions
-            .into_par_iter()
-            .map(|session| session.map(|mut s| s.refine_to(graph, similarity, error_bound)))
-            .collect();
-        stats.per_query_ms = answers
-            .iter()
-            .map(|a| {
-                a.as_ref()
-                    .map(|answer| answer.elapsed_ms)
-                    .unwrap_or(f64::NAN)
-            })
-            .collect();
-        (answers, stats)
+        self.run_all(graph, queries, similarity, cache, None)
     }
 
     /// Opens one interactive session per query with shared planning, so a
     /// caller can refine the error bound of each query incrementally (the
-    /// batched counterpart of [`AqpEngine::open_session`]).
-    pub fn open_sessions<S: PredicateSimilarity + ?Sized>(
-        &self,
-        graph: &KnowledgeGraph,
-        queries: &[AggregateQuery],
-        similarity: &S,
-    ) -> Vec<KgResult<InteractiveSession>> {
-        let config = self.engine.config();
-        let cache = SamplerCache::new(config.strategy, config.sampler_config());
-        self.open_sessions_with_stats(graph, queries, similarity, &cache)
-            .0
-    }
-
-    /// [`Self::open_sessions`] against a caller-owned [`SamplerCache`] (see
+    /// batched counterpart of [`AqpEngine::open_session`]), against a
+    /// caller-owned [`SamplerCache`] (see
     /// [`Self::execute_with_stats_cached`] for why sharing is sound).
     pub fn open_sessions_cached<S: PredicateSimilarity + ?Sized>(
         &self,
@@ -256,42 +303,8 @@ impl BatchEngine {
         similarity: &S,
         cache: &SamplerCache,
     ) -> (Vec<KgResult<InteractiveSession>>, BatchStats) {
-        self.open_sessions_with_stats(graph, queries, similarity, cache)
+        self.open_all(graph, queries, similarity, cache, None, None)
     }
-
-    fn open_sessions_with_stats<S: PredicateSimilarity + ?Sized>(
-        &self,
-        graph: &KnowledgeGraph,
-        queries: &[AggregateQuery],
-        similarity: &S,
-        cache: &SamplerCache,
-    ) -> (Vec<KgResult<InteractiveSession>>, BatchStats) {
-        let config = self.engine.config();
-        let cache_before = cache.stats();
-        let sessions: Vec<KgResult<InteractiveSession>> = queries
-            .iter()
-            .map(|query| {
-                self.engine
-                    .plan_with_cache(graph, query, similarity, Some(cache))
-                    .map(|plan| InteractiveSession::new(config.clone(), plan))
-            })
-            .collect();
-        let cache_after = cache.stats();
-        let stats = BatchStats {
-            queries: queries.len(),
-            failures: sessions.iter().filter(|s| s.is_err()).count(),
-            sampler_cache: CacheStats {
-                hits: cache_after.hits - cache_before.hits,
-                misses: cache_after.misses - cache_before.misses,
-            },
-            ..BatchStats::default()
-        };
-        (sessions, stats)
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded execution
-    // ------------------------------------------------------------------
 
     /// Executes every query against a sharded graph, one merged answer per
     /// query in input order: the sharded counterpart of [`Self::execute`].
@@ -315,9 +328,7 @@ impl BatchEngine {
         queries: &[AggregateQuery],
         similarity: &S,
     ) -> (Vec<KgResult<QueryAnswer>>, BatchStats) {
-        let config = self.engine.config();
-        let cache = SamplerCache::new(config.strategy, config.sampler_config());
-        let shard_cache = ShardSamplerCache::new();
+        let (cache, shard_cache) = (self.fresh_cache(), ShardSamplerCache::new());
         self.execute_sharded_with_stats_cached(sharded, queries, similarity, &cache, &shard_cache)
     }
 
@@ -332,48 +343,14 @@ impl BatchEngine {
         cache: &SamplerCache,
         shard_cache: &ShardSamplerCache,
     ) -> (Vec<KgResult<QueryAnswer>>, BatchStats) {
-        let (sessions, mut stats) =
-            self.open_sharded_sessions_cached(sharded, queries, similarity, cache, shard_cache);
-        let error_bound = self.engine.config().error_bound;
-        let results: Vec<KgResult<(QueryAnswer, ShardedStats)>> = sessions
-            .into_par_iter()
-            .map(|session| {
-                session.map(|mut s| {
-                    let answer = s.refine_to(sharded, similarity, error_bound);
-                    let sharded_stats = s.sharded_stats();
-                    (answer, sharded_stats)
-                })
-            })
-            .collect();
-        let mut shard_samples = vec![0u64; sharded.shard_count()];
-        let mut merge_overhead_ms = 0.0;
-        let mut answers = Vec::with_capacity(results.len());
-        let mut per_query_ms = Vec::with_capacity(results.len());
-        for result in results {
-            match result {
-                Ok((answer, sharded_stats)) => {
-                    for (shard, &n) in sharded_stats.per_shard_samples.iter().enumerate() {
-                        shard_samples[shard] += n as u64;
-                    }
-                    merge_overhead_ms += sharded_stats.merge_ms;
-                    per_query_ms.push(answer.elapsed_ms);
-                    answers.push(Ok(answer));
-                }
-                Err(e) => {
-                    per_query_ms.push(f64::NAN);
-                    answers.push(Err(e));
-                }
-            }
-        }
-        stats.per_query_ms = per_query_ms;
-        stats.shard_samples = shard_samples;
-        stats.merge_overhead_ms = merge_overhead_ms;
-        (answers, stats)
+        self.run_all(sharded, queries, similarity, cache, Some(shard_cache))
     }
 
     /// Opens one [`ShardedSession`] per query with shared planning and
-    /// shared per-shard restrictions: the sharded
-    /// counterpart of [`Self::open_sessions_cached`].
+    /// shared per-shard restrictions: the sharded counterpart of
+    /// [`Self::open_sessions_cached`]. With a `fleet`, the sessions execute
+    /// their strata on its shard servers
+    /// ([`AqpEngine::open_remote_session`]) instead of in-process.
     pub fn open_sharded_sessions_cached<S: PredicateSimilarity + ?Sized>(
         &self,
         sharded: &ShardedGraph,
@@ -381,44 +358,10 @@ impl BatchEngine {
         similarity: &S,
         cache: &SamplerCache,
         shard_cache: &ShardSamplerCache,
+        fleet: Option<&Arc<ShardFleet>>,
     ) -> (Vec<KgResult<ShardedSession>>, BatchStats) {
-        let cache_before = cache.stats();
-        let sessions: Vec<KgResult<ShardedSession>> = queries
-            .iter()
-            .map(|query| {
-                crate::sharded::open_sharded(
-                    &self.engine,
-                    sharded,
-                    query,
-                    similarity,
-                    Some(cache),
-                    Some(shard_cache),
-                )
-            })
-            .collect();
-        let cache_after = cache.stats();
-        let stats = BatchStats {
-            queries: queries.len(),
-            failures: sessions.iter().filter(|s| s.is_err()).count(),
-            sampler_cache: CacheStats {
-                hits: cache_after.hits - cache_before.hits,
-                misses: cache_after.misses - cache_before.misses,
-            },
-            ..BatchStats::default()
-        };
-        (sessions, stats)
-    }
-}
-
-impl AqpEngine {
-    /// Executes a slice of queries with shared planning; see [`BatchEngine`].
-    pub fn execute_batch<S: PredicateSimilarity + ?Sized + Sync>(
-        &self,
-        graph: &KnowledgeGraph,
-        queries: &[AggregateQuery],
-        similarity: &S,
-    ) -> Vec<KgResult<QueryAnswer>> {
-        BatchEngine::from_engine(self.clone()).execute(graph, queries, similarity)
+        let shard_cache = Some(shard_cache);
+        self.open_all(sharded, queries, similarity, cache, shard_cache, fleet)
     }
 }
 
@@ -650,7 +593,8 @@ mod tests {
         let d = dataset();
         let queries = workload();
         let batch = BatchEngine::new(EngineConfig::default());
-        let sessions = batch.open_sessions(&d.graph, &queries, &d.oracle);
+        let cache = batch.fresh_cache();
+        let (sessions, _) = batch.open_sessions_cached(&d.graph, &queries, &d.oracle, &cache);
         assert_eq!(sessions.len(), queries.len());
         let mut session = sessions.into_iter().next().unwrap().unwrap();
         let coarse = session.refine_to(&d.graph, &d.oracle, 0.10);

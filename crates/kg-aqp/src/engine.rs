@@ -142,22 +142,12 @@ impl AqpEngine {
         query: &AggregateQuery,
         similarity: &S,
     ) -> KgResult<InteractiveSession> {
-        let plan = self.plan(graph, query, similarity)?;
-        Ok(InteractiveSession::new(self.config.clone(), plan))
+        self.open(graph, query, similarity, None, None, None)
     }
 
     // ------------------------------------------------------------------
     // Planning (decomposition–assembly)
     // ------------------------------------------------------------------
-
-    pub(crate) fn plan<S: PredicateSimilarity + ?Sized>(
-        &self,
-        graph: &KnowledgeGraph,
-        query: &AggregateQuery,
-        similarity: &S,
-    ) -> KgResult<QueryPlan> {
-        self.plan_with_cache(graph, query, similarity, None)
-    }
 
     /// Plans a query, optionally reusing prepared samplers from `cache` for
     /// simple components (batch execution prepares each distinct component
@@ -498,7 +488,7 @@ mod tests {
 
     #[test]
     fn strata_validating_in_parallel_build_the_table_once() {
-        use crate::session::{validate_entity, validation_config};
+        use crate::stratum::{validate_entity, validation_config};
         use std::sync::atomic::Ordering;
 
         let d = dataset();
@@ -511,7 +501,9 @@ mod tests {
             inner: &d.oracle,
             calls: Default::default(),
         };
-        let plan = engine.plan(&d.graph, &query, &counting).unwrap();
+        let plan = engine
+            .plan_with_cache(&d.graph, &query, &counting, None)
+            .unwrap();
         let validation = validation_config(engine.config());
         let ComponentValidator::Simple(search) = &plan.components[0].validator else {
             panic!("a simple query plans one simple component");
@@ -578,8 +570,10 @@ mod tests {
             SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
             AggregateFunction::Count,
         );
-        let plan = engine.plan(&d.graph, &query, &d.oracle).unwrap();
-        let validation = crate::session::validation_config(engine.config());
+        let plan = engine
+            .plan_with_cache(&d.graph, &query, &d.oracle, None)
+            .unwrap();
+        let validation = crate::stratum::validation_config(engine.config());
         let ComponentValidator::Simple(search) = &plan.components[0].validator else {
             panic!("a simple query plans one simple component");
         };

@@ -37,6 +37,7 @@ pub mod remote;
 pub mod result;
 pub mod session;
 pub mod sharded;
+mod stratum;
 pub mod wire;
 
 pub use batch::{latency_percentile, BatchEngine, BatchStats};
@@ -48,7 +49,7 @@ pub use remote::{
     ShardTransport, TcpTransport, TransportError,
 };
 pub use result::{QueryAnswer, RoundTrace, StepTimings};
-pub use session::{InteractiveSession, RoundOutcome};
+pub use session::{InteractiveSession, RoundOutcome, Session};
 pub use sharded::{ShardedSession, ShardedStats};
 
 /// Convenience re-exports for downstream users of the public API.

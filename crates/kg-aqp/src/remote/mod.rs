@@ -20,8 +20,9 @@
 //! * [`fleet`] — per-shard replica routing with deadlines, retries,
 //!   hedging and health-tracked failover.
 //! * [`server`] — the deterministic replay core a shard server executes.
-//! * [`session`] — the coordinator's scatter-gather session, including the
-//!   degraded-answer contract for unreachable strata.
+//! * [`session`] — the coordinator: the session loop's scatter-gather
+//!   executor, including the degraded-answer contract for unreachable
+//!   strata.
 
 pub mod fleet;
 pub mod protocol;
@@ -32,7 +33,6 @@ pub mod transport;
 pub use fleet::{FleetPolicy, RemoteMetrics, RemoteMetricsSnapshot, ShardCallError, ShardFleet};
 pub use protocol::{ShardRequest, ShardResponse};
 pub use server::{config_fingerprint, graph_fingerprint, ShardServerCore};
-pub use session::RemoteSession;
 pub use transport::{
     FaultAction, FaultPlan, InProcessTransport, ShardTransport, TcpTransport, TransportError,
 };

@@ -18,19 +18,16 @@
 //! requests: retries, hedges and failovers all observe identical bytes.
 
 use crate::config::EngineConfig;
-use crate::engine::{AqpEngine, ComponentValidator, QueryPlan};
+use crate::engine::{AqpEngine, QueryPlan};
 use crate::remote::protocol::{ShardRequest, ShardResponse};
-use crate::session::{validate_entity, validation_config};
-use crate::sharded::{validated_sample, Stratum};
+use crate::stratum::{shard_sampler, GraphView, Stratum};
 use kg_core::{Codec, ShardedGraph};
 use kg_embed::PredicateSimilarity;
-use kg_estimate::{stratum_point_terms, StratumEstimate, ValidatedAnswer};
+use kg_estimate::{StratumEstimate, ValidatedAnswer};
 use kg_query::AggregateQuery;
-use kg_sampling::ShardSamplerCache;
-use kg_sampling::{BucketTerm, SamplerCache, ShardSampler, StratumReport, StratumTask};
-use std::collections::{BTreeSet, HashMap};
+use kg_sampling::{SamplerCache, ShardSamplerCache, StratumTask};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// FNV-1a over a sequence of u64 words (little-endian byte order).
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -294,33 +291,9 @@ impl ShardServerCore {
     }
 
     fn fresh_state(&self, plan: Arc<QueryPlan>, shard: usize) -> SessionState {
-        let sharded = &self.sharded;
-        let owned = |e| sharded.shard_of(e) == shard;
-        // Same single-simple-component memoisation as the coordinator: the
-        // distribution (hence the stratum sampler) is a pure function of
-        // the prepared component sampler.
-        let component_key = match plan.components.as_slice() {
-            [single] => match &single.validator {
-                ComponentValidator::Simple(search) => Some(Arc::as_ptr(&search.sampler) as usize),
-                ComponentValidator::Chain { .. } => None,
-            },
-            _ => None,
-        };
-        let sampler = match component_key {
-            Some(key) => {
-                self.shard_cache
-                    .get_or_insert_with(key, sharded.partition_id(), shard, || {
-                        ShardSampler::from_distribution(shard, &plan.distribution, owned)
-                    })
-            }
-            None => Arc::new(ShardSampler::from_distribution(
-                shard,
-                &plan.distribution,
-                owned,
-            )),
-        };
+        let sampler = shard_sampler(&plan, &self.sharded, shard, Some(&self.shard_cache));
         SessionState {
-            stratum: Stratum::new(shard, sampler, self.engine.config().seed),
+            stratum: Stratum::new(shard, Some(sampler), self.engine.config().seed),
             plan,
             applied: Vec::new(),
             steps: 0,
@@ -370,40 +343,45 @@ impl ShardServerCore {
     }
 
     fn apply_draw(state: &mut SessionState, count: u64) {
-        if count > 0 {
-            let drawn = state
-                .stratum
-                .sampler
-                .draw(&mut state.stratum.rng, count as usize);
-            state
-                .stratum
-                .sample
-                .extend(drawn.iter().map(|a| (a.entity, a.probability)));
-        }
+        state.stratum.draw(&state.plan, count as usize);
         state.applied.push(count);
     }
 
-    /// Validates every not-yet-validated entity among the first
-    /// `upto` draws, in draw order (validation consumes no RNG, so doing it
-    /// lazily here matches the in-process incremental schedule exactly).
-    fn validate_prefix(&self, state: &mut SessionState, upto: usize) {
-        let validation = validation_config(self.engine.config());
-        let global = self.sharded.global();
-        for i in 0..upto.min(state.stratum.sample.len()) {
-            let entity = state.stratum.sample[i].0;
-            if state.stratum.validation.contains_key(&entity) {
-                continue;
-            }
-            let outcome = validate_entity(
-                &state.plan,
-                self.engine.config().validate,
-                &validation,
-                global,
-                self.similarity.as_ref(),
-                entity,
+    /// Serves one stratum task: checks its shape, re-serves a duplicate of
+    /// the last request (a retry or a hedge) from the cached response, and
+    /// otherwise lets `run` answer from the state replayed up to the task.
+    fn serve_task(
+        &self,
+        snapshot: bool,
+        query_text: &str,
+        task: &StratumTask,
+        run: impl FnOnce(&mut SessionState) -> ShardResponse,
+    ) -> Result<ShardResponse, (String, String)> {
+        let (draws, steps) = (task.draws.len(), task.steps);
+        // A step carries the new round's draws; a snapshot may come before
+        // they are allocated.
+        if draws != steps + 1 && !(snapshot && draws == steps) {
+            let (kind, or_steps) = if snapshot {
+                ("snapshot", " or steps")
+            } else {
+                ("step", "")
+            };
+            let message = format!(
+                "{kind} task needs draws.len() == steps + 1{or_steps}, got {draws} and {steps}"
             );
-            state.stratum.validation.insert(entity, outcome);
+            return Err(("bad_task".to_string(), message));
         }
+        let session = self.session(query_text, task)?;
+        let mut state = session.lock().unwrap();
+        if let Some((last_snapshot, last_task, response)) = &state.last {
+            if *last_snapshot == snapshot && last_task == task {
+                return Ok(response.clone());
+            }
+        }
+        self.advance(&mut state, task);
+        let response = run(&mut state);
+        state.last = Some((snapshot, task.clone(), response.clone()));
+        Ok(response)
     }
 
     fn step(
@@ -411,52 +389,17 @@ impl ShardServerCore {
         query_text: &str,
         task: &StratumTask,
     ) -> Result<ShardResponse, (String, String)> {
-        if task.draws.len() != task.steps + 1 {
-            return Err((
-                "bad_task".to_string(),
-                format!(
-                    "step task needs draws.len() == steps + 1, got {} and {}",
-                    task.draws.len(),
-                    task.steps
-                ),
-            ));
-        }
-        let session = self.session(query_text, task)?;
-        let mut state = session.lock().unwrap();
-        if let Some((false, last_task, response)) = &state.last {
-            if last_task == task {
-                return Ok(response.clone());
-            }
-        }
-        self.advance(&mut state, task);
-        let resamples = task.resamples.max(2);
-
-        let validate_start = Instant::now();
-        self.validate_prefix(&mut state, usize::MAX);
-        let validated = validated_sample(&state.stratum, &state.plan, &self.sharded);
-        let validate_ms = validate_start.elapsed().as_secs_f64() * 1e3;
-        let bootstrap_start = Instant::now();
-        let state = &mut *state;
-        let summary = StratumEstimate::compute(
-            &state.plan.aggregate,
-            &validated,
-            resamples,
-            &mut state.stratum.rng,
-        );
-        let bootstrap_ms = bootstrap_start.elapsed().as_secs_f64() * 1e3;
-        state.steps += 1;
-
-        let response = ShardResponse::Estimate(StratumReport {
-            primary: summary.primary,
-            secondary: summary.secondary,
-            replicates: summary.replicates,
-            sample_size: summary.sample_size,
-            correct: summary.correct,
-            validate_ms,
-            bootstrap_ms,
-        });
-        state.last = Some((false, task.clone(), response.clone()));
-        Ok(response)
+        self.serve_task(false, query_text, task, |state| {
+            let report = state.stratum.round(
+                &state.plan,
+                self.engine.config(),
+                GraphView::Sharded(&self.sharded),
+                self.similarity.as_ref(),
+                task.resamples.max(2),
+            );
+            state.steps += 1;
+            ShardResponse::Estimate(report)
+        })
     }
 
     fn snapshot(
@@ -464,77 +407,21 @@ impl ShardServerCore {
         query_text: &str,
         task: &StratumTask,
     ) -> Result<ShardResponse, (String, String)> {
-        if task.draws.len() < task.steps || task.draws.len() > task.steps + 1 {
-            return Err((
-                "bad_task".to_string(),
-                format!(
-                    "snapshot task needs draws.len() in [steps, steps + 1], got {} and {}",
-                    task.draws.len(),
-                    task.steps
-                ),
-            ));
-        }
-        let session = self.session(query_text, task)?;
-        let mut state = session.lock().unwrap();
-        if let Some((true, last_task, response)) = &state.last {
-            if last_task == task {
-                return Ok(response.clone());
-            }
-        }
-        self.advance(&mut state, task);
-        // Only the draws of *completed* rounds were validated by the
-        // in-process session at this point; trailing draws default to
-        // incorrect (the deadline-truncation contract).
-        let validated_upto: usize = task.draws[..task.steps].iter().sum::<u64>() as usize;
-        self.validate_prefix(&mut state, validated_upto);
-
-        let (attr, width) = match state.plan.group_by {
-            Some(group_by) => group_by,
-            None => {
-                // Not a GROUP-BY query: no buckets to report.
-                let response = ShardResponse::Buckets(Vec::new());
-                state.last = Some((true, task.clone(), response.clone()));
-                return Ok(response);
-            }
-        };
-        let shard_graph = self.sharded.shard(state.stratum.shard).graph();
-        let validated = validated_sample(&state.stratum, &state.plan, &self.sharded);
-        let keyed: Vec<(Option<i64>, ValidatedAnswer)> = validated
-            .into_iter()
-            .zip(&state.stratum.sample)
-            .map(|(answer, (entity, _))| {
-                let (_, local) = self.sharded.to_local(*entity);
-                let key = shard_graph
-                    .attribute_value(local, attr)
-                    .map(|v| (v / width).floor() as i64);
-                (key, answer)
-            })
-            .collect();
-        let keys: BTreeSet<i64> = keyed
-            .iter()
-            .filter(|(_, a)| a.correct)
-            .filter_map(|(k, _)| *k)
-            .collect();
-        let terms = keys
-            .into_iter()
-            .map(|key| {
-                let bucket: Vec<ValidatedAnswer> = keyed
-                    .iter()
-                    .map(|(k, a)| ValidatedAnswer {
-                        correct: a.correct && *k == Some(key),
-                        ..*a
-                    })
-                    .collect();
-                let (primary, secondary) = stratum_point_terms(&state.plan.aggregate, &bucket);
-                BucketTerm {
-                    key,
-                    primary,
-                    secondary,
-                }
-            })
-            .collect();
-        let response = ShardResponse::Buckets(terms);
-        state.last = Some((true, task.clone(), response.clone()));
-        Ok(response)
+        self.serve_task(true, query_text, task, |state| {
+            // Only the draws of *completed* rounds were validated by the
+            // in-process session at this point; trailing draws default to
+            // incorrect (the deadline-truncation contract).
+            let validated_upto: usize = task.draws[..task.steps].iter().sum::<u64>() as usize;
+            state.stratum.validate(
+                &state.plan,
+                self.engine.config(),
+                self.sharded.global(),
+                self.similarity.as_ref(),
+                validated_upto,
+            );
+            // No terms unless the query groups.
+            let view = GraphView::Sharded(&self.sharded);
+            ShardResponse::Buckets(state.stratum.bucket_terms(&state.plan, view))
+        })
     }
 }

@@ -61,7 +61,13 @@ pub struct QueryAnswer {
     pub sample_size: usize,
     /// Number of candidate answers |A| seen by the sampler.
     pub candidate_count: usize,
-    /// Total wall-clock time in milliseconds.
+    /// Milliseconds this answer took. From `refine_to` / `refine_with` /
+    /// `refine_deadline`: the wall-clock time of that call, plus the
+    /// session's planning time if the call ran the session's first round
+    /// (planning happens once, when the session is opened — later calls on
+    /// the same session do not report it again). From `snapshot_answer`: the
+    /// stage time accumulated over the session's life
+    /// ([`StepTimings::total_ms`]), since a snapshot has no call to time.
     pub elapsed_ms: f64,
     /// Shards whose strata could not contribute to this answer (remote
     /// execution only; always empty in-process). Non-empty means the

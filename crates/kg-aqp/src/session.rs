@@ -1,124 +1,305 @@
 //! The iterative sampling–estimation loop (Algorithm 2 lines 2–14) and the
-//! interactive error-bound refinement of §IV-C.
+//! interactive error-bound refinement of §IV-C — once.
+//!
+//! A [`Session`] plans a query, then runs rounds: draw, validate (§IV-B2),
+//! estimate (Eq. 7–9), interval, Theorem-2 test, Eq.-12 increment. Every
+//! execution path is this loop over one of three `Strata` executors:
+//!
+//! * **whole** — one stratum over the whole graph, drawing from the plan's
+//!   own alias table (the unsharded engine; also a single-shard graph);
+//! * **local** — one stratum per shard of a [`ShardedGraph`], each with its
+//!   own RNG stream, fanned out on the rayon pool;
+//! * **remote** — the same strata executed by shard servers behind a
+//!   [`ShardFleet`], tolerating unreachable shards.
+//!
+//! The paths differ in exactly three places, each a `match` below: how the
+//! interval is computed (BLB over the whole stratum, or per-stratum bootstrap
+//! replicates merged by [`kg_estimate::merge_strata`] — the two are *not*
+//! interchangeable bit for bit, not even for a single stratum), where an
+//! allocation's draws happen (here, or on the shard server), and which graph
+//! a stratum reads attributes from (`GraphView`). Everything else —
+//! allocation, termination, tracing, timings, the answer — is shared.
 
 use crate::config::EngineConfig;
-use crate::engine::{ComponentValidator, QueryPlan};
+use crate::engine::{AqpEngine, QueryPlan};
+use crate::remote::fleet::ShardFleet;
+use crate::remote::session::RemoteStrata;
 use crate::result::{QueryAnswer, RoundTrace, StepTimings};
-use kg_core::{EntityId, KnowledgeGraph};
+use crate::sharded::ShardedStats;
+use crate::stratum::{ms_since, shard_sampler, GraphHandle, GraphView, Stratum, StratumMass};
+use kg_core::{KgResult, KnowledgeGraph, ShardedGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{
-    additional_sample_size, blb_moe, estimate, satisfies_error_bound, ValidatedAnswer,
-    ValidationConfig,
+    additional_sample_size, allocate_proportional, blb_moe, combine_point_terms, estimate,
+    merge_strata, neutral_point_terms, satisfies_error_bound, MergedEstimate, StratumEstimate,
 };
-use kg_query::matches_all;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap};
+use kg_query::{AggregateQuery, ResolvedAggregate};
+use kg_sampling::{BucketTerm, SamplerCache, ShardSamplerCache, StratumReport};
+use rayon::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
+use std::sync::Arc;
 use std::time::Instant;
-
-/// The [`ValidationConfig`] implied by an engine configuration (one code
-/// path for the serial, batched and sharded sessions).
-pub(crate) fn validation_config(config: &EngineConfig) -> ValidationConfig {
-    ValidationConfig {
-        tau: config.tau,
-        repeat_factor: config.repeat_factor,
-        max_path_len: config.n_bound as usize,
-        aggregation: config.aggregation,
-        ..ValidationConfig::default()
-    }
-}
-
-/// Validates one sampled entity against every component of a plan: each
-/// component answers from its validation table (one greedy π-guided search
-/// per component, see [`crate::engine::ComponentSearch`]), with outcomes
-/// AND-ed and the weakest similarity kept. Shared by [`InteractiveSession`],
-/// the sharded session and the remote shard server so the execution paths
-/// cannot drift. `validate: false` is the Fig. 5(b) ablation (trust every
-/// sampled answer).
-pub(crate) fn validate_entity<S: PredicateSimilarity + ?Sized>(
-    plan: &QueryPlan,
-    validate: bool,
-    validation: &ValidationConfig,
-    graph: &KnowledgeGraph,
-    similarity: &S,
-    entity: EntityId,
-) -> (bool, f64) {
-    if !validate {
-        return (true, 1.0);
-    }
-    let mut correct = true;
-    let mut sim = 1.0_f64;
-    for component in &plan.components {
-        let (c, s) = match &component.validator {
-            ComponentValidator::Simple(search) => {
-                search.validate(graph, similarity, entity, validation)
-            }
-            ComponentValidator::Chain { final_hops, hops } => match final_hops.get(&entity) {
-                None => (false, 0.0),
-                Some(hop) => hops[*hop].validate(graph, similarity, entity, validation),
-            },
-        };
-        correct &= c;
-        sim = sim.min(s);
-        if !correct {
-            break;
-        }
-    }
-    (correct, sim)
-}
 
 /// Outcome of one refinement round of the sampling–estimation loop: did the
 /// round settle the query, exhaust its budget, or leave more work to do?
-/// Returned by [`InteractiveSession::step_with`] and
-/// [`crate::ShardedSession::step_with`] so a driver (the deadline-aware
-/// service scheduler, or [`InteractiveSession::refine_with`] itself) can
-/// decide round-by-round whether to keep going.
+/// Returned by [`Session::step_with`] so a driver (the deadline-aware
+/// service scheduler, or `refine_with` itself) can decide round-by-round
+/// whether to keep going.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RoundOutcome {
     /// The Theorem-2 guarantee holds for the requested error bound (or no
     /// further draw can change the interval): refinement is complete and
     /// `guarantee_met` is true.
     Satisfied,
-    /// A budget cap (max sample size, or an empty answer distribution with
-    /// an unsatisfied bound) stops refinement short of the guarantee:
-    /// further rounds cannot help and `guarantee_met` is false.
+    /// A budget cap (max sample size, an empty answer distribution with an
+    /// unsatisfied bound, or every shard unreachable) stops refinement short
+    /// of the guarantee: further rounds cannot help and `guarantee_met` is
+    /// false.
     Exhausted,
-    /// The guarantee is not yet met and more sample has been drawn: another
-    /// round would refine the interval further.
+    /// The guarantee is not yet met and more sample has been allocated:
+    /// another round would refine the interval further.
     Continue,
 }
 
-/// An interactive query session: keeps the plan, the drawn sample and the
-/// validation cache so that the user can tighten the error bound at runtime
-/// and pay only the incremental cost (Fig. 6(a)).
-pub struct InteractiveSession {
+/// Minimum initial draws per non-empty stratum. A stratum sampled only a
+/// handful of times can report zero observed variance (e.g. every draw
+/// validated incorrect) even though its estimator is highly uncertain —
+/// pure variance-proportional allocation would then starve it forever and
+/// the merged interval would be overconfident about a biased estimate.
+/// Matches the 16-draw floor of [`EngineConfig::initial_sample_size`].
+const MIN_STRATUM_DRAWS: usize = 16;
+
+/// Fraction of stratum mass blended into the Neyman weights each
+/// refinement round, so every stratum keeps receiving a trickle of draws
+/// and zero-observed-variance strata can reveal their true variance.
+const EXPLORATION_FLOOR: f64 = 0.25;
+
+/// Splits `total` draws across strata. Before anything has been observed
+/// (`variances: None`) the split is proportional to stratum mass, raised to
+/// [`MIN_STRATUM_DRAWS`] for every non-empty stratum. Afterwards it is
+/// Neyman-style: proportional to each stratum's variance contribution,
+/// blended with [`EXPLORATION_FLOOR`] of its mass — and to mass alone when
+/// no stratum reports any variance (a degenerate round).
+fn allocate_draws(total: usize, strata: &[StratumMass], variances: Option<&[f64]>) -> Vec<usize> {
+    let var_total: f64 = variances.map_or(0.0, |v| v.iter().sum());
+    let weights: Vec<f64> = strata
+        .iter()
+        .enumerate()
+        .map(|(i, stratum)| match variances {
+            Some(variances) if var_total > 0.0 => {
+                variances[i] / var_total + EXPLORATION_FLOOR * stratum.mass
+            }
+            _ => stratum.mass,
+        })
+        .collect();
+    let mut allocation = allocate_proportional(total, &weights);
+    if variances.is_none() {
+        for (alloc, stratum) in allocation.iter_mut().zip(strata) {
+            if !stratum.empty {
+                *alloc = (*alloc).max(MIN_STRATUM_DRAWS);
+            }
+        }
+    }
+    allocation
+}
+
+/// What the round just traced calls for: `Err` ends refinement with that
+/// outcome — the Theorem-2 test passed, or a cap stops it short — and `Ok`
+/// is the Eq.-12 increment, split across strata, for the next round.
+fn next_allocation(
+    config: &EngineConfig,
+    round: &RoundTrace,
+    error_bound: f64,
+    drawn: usize,
+    distribution_is_empty: bool,
+    strata: &[StratumMass],
+    variances: &[f64],
+) -> Result<Vec<usize>, RoundOutcome> {
+    if satisfies_error_bound(round.estimate, round.moe, error_bound) {
+        return Err(RoundOutcome::Satisfied);
+    }
+    if distribution_is_empty || drawn >= config.max_sample_size {
+        return Err(RoundOutcome::Exhausted);
+    }
+    let room = config.max_sample_size - drawn;
+    let delta = match config.fixed_increment {
+        Some(fixed) => fixed,
+        None => additional_sample_size(
+            drawn,
+            round.moe,
+            round.estimate,
+            error_bound,
+            config.bootstrap.blb_exponent,
+            room,
+        ),
+    };
+    if delta == 0 {
+        return Err(RoundOutcome::Satisfied);
+    }
+    let delta = delta.min(room);
+    let allocation = allocate_draws(delta, strata, Some(variances));
+    if kg_telemetry::enabled() {
+        kg_telemetry::point(
+            "aqp.allocation",
+            &[
+                ("round", round.round.into()),
+                ("delta", delta.into()),
+                ("per_shard", joined(&allocation).into()),
+            ],
+        );
+    }
+    if allocation.iter().sum::<usize>() == 0 {
+        return Err(RoundOutcome::Exhausted);
+    }
+    Ok(allocation)
+}
+
+fn joined(values: &[usize]) -> String {
+    let strings: Vec<String> = values.iter().map(usize::to_string).collect();
+    strings.join(",")
+}
+
+/// Merges per-stratum GROUP-BY terms into one estimate per bucket, with the
+/// neutral term wherever a stratum never saw a bucket. Strata fold in index
+/// order: float addition is not associative. This composition *is*
+/// [`kg_estimate::stratified_point`] over the bucket-masked strata.
+fn merge_buckets(
+    aggregate: &ResolvedAggregate,
+    per_stratum: Vec<Vec<BucketTerm>>,
+) -> BTreeMap<i64, f64> {
+    let per_stratum: Vec<BTreeMap<i64, (f64, f64)>> = per_stratum
+        .into_iter()
+        .map(|terms| {
+            let keyed = terms.into_iter().map(|t| (t.key, (t.primary, t.secondary)));
+            keyed.collect()
+        })
+        .collect();
+    let keys: BTreeSet<i64> = per_stratum.iter().flat_map(|t| t.keys().copied()).collect();
+    let neutral = neutral_point_terms(aggregate);
+    keys.into_iter()
+        .map(|key| {
+            let terms = per_stratum
+                .iter()
+                .map(|terms| terms.get(&key).copied().unwrap_or(neutral));
+            (key, combine_point_terms(aggregate, terms))
+        })
+        .collect()
+}
+
+/// The strata a session's rounds run against: the three executors of the
+/// [module docs](self).
+pub(crate) enum Strata {
+    /// One stratum over the whole graph.
+    Whole(Stratum),
+    /// One in-process stratum per shard.
+    Local(Vec<Stratum>),
+    /// One stratum per shard, executed by remote shard servers.
+    Remote(RemoteStrata),
+}
+
+impl Strata {
+    /// The whole-graph executor for an engine seeded with `seed`.
+    pub(crate) fn whole(seed: u64) -> Self {
+        Strata::Whole(Stratum::new(0, None, seed))
+    }
+
+    /// The in-process executor: `plan`'s distribution split by shard
+    /// ownership.
+    pub(crate) fn local(
+        plan: &QueryPlan,
+        sharded: &ShardedGraph,
+        shard_cache: Option<&ShardSamplerCache>,
+        seed: u64,
+    ) -> Self {
+        let stratum = |shard| {
+            let sampler = shard_sampler(plan, sharded, shard, shard_cache);
+            Stratum::new(shard, Some(sampler), seed)
+        };
+        Strata::Local((0..sharded.shard_count()).map(stratum).collect())
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Strata::Whole(_) => 1,
+            Strata::Local(strata) => strata.len(),
+            Strata::Remote(remote) => remote.len(),
+        }
+    }
+
+    /// Draws allocated to stratum `i` so far.
+    fn drawn(&self, i: usize) -> usize {
+        match self {
+            Strata::Whole(stratum) => stratum.sample.len(),
+            Strata::Local(strata) => strata[i].sample.len(),
+            Strata::Remote(remote) => remote.drawn(i),
+        }
+    }
+
+    fn masses(&self, plan: &QueryPlan) -> Vec<StratumMass> {
+        match self {
+            Strata::Whole(stratum) => vec![stratum.mass(plan)],
+            Strata::Local(strata) => strata.iter().map(|s| s.mass(plan)).collect(),
+            Strata::Remote(remote) => remote.masses(),
+        }
+    }
+
+    /// Shards that could not contribute to the last round.
+    fn missing(&self) -> &[usize] {
+        match self {
+            Strata::Remote(remote) => remote.missing(),
+            _ => &[],
+        }
+    }
+}
+
+/// A planned query and its refinement state; see the [module docs](self).
+/// It keeps the plan, the drawn sample and the validation outcomes, so the
+/// error bound can be tightened at runtime for the incremental cost only
+/// (Fig. 6(a)). `G` is the graph handle its methods are given, call by call
+/// (never stored: the service steps one session across graph epochs): an
+/// [`InteractiveSession`] takes the graph itself, a
+/// [`crate::ShardedSession`] a [`ShardedGraph`].
+pub struct Session<G: ?Sized> {
     config: EngineConfig,
     plan: QueryPlan,
-    rng: SmallRng,
-    /// The drawn sample: entity plus its combined sampling probability.
-    sample: Vec<(EntityId, f64)>,
-    /// Validation cache: entity → (correct, similarity).
-    validation_cache: HashMap<EntityId, (bool, f64)>,
+    strata: Strata,
+    /// What each stratum weighs in draw allocation (fixed by the plan).
+    masses: Vec<StratumMass>,
     timings: StepTimings,
     rounds: Vec<RoundTrace>,
     /// Whether the most recent round met the requested bound (Theorem 2).
     guarantee_met: bool,
+    /// Milliseconds spent merging per-stratum estimates so far.
+    merge_ms: f64,
+    graph: PhantomData<fn(&G)>,
 }
 
-impl InteractiveSession {
-    pub(crate) fn new(config: EngineConfig, plan: QueryPlan) -> Self {
-        let seed = config.seed;
-        let mut timings = StepTimings::default();
-        timings.sampling_ms += plan.plan_ms;
+/// An interactive query session over a whole graph.
+pub type InteractiveSession = Session<KnowledgeGraph>;
+
+// Sessions cross worker threads in the service result cache.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Session<ShardedGraph>>();
+};
+
+impl<G: GraphHandle + ?Sized> Session<G> {
+    pub(crate) fn new(config: EngineConfig, plan: QueryPlan, strata: Strata) -> Self {
+        let timings = StepTimings {
+            sampling_ms: plan.plan_ms,
+            ..StepTimings::default()
+        };
         Self {
+            masses: strata.masses(&plan),
             config,
             plan,
-            rng: SmallRng::seed_from_u64(seed),
-            sample: Vec::new(),
-            validation_cache: HashMap::new(),
+            strata,
             timings,
             rounds: Vec::new(),
             guarantee_met: false,
+            merge_ms: 0.0,
+            graph: PhantomData,
         }
     }
 
@@ -133,14 +314,24 @@ impl InteractiveSession {
         self.config.confidence
     }
 
-    /// Current total sample size.
+    /// Current total sample size, across all strata.
     pub fn sample_size(&self) -> usize {
-        self.sample.len()
+        (0..self.strata.len()).map(|i| self.strata.drawn(i)).sum()
     }
 
-    /// The session's engine configuration.
-    pub(crate) fn engine_config(&self) -> &EngineConfig {
-        &self.config
+    /// Number of strata this session executes over (1 for a whole graph).
+    pub fn shard_count(&self) -> usize {
+        self.strata.len()
+    }
+
+    /// Per-shard sample counts and merge overhead accumulated so far.
+    pub fn sharded_stats(&self) -> ShardedStats {
+        ShardedStats {
+            per_shard_samples: (0..self.strata.len())
+                .map(|i| self.strata.drawn(i))
+                .collect(),
+            merge_ms: self.merge_ms,
+        }
     }
 
     /// Number of refinement rounds completed so far (across all
@@ -155,73 +346,226 @@ impl InteractiveSession {
         self.guarantee_met
     }
 
-    fn draw(&mut self, count: usize) {
-        // The plan's alias table makes each draw expected O(1) and
-        // bit-identical to the binary search it replaced.
-        let Some(table) = &self.plan.table else {
-            return;
-        };
-        let start = Instant::now();
-        for _ in 0..count {
-            let idx = table.sample(&mut self.rng);
-            self.sample.push(self.plan.distribution[idx]);
-        }
-        self.timings.sampling_ms += start.elapsed().as_secs_f64() * 1e3;
+    /// The configured per-request round cap (`max_rounds`, at least 1).
+    pub fn max_rounds(&self) -> usize {
+        self.config.max_rounds.max(1)
     }
 
-    fn validate(
-        &mut self,
-        graph: &KnowledgeGraph,
-        similarity: &(impl PredicateSimilarity + ?Sized),
-    ) {
+    /// Hands every stratum its share of an allocation. In-process strata
+    /// draw on the spot — so a snapshot taken after a `Continue` round
+    /// already counts the draws — while the remote executor appends the
+    /// counts to the replay history its shard servers draw from.
+    fn allocate(&mut self, allocation: &[usize]) {
         let start = Instant::now();
-        let validation = validation_config(&self.config);
-        for (entity, _) in &self.sample {
-            if self.validation_cache.contains_key(entity) {
-                continue;
+        match &mut self.strata {
+            Strata::Whole(stratum) => stratum.draw(&self.plan, allocation[0]),
+            Strata::Local(strata) => {
+                for (stratum, &count) in strata.iter_mut().zip(allocation) {
+                    stratum.draw(&self.plan, count);
+                }
             }
-            let outcome = validate_entity(
-                &self.plan,
-                self.config.validate,
-                &validation,
-                graph,
-                similarity,
-                *entity,
-            );
-            self.validation_cache.insert(*entity, outcome);
+            Strata::Remote(remote) => remote.push(allocation),
         }
-        self.timings.estimation_ms += start.elapsed().as_secs_f64() * 1e3;
+        self.timings.sampling_ms += ms_since(start);
     }
 
-    fn validated_sample(&self, graph: &KnowledgeGraph) -> Vec<(EntityId, ValidatedAnswer)> {
-        self.sample
-            .iter()
-            .map(|(entity, probability)| {
-                let (valid, similarity) = self
-                    .validation_cache
-                    .get(entity)
-                    .copied()
-                    .unwrap_or((false, 0.0));
-                let passes_filters = matches_all(graph, *entity, &self.plan.filters);
-                (
-                    *entity,
-                    ValidatedAnswer {
-                        probability: *probability,
-                        value: self.plan.aggregate.value_of(graph, *entity),
-                        correct: valid && passes_filters,
-                        similarity,
-                    },
-                )
-            })
-            .collect()
+    /// Validates and estimates the current sample and puts an interval on
+    /// it: the estimate — its `variances` indexed by stratum, to steer the
+    /// next allocation — and the milliseconds merging took. `None` when no
+    /// stratum could report (every shard unreachable).
+    fn interval<S: PredicateSimilarity + ?Sized>(
+        &mut self,
+        view: GraphView<'_>,
+        similarity: &S,
+    ) -> Option<(MergedEstimate, f64)> {
+        let (plan, config, timings) = (&self.plan, &self.config, &mut self.timings);
+        let resamples = config.bootstrap.resamples.max(2);
+        let reports: Vec<Option<StratumReport>> = match &mut self.strata {
+            Strata::Whole(stratum) => {
+                // Bag of Little Bootstraps over the one stratum, on its RNG,
+                // reading attributes from the whole graph.
+                let view = GraphView::Whole(view.global());
+                let start = Instant::now();
+                stratum.validate(plan, config, view.global(), similarity, usize::MAX);
+                let validated = stratum.validated_sample(plan, view);
+                let estimate = estimate(&plan.aggregate, &validated);
+                timings.estimation_ms += ms_since(start);
+                let start = Instant::now();
+                let moe = blb_moe(
+                    &plan.aggregate,
+                    &validated,
+                    config.confidence,
+                    &config.bootstrap,
+                    &mut stratum.rng,
+                );
+                timings.guarantee_ms += ms_since(start);
+                let interval = MergedEstimate {
+                    estimate,
+                    moe,
+                    variances: vec![0.0],
+                    sample_size: validated.len(),
+                    correct: validated.iter().filter(|v| v.correct).count(),
+                };
+                return Some((interval, 0.0));
+            }
+            // Strata are mutually disjoint: fan them out across the pool.
+            Strata::Local(strata) => strata
+                .par_iter_mut()
+                .map(|s| Some(s.round(plan, config, view, similarity, resamples)))
+                .collect(),
+            Strata::Remote(remote) => {
+                remote.round(&plan.aggregate, resamples, self.rounds.len() + 1)
+            }
+        };
+
+        // Stratified: merge the replicates of the strata that reported. A
+        // stratum that did not carries no variance into the next allocation.
+        let mut surviving = Vec::with_capacity(reports.len());
+        let mut summaries = Vec::with_capacity(reports.len());
+        for (i, report) in reports.into_iter().enumerate() {
+            let Some(report) = report else { continue };
+            timings.estimation_ms += report.validate_ms;
+            timings.guarantee_ms += report.bootstrap_ms;
+            surviving.push(i);
+            summaries.push(StratumEstimate {
+                primary: report.primary,
+                secondary: report.secondary,
+                replicates: report.replicates,
+                sample_size: report.sample_size,
+                correct: report.correct,
+            });
+        }
+        if summaries.is_empty() {
+            return None;
+        }
+        let start = Instant::now();
+        let mut merged = merge_strata(&plan.aggregate, &summaries, config.confidence);
+        let mut variances = vec![0.0; self.strata.len()];
+        for (i, variance) in surviving.into_iter().zip(merged.variances) {
+            variances[i] = variance;
+        }
+        merged.variances = variances;
+        let merge_ms = ms_since(start);
+        timings.guarantee_ms += merge_ms;
+        self.merge_ms += merge_ms;
+        Some((merged, merge_ms))
+    }
+
+    /// Runs exactly one round of the sampling–estimation loop: allocate the
+    /// initial sample if nothing has been drawn yet, validate, estimate,
+    /// compute the interval, record a [`RoundTrace`], and (unless done)
+    /// allocate the Eq.-12 increment for the next round. A session resumed
+    /// after a round that ended without allocating re-estimates the sample
+    /// it has. Driving this in a loop of up to [`Self::max_rounds`]
+    /// iterations is operation-for-operation (and RNG draw for RNG draw)
+    /// one [`Self::refine_with`] call, so a driver that stops early (a
+    /// deadline scheduler) observes exactly the estimates a full refinement
+    /// would have produced at the same round boundary.
+    pub fn step_with<S: PredicateSimilarity + ?Sized>(
+        &mut self,
+        graph: &G,
+        similarity: &S,
+        error_bound: f64,
+        confidence: f64,
+    ) -> RoundOutcome {
+        self.config.confidence = confidence;
+        if self.sample_size() == 0 {
+            let initial = self.config.initial_sample_size(self.plan.candidate_count);
+            let allocation = allocate_draws(initial, &self.masses, None);
+            self.allocate(&allocation);
+        }
+        let outcome = match self.interval(graph.view(), similarity) {
+            None => RoundOutcome::Exhausted,
+            Some((interval, merge_ms)) => {
+                let round = RoundTrace {
+                    round: self.rounds.len() + 1,
+                    estimate: interval.estimate,
+                    moe: interval.moe,
+                    sample_size: interval.sample_size,
+                    correct_size: interval.correct,
+                };
+                self.rounds.push(round);
+                if kg_telemetry::enabled() {
+                    let mut fields = vec![
+                        ("round", round.round.into()),
+                        ("estimate", round.estimate.into()),
+                        ("moe", round.moe.into()),
+                        ("sample_size", round.sample_size.into()),
+                        ("correct_size", round.correct_size.into()),
+                        ("shards", self.strata.len().into()),
+                        ("merge_ms", merge_ms.into()),
+                    ];
+                    if !self.strata.missing().is_empty() {
+                        fields.push(("missing", joined(self.strata.missing()).into()));
+                    }
+                    kg_telemetry::point("aqp.round", &fields);
+                }
+                let next = next_allocation(
+                    &self.config,
+                    &round,
+                    error_bound,
+                    self.sample_size(),
+                    self.plan.distribution.is_empty(),
+                    &self.masses,
+                    &interval.variances,
+                );
+                match next {
+                    Err(outcome) => outcome,
+                    Ok(allocation) => {
+                        self.allocate(&allocation);
+                        RoundOutcome::Continue
+                    }
+                }
+            }
+        };
+        self.guarantee_met = outcome == RoundOutcome::Satisfied;
+        outcome
+    }
+
+    /// The round driver: steps until a round ends refinement, the round cap
+    /// is spent, or — checked only *between* rounds, so a truncated answer
+    /// is bitwise what a session capped at that round count produces —
+    /// `deadline` has passed. Returns the answer and whether the deadline
+    /// cut refinement short.
+    fn refine<S: PredicateSimilarity + ?Sized>(
+        &mut self,
+        graph: &G,
+        similarity: &S,
+        error_bound: f64,
+        confidence: f64,
+        deadline: Option<Instant>,
+    ) -> (QueryAnswer, bool) {
+        let wall = Instant::now();
+        // Planning happened once, before the first round: only the call
+        // that runs that round accounts for it.
+        let planning_ms = if self.rounds.is_empty() {
+            self.plan.plan_ms
+        } else {
+            0.0
+        };
+        let mut truncated = false;
+        for _round in 0..self.max_rounds() {
+            if self.step_with(graph, similarity, error_bound, confidence) != RoundOutcome::Continue
+            {
+                break;
+            }
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                truncated = true;
+                break;
+            }
+        }
+        let mut answer = self.snapshot_answer(graph);
+        answer.elapsed_ms = ms_since(wall) + planning_ms;
+        (answer, truncated)
     }
 
     /// Runs (or continues) the sampling–estimation loop until the guarantee
-    /// of Theorem 2 holds for `error_bound` or the caps are reached, reusing
-    /// any sample already drawn in this session.
+    /// of Theorem 2 holds for `error_bound` at the session's configured
+    /// confidence or the caps are reached, reusing any sample already drawn
+    /// in this session.
     pub fn refine_to<S: PredicateSimilarity + ?Sized>(
         &mut self,
-        graph: &KnowledgeGraph,
+        graph: &G,
         similarity: &S,
         error_bound: f64,
     ) -> QueryAnswer {
@@ -235,170 +579,68 @@ impl InteractiveSession {
     /// session that may have been opened under different targets.
     pub fn refine_with<S: PredicateSimilarity + ?Sized>(
         &mut self,
-        graph: &KnowledgeGraph,
+        graph: &G,
         similarity: &S,
         error_bound: f64,
         confidence: f64,
     ) -> QueryAnswer {
-        let wall = Instant::now();
-        for _round in 0..self.config.max_rounds.max(1) {
-            if self.step_with(graph, similarity, error_bound, confidence) != RoundOutcome::Continue
-            {
-                break;
-            }
-        }
-        let mut answer = self.snapshot_answer(graph);
-        answer.elapsed_ms = wall.elapsed().as_secs_f64() * 1e3 + self.plan.plan_ms;
-        answer
+        let driven = self.refine(graph, similarity, error_bound, confidence, None);
+        driven.0
     }
 
-    /// Runs exactly one round of the sampling–estimation loop: draw the
-    /// initial sample if none exists yet, validate, estimate, compute the
-    /// BLB interval, record a [`RoundTrace`], and (unless done) draw the
-    /// Eq.-12 increment for the next round. This is [`Self::refine_with`]
-    /// at round granularity: driving it in a loop performs the identical
-    /// operation and RNG sequence, so a driver that stops early (a deadline
-    /// scheduler) observes exactly the estimates a full refinement would
-    /// have produced at the same round boundary.
-    pub fn step_with<S: PredicateSimilarity + ?Sized>(
+    /// Deadline-aware [`Self::refine_with`]: stops at the first round
+    /// boundary at or past `deadline`, returning the best-so-far answer and
+    /// whether the deadline truncated refinement (`true` iff more rounds
+    /// would have run) — anytime semantics with no new code path through
+    /// the estimators. At least one round always runs.
+    pub fn refine_deadline<S: PredicateSimilarity + ?Sized>(
         &mut self,
-        graph: &KnowledgeGraph,
+        graph: &G,
         similarity: &S,
         error_bound: f64,
         confidence: f64,
-    ) -> RoundOutcome {
-        self.config.confidence = confidence;
-        if self.sample.is_empty() {
-            let initial = self.config.initial_sample_size(self.plan.candidate_count);
-            self.draw(initial);
-        }
-
-        self.validate(graph, similarity);
-        let validated: Vec<ValidatedAnswer> = self
-            .validated_sample(graph)
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect();
-
-        let est_start = Instant::now();
-        let estimate_value = estimate(&self.plan.aggregate, &validated);
-        self.timings.estimation_ms += est_start.elapsed().as_secs_f64() * 1e3;
-
-        let guar_start = Instant::now();
-        let moe = blb_moe(
-            &self.plan.aggregate,
-            &validated,
-            self.config.confidence,
-            &self.config.bootstrap,
-            &mut self.rng,
-        );
-        let satisfied = satisfies_error_bound(estimate_value, moe, error_bound);
-        self.timings.guarantee_ms += guar_start.elapsed().as_secs_f64() * 1e3;
-
-        let correct_size = validated.iter().filter(|v| v.correct).count();
-        self.rounds.push(RoundTrace {
-            round: self.rounds.len() + 1,
-            estimate: estimate_value,
-            moe,
-            sample_size: self.sample.len(),
-            correct_size,
-        });
-        kg_telemetry::point(
-            "aqp.round",
-            &[
-                ("round", self.rounds.len().into()),
-                ("estimate", estimate_value.into()),
-                ("moe", moe.into()),
-                ("sample_size", self.sample.len().into()),
-                ("validated", validated.len().into()),
-                ("correct_size", correct_size.into()),
-            ],
-        );
-
-        if satisfied || self.plan.distribution.is_empty() {
-            self.guarantee_met = satisfied;
-            return if satisfied {
-                RoundOutcome::Satisfied
-            } else {
-                RoundOutcome::Exhausted
-            };
-        }
-        if self.sample.len() >= self.config.max_sample_size {
-            self.guarantee_met = false;
-            return RoundOutcome::Exhausted;
-        }
-        let delta = match self.config.fixed_increment {
-            Some(fixed) => fixed,
-            None => additional_sample_size(
-                self.sample.len(),
-                moe,
-                estimate_value,
-                error_bound,
-                self.config.bootstrap.blb_exponent,
-                self.config.max_sample_size - self.sample.len(),
-            ),
-        };
-        if delta == 0 {
-            self.guarantee_met = true;
-            return RoundOutcome::Satisfied;
-        }
-        self.draw(delta.min(self.config.max_sample_size - self.sample.len()));
-        self.guarantee_met = false;
-        RoundOutcome::Continue
+        deadline: Instant,
+    ) -> (QueryAnswer, bool) {
+        self.refine(graph, similarity, error_bound, confidence, Some(deadline))
     }
 
     /// Assembles a [`QueryAnswer`] from the session's current state — the
     /// last round's estimate and interval, the full round trace, and the
-    /// GROUP-BY buckets over the validated sample. Used by step drivers to
-    /// materialise the best-so-far answer at any round boundary (e.g. when
-    /// a deadline fires); `elapsed_ms` is the accumulated step time, since
-    /// the session does not know its driver's wall-clock window.
-    pub fn snapshot_answer(&self, graph: &KnowledgeGraph) -> QueryAnswer {
+    /// GROUP-BY buckets over the validated sample — without running any
+    /// further round (e.g. when a deadline fires). `guarantee_met` reflects
+    /// the last completed round; `elapsed_ms` is the accumulated stage time,
+    /// since the session does not know its driver's wall-clock window.
+    pub fn snapshot_answer(&self, graph: &G) -> QueryAnswer {
+        let view = graph.view();
         let (estimate_value, moe) = self
             .rounds
             .last()
             .map(|r| (r.estimate, r.moe))
             .unwrap_or((0.0, 0.0));
-
-        // GROUP-BY: estimate per bucket over the validated sample. Each
-        // bucket is the subpopulation "correct AND in bucket", so its HT
-        // estimator runs over the *full* draw list with out-of-bucket draws
-        // marked incorrect — keeping the |S_A| normaliser of Eq. 7–8 intact
-        // (per-bucket COUNT/SUM then sum to the top-level estimate, up to
-        // answers missing the grouping attribute).
-        let groups = match self.plan.group_by {
-            None => BTreeMap::new(),
-            Some((attr, width)) => {
-                let validated = self.validated_sample(graph);
-                let keyed: Vec<(Option<i64>, ValidatedAnswer)> = validated
-                    .into_iter()
-                    .map(|(entity, answer)| {
-                        let key = graph
-                            .attribute_value(entity, attr)
-                            .map(|v| (v / width).floor() as i64);
-                        (key, answer)
-                    })
-                    .collect();
-                let keys: std::collections::BTreeSet<i64> = keyed
-                    .iter()
-                    .filter(|(_, a)| a.correct)
-                    .filter_map(|(k, _)| *k)
-                    .collect();
-                keys.into_iter()
-                    .map(|key| {
-                        let bucket_sample: Vec<ValidatedAnswer> = keyed
-                            .iter()
-                            .map(|(k, a)| ValidatedAnswer {
-                                correct: a.correct && *k == Some(key),
-                                ..*a
-                            })
-                            .collect();
-                        (key, estimate(&self.plan.aggregate, &bucket_sample))
-                    })
-                    .collect()
+        let (plan, aggregate) = (&self.plan, &self.plan.aggregate);
+        let mut missing_shards = self.strata.missing().to_vec();
+        let groups = match &self.strata {
+            // Per bucket as for the top-level answer: Eq. 7–9 over the one
+            // stratum.
+            Strata::Whole(stratum) => stratum
+                .per_bucket(plan, GraphView::Whole(view.global()), |bucket| {
+                    estimate(aggregate, bucket)
+                })
+                .into_iter()
+                .collect(),
+            Strata::Local(strata) => {
+                let terms = strata.iter().map(|s| s.bucket_terms(plan, view));
+                merge_buckets(aggregate, terms.collect())
+            }
+            Strata::Remote(_) if plan.group_by.is_none() || self.rounds.is_empty() => {
+                BTreeMap::new()
+            }
+            Strata::Remote(remote) => {
+                let resamples = self.config.bootstrap.resamples.max(2);
+                let terms = remote.bucket_terms(resamples, self.rounds.len(), &mut missing_shards);
+                merge_buckets(aggregate, terms)
             }
         };
-
         QueryAnswer {
             estimate: estimate_value,
             moe,
@@ -407,11 +649,45 @@ impl InteractiveSession {
             rounds: self.rounds.clone(),
             groups,
             timings: self.timings,
-            sample_size: self.sample.len(),
+            sample_size: self.sample_size(),
             candidate_count: self.plan.candidate_count,
             elapsed_ms: self.timings.total_ms(),
-            missing_shards: Vec::new(),
+            missing_shards,
         }
+    }
+}
+
+impl AqpEngine {
+    /// Plans `query` once against the full graph and opens a session on the
+    /// executor the arguments select: remote when a `fleet` is given, one
+    /// in-process stratum per shard for a graph of two or more shards, the
+    /// whole graph otherwise.
+    pub(crate) fn open<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
+        &self,
+        graph: &G,
+        query: &AggregateQuery,
+        similarity: &S,
+        cache: Option<&SamplerCache>,
+        shard_cache: Option<&ShardSamplerCache>,
+        fleet: Option<&Arc<ShardFleet>>,
+    ) -> KgResult<Session<G>> {
+        let config = self.config().clone();
+        let view = graph.view();
+        let plan = self.plan_with_cache(view.global(), query, similarity, cache)?;
+        let strata = match (view, fleet) {
+            (GraphView::Sharded(sharded), Some(fleet)) => Strata::Remote(RemoteStrata::new(
+                &plan,
+                sharded,
+                shard_cache,
+                Arc::clone(fleet),
+                query,
+            )),
+            (GraphView::Sharded(sharded), None) if sharded.shard_count() > 1 => {
+                Strata::local(&plan, sharded, shard_cache, config.seed)
+            }
+            _ => Strata::whole(config.seed),
+        };
+        Ok(Session::new(config, plan, strata))
     }
 }
 
@@ -419,8 +695,12 @@ impl InteractiveSession {
 mod tests {
     use super::*;
     use crate::engine::AqpEngine;
+    use crate::remote::{FaultPlan, FleetPolicy, InProcessTransport, ShardServerCore};
+    use crate::ShardedSession;
+    use kg_core::{DegreeBalancedPartitioner, GraphBuilder};
     use kg_datagen::{domains, generate, DatasetScale, GeneratorConfig};
-    use kg_query::{AggregateFunction, AggregateQuery, Filter, GroupBy, SimpleQuery};
+    use kg_query::{AggregateFunction, AggregateQuery, ComplexQuery, Filter, GroupBy, SimpleQuery};
+    use std::collections::HashMap;
 
     fn dataset() -> kg_datagen::GeneratedDataset {
         generate(&GeneratorConfig::new(
@@ -525,5 +805,288 @@ mod tests {
         // Without validation every sampled answer counts, so the COUNT
         // estimate moves towards |A| (all candidates) and above the τ-GT.
         assert!(without.estimate >= with.estimate);
+    }
+
+    fn mass(mass: f64) -> StratumMass {
+        StratumMass { mass, empty: false }
+    }
+
+    #[test]
+    fn initial_split_floors_every_non_empty_stratum_and_skips_empty_ones() {
+        let empty = StratumMass {
+            mass: 0.0,
+            empty: true,
+        };
+        // The last stratum owns candidates of zero probability: no mass,
+        // yet not empty.
+        let strata = [mass(0.9), mass(0.1), empty, mass(0.0)];
+        assert_eq!(allocate_draws(48, &strata, None), vec![43, 16, 0, 16]);
+        for total in [0usize, 1, 16, 1_000] {
+            let allocation = allocate_draws(total, &strata, None);
+            for (alloc, stratum) in allocation.iter().zip(&strata) {
+                if stratum.empty {
+                    assert_eq!(*alloc, 0);
+                } else {
+                    assert!(*alloc >= MIN_STRATUM_DRAWS, "total {total}: {allocation:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn neyman_weights_are_variance_share_plus_a_quarter_of_the_mass() {
+        let strata = [mass(0.5), mass(0.3), mass(0.2)];
+        let variances = [4.0, 0.0, 1.0];
+        let weights = [
+            4.0 / 5.0 + 0.25 * 0.5,
+            0.0 / 5.0 + 0.25 * 0.3,
+            1.0 / 5.0 + 0.25 * 0.2,
+        ];
+        for total in [7usize, 100, 1_000] {
+            assert_eq!(
+                allocate_draws(total, &strata, Some(&variances)),
+                allocate_proportional(total, &weights)
+            );
+        }
+        // The floor belongs to the initial split only: a refinement round
+        // may hand a quiet stratum fewer than MIN_STRATUM_DRAWS.
+        let allocation = allocate_draws(100, &strata, Some(&variances));
+        assert!(allocation[1] > 0 && allocation[1] < MIN_STRATUM_DRAWS);
+    }
+
+    #[test]
+    fn all_zero_variances_fall_back_to_mass() {
+        let strata = [mass(0.5), mass(0.3), mass(0.2)];
+        assert_eq!(
+            allocate_draws(100, &strata, Some(&[0.0; 3])),
+            allocate_proportional(100, &[0.5, 0.3, 0.2])
+        );
+    }
+
+    #[test]
+    fn the_round_ends_on_the_guarantee_the_caps_or_an_empty_allocation() {
+        let config = EngineConfig {
+            max_sample_size: 1_000,
+            ..EngineConfig::default()
+        };
+        let strata = [mass(0.6), mass(0.4)];
+        let variances = [1.0, 3.0];
+        let round = |moe| RoundTrace {
+            round: 1,
+            estimate: 100.0,
+            moe,
+            sample_size: 200,
+            correct_size: 50,
+        };
+        let next = |moe, drawn, empty, strata: &[StratumMass], variances: &[f64]| {
+            next_allocation(&config, &round(moe), 0.05, drawn, empty, strata, variances)
+        };
+        let satisfied = next(1.0, 200, false, &strata, &variances);
+        assert_eq!(satisfied, Err(RoundOutcome::Satisfied));
+        let capped = next(20.0, 1_000, false, &strata, &variances);
+        assert_eq!(capped, Err(RoundOutcome::Exhausted));
+        let nothing_to_draw = next(20.0, 200, true, &strata, &variances);
+        assert_eq!(nothing_to_draw, Err(RoundOutcome::Exhausted));
+        // Strata that carry neither variance nor mass leave the increment
+        // nowhere to go.
+        let massless = [mass(0.0), mass(0.0)];
+        let unallocatable = next(20.0, 200, false, &massless, &[0.0, 0.0]);
+        assert_eq!(unallocatable, Err(RoundOutcome::Exhausted));
+        // Otherwise the Eq.-12 increment is handed out whole, within the cap.
+        let allocation = next(20.0, 200, false, &strata, &variances).unwrap();
+        let delta = additional_sample_size(200, 20.0, 100.0, 0.05, 0.6, 800);
+        assert_eq!(allocation.iter().sum::<usize>(), delta);
+        let near_cap = next(20.0, 990, false, &strata, &variances).unwrap();
+        assert_eq!(near_cap.iter().sum::<usize>(), 10);
+    }
+
+    /// A session over `sharded` on each executor in turn. The remote one
+    /// talks to a shard server in this process.
+    fn on_every_executor(
+        config: &EngineConfig,
+        sharded: &Arc<ShardedGraph>,
+        similarity: &kg_embed::PredicateVectorStore,
+        query: &AggregateQuery,
+    ) -> [(&'static str, ShardedSession); 3] {
+        let engine = AqpEngine::new(config.clone());
+        let core = Arc::new(ShardServerCore::new(
+            config.clone(),
+            Arc::clone(sharded),
+            Arc::new(similarity.clone()),
+        ));
+        let endpoints = HashMap::from([("server".to_string(), core)]);
+        let transport = InProcessTransport::new(endpoints, Arc::new(FaultPlan::new()));
+        let fleet = Arc::new(ShardFleet::new(
+            Arc::new(transport),
+            vec![vec!["server".to_string()]; sharded.shard_count()],
+            FleetPolicy::default(),
+        ));
+        let plan = || engine.plan_with_cache(sharded.global(), query, similarity, None);
+        let whole = Session::new(config.clone(), plan().unwrap(), Strata::whole(config.seed));
+        let local_plan = plan().unwrap();
+        let strata = Strata::local(&local_plan, sharded, None, config.seed);
+        let local = Session::new(config.clone(), local_plan, strata);
+        let remote = engine.open(&**sharded, query, similarity, None, None, Some(&fleet));
+        [
+            ("whole", whole),
+            ("local", local),
+            ("remote", remote.unwrap()),
+        ]
+    }
+
+    fn assert_bitwise(label: &str, a: &QueryAnswer, b: &QueryAnswer) {
+        assert_eq!(a.estimate.to_bits(), b.estimate.to_bits(), "{label}");
+        assert_eq!(a.moe.to_bits(), b.moe.to_bits(), "{label}");
+        assert_eq!(a.guarantee_met, b.guarantee_met, "{label}");
+        assert_eq!(a.sample_size, b.sample_size, "{label}");
+        assert_eq!(a.rounds, b.rounds, "{label}");
+        assert!(!a.rounds.is_empty(), "{label}");
+        let bits = |answer: &QueryAnswer| -> Vec<(i64, u64)> {
+            let groups = answer.groups.iter();
+            groups.map(|(key, value)| (*key, value.to_bits())).collect()
+        };
+        assert_eq!(bits(a), bits(b), "{label}");
+    }
+
+    /// Remote execution always runs the stratified estimator, so over one
+    /// shard it matches the in-process *stratified* executor over that one
+    /// stratum bit for bit — not the whole-graph BLB answer.
+    #[test]
+    fn remote_over_one_shard_is_the_one_stratum_stratified_answer() {
+        let d = dataset();
+        let sharded = Arc::new(ShardedGraph::new(
+            Arc::new(d.graph.clone()),
+            &DegreeBalancedPartitioner,
+            1,
+        ));
+        let config = EngineConfig::default();
+        let de = SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]);
+        let queries = [
+            AggregateQuery::simple(de.clone(), AggregateFunction::Count),
+            AggregateQuery::simple(de.clone(), AggregateFunction::Avg("price".into())),
+            AggregateQuery::simple(de, AggregateFunction::Count)
+                .with_group_by(GroupBy::new("price", 30_000.0)),
+        ];
+        for query in &queries {
+            let [(_, mut whole), (_, mut local), (_, mut remote)] =
+                on_every_executor(&config, &sharded, &d.oracle, query);
+            let reference = local.refine_with(&sharded, &d.oracle, 0.05, 0.95);
+            let answer = remote.refine_with(&sharded, &d.oracle, 0.05, 0.95);
+            assert_bitwise(&format!("refine {query:?}"), &reference, &answer);
+            assert_eq!(!reference.groups.is_empty(), query.group_by.is_some());
+            let blb = whole.refine_with(&sharded, &d.oracle, 0.05, 0.95);
+            assert_ne!(blb.moe.to_bits(), answer.moe.to_bits(), "{query:?}");
+
+            let [_, (_, mut local), (_, mut remote)] =
+                on_every_executor(&config, &sharded, &d.oracle, query);
+            for step in 0..3 {
+                let expected = local.step_with(&sharded, &d.oracle, 0.01, 0.95);
+                assert_eq!(remote.step_with(&sharded, &d.oracle, 0.01, 0.95), expected);
+                assert_bitwise(
+                    &format!("step {step} {query:?}"),
+                    &local.snapshot_answer(&sharded),
+                    &remote.snapshot_answer(&sharded),
+                );
+            }
+        }
+    }
+
+    /// The ways a round can end are decided in one place, so the three
+    /// executors agree on them — and on `guarantee_met` — whatever interval
+    /// each computes.
+    #[test]
+    fn executors_agree_on_how_refinement_ends() {
+        use RoundOutcome::{Continue, Exhausted, Satisfied};
+        let d = dataset();
+        let cars = AggregateQuery::simple(
+            SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
+            AggregateFunction::Count,
+        );
+        // Two components whose answers never meet: the assembled
+        // distribution is empty, there is nothing to draw, and the estimate
+        // 0 ± 0 meets any bound.
+        let mut b = GraphBuilder::new();
+        b.add_entity("Germany", &["Country"]);
+        b.add_entity("car", &["Automobile"]);
+        b.add_edge_by_name("Germany", "product", "car");
+        b.add_entity("Japan", &["Island"]);
+        b.add_entity("ship", &["Ship"]);
+        b.add_edge_by_name("Japan", "builds", "ship");
+        let disjoint = b.build();
+        let disjoint_oracle = kg_embed::oracle::oracle_store(&[
+            (disjoint.predicate_id("product").unwrap(), 0, 1.0),
+            (disjoint.predicate_id("builds").unwrap(), 1, 1.0),
+        ]);
+        let nothing = AggregateQuery::complex(
+            ComplexQuery::star(vec![
+                SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
+                SimpleQuery::new("Japan", &["Island"], "builds", &["Ship"]),
+            ]),
+            AggregateFunction::Count,
+        );
+        let unreachable_bound = 1e-9;
+        let tiny = EngineConfig::default;
+        let cases = [
+            (
+                "empty distribution",
+                (&disjoint, &disjoint_oracle, &nothing),
+                tiny(),
+                vec![Satisfied],
+            ),
+            (
+                "max_sample_size reached",
+                (&d.graph, &d.oracle, &cars),
+                EngineConfig {
+                    max_sample_size: 200,
+                    ..tiny()
+                },
+                vec![Continue, Exhausted],
+            ),
+            (
+                "fixed_increment",
+                (&d.graph, &d.oracle, &cars),
+                EngineConfig {
+                    fixed_increment: Some(100),
+                    max_sample_size: 250,
+                    ..tiny()
+                },
+                vec![Continue, Continue, Continue, Exhausted],
+            ),
+            (
+                "delta == 0",
+                (&d.graph, &d.oracle, &cars),
+                EngineConfig {
+                    fixed_increment: Some(0),
+                    ..tiny()
+                },
+                vec![Satisfied],
+            ),
+        ];
+        for (case, (graph, oracle, query), config, expected) in cases {
+            let sharded = Arc::new(ShardedGraph::new(
+                Arc::new(graph.clone()),
+                &DegreeBalancedPartitioner,
+                2,
+            ));
+            for (executor, mut session) in on_every_executor(&config, &sharded, oracle, query) {
+                let mut outcomes = Vec::new();
+                loop {
+                    let outcome = session.step_with(&sharded, oracle, unreachable_bound, 0.95);
+                    assert_eq!(
+                        session.guarantee_met(),
+                        outcome == Satisfied,
+                        "{case} on {executor}"
+                    );
+                    outcomes.push(outcome);
+                    if outcome != Continue {
+                        break;
+                    }
+                }
+                assert_eq!(outcomes, expected, "{case} on {executor}");
+                let answer = session.snapshot_answer(&sharded);
+                assert_eq!(answer.guarantee_met, expected.ends_with(&[Satisfied]));
+                assert!(answer.sample_size <= config.max_sample_size, "{case}");
+            }
+        }
     }
 }

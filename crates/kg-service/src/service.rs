@@ -4,13 +4,13 @@
 //! queries, anytime answers at deadlines, result cache, metrics.
 
 use crate::cache::{CacheDecision, ResultCache, ResultCacheStats};
-use crate::config::{ServiceConfig, ServiceConfigError};
+use crate::config::ServiceConfig;
 use crate::request::{
     QueryRequest, ServedFrom, ServiceAnswer, ServiceError, WriteOp, WriteOutcome, WriteRequest,
 };
 use crate::sched::{Job, Scheduler};
 use kg_aqp::{
-    config_fingerprint, graph_fingerprint, AqpEngine, BatchEngine, FleetPolicy, QueryAnswer,
+    config_fingerprint, graph_fingerprint, BatchEngine, FleetPolicy, QueryAnswer,
     RemoteMetricsSnapshot, RoundOutcome, ShardFleet, ShardedSession, ShardedStats, TcpTransport,
 };
 use kg_core::snapshot::SnapshotOptions;
@@ -677,13 +677,6 @@ impl std::fmt::Display for MetricsSnapshot {
     }
 }
 
-/// Coordinator-mode execution state: the shard fleet plus the engine that
-/// opens remote sessions against it. Present iff `config.remote` is `Some`.
-struct RemoteExec {
-    fleet: Arc<ShardFleet>,
-    engine: AqpEngine,
-}
-
 struct Inner {
     config: ServiceConfig,
     batch: BatchEngine,
@@ -698,9 +691,10 @@ struct Inner {
     snapshot_sink: Mutex<Option<SnapshotSink>>,
     /// Boot-snapshot provenance ([`Service::record_snapshot_load`]).
     snapshot_load: Mutex<Option<SnapshotLoadInfo>>,
-    /// Coordinator mode: scatter refinement rounds to remote `kg-shard`
-    /// processes instead of the in-process shard CSRs.
-    remote: Option<RemoteExec>,
+    /// Coordinator mode (present iff `config.remote` is): the fleet of
+    /// remote `kg-shard` processes refinement rounds are scattered to,
+    /// instead of the in-process shard CSRs.
+    remote: Option<Arc<ShardFleet>>,
     /// Readiness gate for `/readyz`: false until boot (snapshot load,
     /// partitioning, sampler prewarm, remote handshake) completes.
     ready: AtomicBool,
@@ -768,14 +762,11 @@ impl Service {
                 retry_budget: topology.retry_budget,
                 ..FleetPolicy::default()
             };
-            RemoteExec {
-                fleet: Arc::new(ShardFleet::new(
-                    Arc::new(TcpTransport),
-                    topology.replicas.clone(),
-                    policy,
-                )),
-                engine: AqpEngine::new(config.engine.clone()),
-            }
+            Arc::new(ShardFleet::new(
+                Arc::new(TcpTransport),
+                topology.replicas.clone(),
+                policy,
+            ))
         });
         let inner = Arc::new(Inner {
             batch: BatchEngine::new(config.engine.clone()),
@@ -809,39 +800,6 @@ impl Service {
             inner,
             workers: Mutex::new(workers),
         }
-    }
-
-    /// Pre-builder constructor taking the knobs positionally. Kept for one
-    /// release as a thin shim over [`ServiceConfig::builder`]: every knob —
-    /// including the per-tenant `(name, weight, quota)` overrides — is
-    /// routed through the builder so positional callers get exactly the
-    /// validation [`Service::new`] callers do, as a
-    /// [`ServiceConfigError`] instead of a panic.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use ServiceConfig::builder() and Service::new instead"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_positional_config(
-        graph: Arc<KnowledgeGraph>,
-        similarity: Arc<dyn PredicateSimilarity>,
-        error_bound: f64,
-        confidence: f64,
-        queue_capacity: usize,
-        workers: usize,
-        shards: usize,
-        tenant_overrides: &[(&str, f64, usize)],
-    ) -> Result<Self, ServiceConfigError> {
-        let mut builder = ServiceConfig::builder()
-            .error_bound(error_bound)
-            .confidence(confidence)
-            .queue_capacity(queue_capacity)
-            .workers(workers)
-            .shards(shards);
-        for &(tenant, weight, quota) in tenant_overrides {
-            builder = builder.tenant(tenant, weight, quota);
-        }
-        Ok(Self::new(graph, similarity, builder.build()?))
     }
 
     /// The service configuration.
@@ -1396,7 +1354,7 @@ impl Service {
                 .inner
                 .remote
                 .as_ref()
-                .map(|remote| remote.fleet.metrics().snapshot()),
+                .map(|fleet| fleet.metrics().snapshot()),
         }
     }
 
@@ -1412,7 +1370,7 @@ impl Service {
     /// operator-facing description of the first failure. No-op (`Ok`) when
     /// the service is not in remote mode.
     pub fn remote_handshake(&self) -> Result<(), String> {
-        let Some(remote) = &self.inner.remote else {
+        let Some(fleet) = &self.inner.remote else {
             return Ok(());
         };
         let (graph_fp, config_fp) = {
@@ -1422,8 +1380,7 @@ impl Service {
                 config_fingerprint(&self.inner.config.engine),
             )
         };
-        remote
-            .fleet
+        fleet
             .ping_all(graph_fp, config_fp)
             .map_err(|e| e.to_string())
     }
@@ -1773,33 +1730,16 @@ fn triage_jobs(
             .iter()
             .map(|(job, _, _)| job.request.query.clone())
             .collect();
-        // Coordinator mode scatters refinement to the shard fleet; the
-        // in-process path plans the whole batch at once through the batch
-        // engine. Both yield the same per-query `ShardedSession` surface.
-        let sessions: Vec<KgResult<ShardedSession>> = if let Some(remote) = &inner.remote {
-            queries
-                .iter()
-                .map(|query| {
-                    remote.engine.open_remote_session_cached(
-                        sharded,
-                        query,
-                        similarity,
-                        Arc::clone(&remote.fleet),
-                        Some(samplers),
-                        Some(shard_samplers),
-                    )
-                })
-                .collect()
-        } else {
-            let (sessions, _) = inner.batch.open_sharded_sessions_cached(
-                sharded,
-                &queries,
-                similarity,
-                samplers,
-                shard_samplers,
-            );
-            sessions
-        };
+        // The whole batch is planned at once; in coordinator mode the
+        // sessions scatter their refinement rounds to the shard fleet.
+        let (sessions, _) = inner.batch.open_sharded_sessions_cached(
+            sharded,
+            &queries,
+            similarity,
+            samplers,
+            shard_samplers,
+            inner.remote.as_ref(),
+        );
         for ((job, key, queue_ms), session) in fresh.into_iter().zip(sessions) {
             match session {
                 Err(e) => {

@@ -314,66 +314,6 @@ fn the_old_shedding_burst_now_answers_at_least_ninety_percent() {
     svc.shutdown();
 }
 
-/// The deprecated positional constructor still works (as a builder shim),
-/// including per-tenant overrides.
-#[test]
-#[allow(deprecated)]
-fn positional_constructor_shim_still_builds_a_service() {
-    let d = dataset();
-    let svc = Service::with_positional_config(
-        Arc::new(d.graph.clone()),
-        Arc::new(d.oracle.clone()),
-        0.05,
-        0.95,
-        16,
-        1,
-        1,
-        &[("acme", 2.0, 4)],
-    )
-    .expect("valid positional configuration");
-    assert_eq!(svc.config().queue_capacity, 16);
-    assert_eq!(svc.config().workers, 1);
-    assert_eq!(svc.config().tenants.limits("acme").weight, 2.0);
-    assert_eq!(svc.config().tenants.limits("acme").quota, 4);
-    let answer = svc
-        .execute(QueryRequest::new(count_query("Germany"), 0.05, 0.95))
-        .unwrap();
-    assert!(answer.answer.estimate > 0.0);
-    svc.shutdown();
-}
-
-/// The positional shim validates through the builder: a bad tenant override
-/// (or any other invalid knob) is the same typed error `build()` returns,
-/// not a panic and not a silently accepted config.
-#[test]
-#[allow(deprecated)]
-fn positional_constructor_shim_validates_like_the_builder() {
-    let d = dataset();
-    let via_shim = match Service::with_positional_config(
-        Arc::new(d.graph.clone()),
-        Arc::new(d.oracle.clone()),
-        0.05,
-        0.95,
-        16,
-        0,
-        1,
-        &[("acme", 0.0, 4)],
-    ) {
-        Err(e) => e,
-        Ok(_) => panic!("zero tenant weight must be rejected"),
-    };
-    let via_builder = kg_service::ServiceConfig::builder()
-        .error_bound(0.05)
-        .confidence(0.95)
-        .queue_capacity(16)
-        .workers(0)
-        .shards(1)
-        .tenant("acme", 0.0, 4)
-        .build()
-        .expect_err("zero tenant weight must be rejected");
-    assert_eq!(via_shim, via_builder);
-}
-
 /// Deadline requests whose deadline is comfortably large behave exactly
 /// like deadline-less ones (same bitwise answer), so attaching a deadline
 /// is free until it actually fires.
