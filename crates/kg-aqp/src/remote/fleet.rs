@@ -20,7 +20,7 @@
 //! remote session above it.
 
 use crate::remote::protocol::{ShardRequest, ShardResponse};
-use crate::remote::transport::{ShardTransport, TransportError};
+use crate::remote::transport::{connects_opened, ShardTransport, TransportError};
 use kg_core::Codec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -119,6 +119,11 @@ pub struct RemoteMetricsSnapshot {
     pub garbage: u64,
     /// Refine rounds that completed without at least one stratum.
     pub degraded_rounds: u64,
+    /// TCP connections [`TcpTransport`](crate::TcpTransport) has opened in
+    /// this process — counted beside its process-wide pool, so not per
+    /// fleet, and 0 over any other transport. `connects` well below
+    /// `requests` means calls are reusing sockets.
+    pub connects: u64,
 }
 
 impl RemoteMetrics {
@@ -135,6 +140,7 @@ impl RemoteMetrics {
             timeouts: self.timeouts.load(Ordering::Relaxed),
             garbage: self.garbage.load(Ordering::Relaxed),
             degraded_rounds: self.degraded_rounds.load(Ordering::Relaxed),
+            connects: connects_opened(),
         }
     }
 }
@@ -303,6 +309,10 @@ impl ShardFleet {
     /// `hedge_after_ms` and a distinct replica exists, race the identical
     /// request there; first success wins. Responses are pure functions of
     /// the request, so whichever copy wins carries identical bytes.
+    ///
+    /// With hedging off or a single replica there is nothing to race, so
+    /// the transport is called on the caller's thread (it returns by the
+    /// deadline itself) with the same accounting as a race of one.
     fn attempt(
         &self,
         shard: usize,
@@ -311,6 +321,21 @@ impl ShardFleet {
     ) -> Result<(Codec, Vec<u8>), TransportError> {
         let deadline = Instant::now() + Duration::from_millis(self.policy.request_timeout_ms);
         let (primary_idx, primary) = self.select(shard, attempt);
+        if self.policy.hedge_after_ms == 0 || self.replicas[shard].len() == 1 {
+            let result = self
+                .transport
+                .call(&primary, self.policy.codec, payload, deadline);
+            match &result {
+                Ok(_) => {
+                    self.on_success(&primary);
+                    if primary_idx != 0 {
+                        self.metrics.failovers.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                Err(error) => self.on_failure(&primary, error),
+            }
+            return result;
+        }
         let (tx, rx) = mpsc::channel();
         let spawn = |endpoint: String, tag: usize, tx: mpsc::Sender<_>| {
             let transport = Arc::clone(&self.transport);
@@ -325,25 +350,17 @@ impl ShardFleet {
 
         let mut outcome = None;
         let hedge_wait = Duration::from_millis(self.policy.hedge_after_ms);
-        let first = if self.policy.hedge_after_ms > 0 {
-            rx.recv_timeout(hedge_wait)
-        } else {
-            Err(mpsc::RecvTimeoutError::Timeout)
-        };
         let mut in_flight = 1u32;
-        match first {
+        match rx.recv_timeout(hedge_wait) {
             Ok(done) => outcome = Some(done),
             Err(_) => {
-                // Primary is straggling (or hedging is disabled and we just
-                // fall through to the deadline wait below). Hedge against
-                // the next distinct, non-ejected replica if one exists.
-                if self.policy.hedge_after_ms > 0 {
-                    let (hedge_idx, hedge) = self.select(shard, attempt + 1);
-                    if hedge_idx != primary_idx {
-                        self.metrics.hedges.fetch_add(1, Ordering::Relaxed);
-                        spawn(hedge, 1, tx.clone());
-                        in_flight += 1;
-                    }
+                // Primary is straggling. Hedge against the next distinct,
+                // non-ejected replica if one exists.
+                let (hedge_idx, hedge) = self.select(shard, attempt + 1);
+                if hedge_idx != primary_idx {
+                    self.metrics.hedges.fetch_add(1, Ordering::Relaxed);
+                    spawn(hedge, 1, tx.clone());
+                    in_flight += 1;
                 }
             }
         }

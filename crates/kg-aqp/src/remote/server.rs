@@ -26,7 +26,8 @@ use kg_embed::PredicateSimilarity;
 use kg_estimate::{StratumEstimate, ValidatedAnswer};
 use kg_query::AggregateQuery;
 use kg_sampling::{SamplerCache, ShardSamplerCache, StratumTask};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// FNV-1a over a sequence of u64 words (little-endian byte order).
@@ -104,9 +105,31 @@ pub fn config_fingerprint(config: &EngineConfig) -> u64 {
     ])
 }
 
-/// Session table keyed by `(query_key, shard)`; each entry is shared so a
-/// retried request can re-serve the cached response without holding the map.
-type SessionTable = Mutex<HashMap<(String, usize), Arc<Mutex<SessionState>>>>;
+/// Distinct query texts a server keeps state for. A text holds its plan
+/// (with the validation tables, ≈ 10 KB per anchored hop) and one session
+/// per shard (each with its whole sample), so an unbounded table grows for
+/// as long as new texts arrive. 1 024 is several times any working set this
+/// repo drives (the ledger's is 122 texts), so eviction never runs there;
+/// past it the oldest text goes, and asking for it again is a cold replica,
+/// which replay serves to identical bytes.
+const MAX_CACHED_QUERIES: usize = 1024;
+
+/// What the server keeps per query text: the plan and, by shard, the
+/// stratum sessions opened on it. Each session is shared so a retried
+/// request can re-serve the cached response without holding the table.
+struct CachedQuery {
+    plan: Arc<QueryPlan>,
+    sessions: HashMap<usize, Arc<Mutex<SessionState>>>,
+}
+
+/// The bounded table of [`CachedQuery`]s, evicted oldest-first; a text's
+/// sessions live inside its entry, so they leave with its plan.
+#[derive(Default)]
+struct QueryTable {
+    by_text: HashMap<String, CachedQuery>,
+    /// The cached texts, oldest first.
+    order: VecDeque<String>,
+}
 
 /// One cached stratum session: the replayable state plus the last response
 /// for idempotent re-serving of duplicate (retried / hedged) requests.
@@ -150,8 +173,7 @@ pub struct ShardServerCore {
     similarity: Arc<dyn PredicateSimilarity + Send + Sync>,
     sampler_cache: SamplerCache,
     shard_cache: ShardSamplerCache,
-    plans: Mutex<HashMap<String, Arc<QueryPlan>>>,
-    sessions: SessionTable,
+    queries: Mutex<QueryTable>,
     graph_fp: u64,
     config_fp: u64,
 }
@@ -173,8 +195,7 @@ impl ShardServerCore {
             similarity,
             sampler_cache,
             shard_cache: ShardSamplerCache::new(),
-            plans: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
+            queries: Mutex::new(QueryTable::default()),
             graph_fp,
             config_fp,
         }
@@ -237,33 +258,25 @@ impl ShardServerCore {
         }
     }
 
-    /// Plans `query_text` (cached by its canonical text — the coordinator
-    /// always sends the canonical encoding).
-    fn plan_for(&self, query_text: &str) -> Result<Arc<QueryPlan>, (String, String)> {
-        if let Some(plan) = self.plans.lock().unwrap().get(query_text) {
-            return Ok(Arc::clone(plan));
-        }
+    /// Plans `query_text` (the coordinator always sends the canonical
+    /// encoding, which is what the query table is keyed by).
+    fn plan(&self, query_text: &str) -> Result<QueryPlan, (String, String)> {
         let value: serde_json::Value = serde_json::from_str(query_text)
             .map_err(|e| ("bad_query".to_string(), e.to_string()))?;
         let query = AggregateQuery::from_json(&value)
             .map_err(|e| ("bad_query".to_string(), e.to_string()))?;
-        let plan = self
-            .engine
+        self.engine
             .plan_with_cache(
                 self.sharded.global(),
                 &query,
                 self.similarity.as_ref(),
                 Some(&self.sampler_cache),
             )
-            .map_err(|e| ("plan_failed".to_string(), e.to_string()))?;
-        let plan = Arc::new(plan);
-        self.plans
-            .lock()
-            .unwrap()
-            .insert(query_text.to_string(), Arc::clone(&plan));
-        Ok(plan)
+            .map_err(|e| ("plan_failed".to_string(), e.to_string()))
     }
 
+    /// The session of `task`'s shard on `query_text`, opened (and the text
+    /// planned, outside the table lock) if the table does not hold it.
     fn session(
         &self,
         query_text: &str,
@@ -279,15 +292,35 @@ impl ShardServerCore {
                 ),
             ));
         }
-        let plan = self.plan_for(query_text)?;
-        let mut sessions = self.sessions.lock().unwrap();
-        let key = (query_text.to_string(), task.shard);
-        if let Some(state) = sessions.get(&key) {
-            return Ok(Arc::clone(state));
+        let open = |cached: &mut CachedQuery| {
+            let plan = &cached.plan;
+            let fresh = || Arc::new(Mutex::new(self.fresh_state(Arc::clone(plan), task.shard)));
+            Arc::clone(cached.sessions.entry(task.shard).or_insert_with(fresh))
+        };
+        if let Some(cached) = self.queries.lock().unwrap().by_text.get_mut(query_text) {
+            return Ok(open(cached));
         }
-        let state = Arc::new(Mutex::new(self.fresh_state(plan, task.shard)));
-        sessions.insert(key, Arc::clone(&state));
-        Ok(state)
+        let plan = Arc::new(self.plan(query_text)?);
+        let mut queries = self.queries.lock().unwrap();
+        let QueryTable { by_text, order } = &mut *queries;
+        // Another request may have planned the same text meanwhile; plans
+        // are deterministic, so whichever entry is there serves.
+        let cached = match by_text.entry(query_text.to_string()) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                order.push_back(query_text.to_string());
+                entry.insert(CachedQuery {
+                    plan,
+                    sessions: HashMap::new(),
+                })
+            }
+        };
+        let session = open(cached);
+        if order.len() > MAX_CACHED_QUERIES {
+            let oldest = order.pop_front().expect("the table is over its cap");
+            by_text.remove(&oldest);
+        }
+        Ok(session)
     }
 
     fn fresh_state(&self, plan: Arc<QueryPlan>, shard: usize) -> SessionState {
@@ -423,5 +456,116 @@ impl ShardServerCore {
             let view = GraphView::Sharded(&self.sharded);
             ShardResponse::Buckets(state.stratum.bucket_terms(&state.plan, view))
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kg_core::DegreeBalancedPartitioner;
+    use kg_datagen::{domains, generate, DatasetScale, GeneratorConfig};
+    use kg_query::{AggregateFunction, GroupBy, SimpleQuery};
+    use std::fmt;
+
+    fn core() -> ShardServerCore {
+        let d = generate(&GeneratorConfig::new(
+            "server-test",
+            DatasetScale::tiny(),
+            vec![domains::automotive(&["Germany", "China"])],
+            31,
+        ));
+        let sharded = ShardedGraph::new(Arc::new(d.graph), &DegreeBalancedPartitioner, 2);
+        ShardServerCore::new(
+            EngineConfig::default(),
+            Arc::new(sharded),
+            Arc::new(d.oracle),
+        )
+    }
+
+    fn text(query: &AggregateQuery) -> String {
+        serde_json::to_string(&query.to_json()).unwrap()
+    }
+
+    fn count_query() -> AggregateQuery {
+        AggregateQuery::simple(
+            SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
+            AggregateFunction::Count,
+        )
+    }
+
+    /// What `core` reports for the `round`-th step of one stratum's
+    /// session, through the codec — every field bitwise, except the two
+    /// wall-clock readings a report also carries.
+    fn step(core: &ShardServerCore, query: &str, round: usize) -> impl PartialEq + fmt::Debug {
+        let task = StratumTask {
+            shard: 1,
+            draws: [64, 32, 16][..=round].to_vec(),
+            steps: round,
+            resamples: 20,
+        };
+        let query = query.to_string();
+        let request = ShardRequest::Step { query, task }.encode(Codec::Binary);
+        let response = core.serve(Codec::Binary, &request);
+        match ShardResponse::decode(Codec::Binary, &response).unwrap() {
+            ShardResponse::Estimate(report) => {
+                assert!(report.sample_size > 0, "the stratum has answers to draw");
+                let bits = |&(p, s): &(f64, f64)| (p.to_bits(), s.to_bits());
+                (
+                    bits(&(report.primary, report.secondary)),
+                    report.replicates.iter().map(bits).collect::<Vec<_>>(),
+                    report.sample_size,
+                    report.correct,
+                )
+            }
+            other => panic!("expected an estimate, got {other:?}"),
+        }
+    }
+
+    /// One query text more than the table holds evicts the oldest text,
+    /// plan and sessions together; asked again, it is a cold replica whose
+    /// replayed reports are bit for bit a never-evicted server's.
+    #[test]
+    fn the_query_table_is_bounded_and_an_evicted_text_replays_to_the_same_bits() {
+        let (bounded, reference) = (core(), core());
+        let first = text(&count_query());
+        for round in 0..2 {
+            assert_eq!(
+                step(&bounded, &first, round),
+                step(&reference, &first, round)
+            );
+        }
+
+        // As many other texts as the table holds: the same query grouped
+        // under distinct bucket widths, each opened by an empty snapshot.
+        for i in 0..MAX_CACHED_QUERIES {
+            let width = 30_000.0 + i as f64;
+            let query = text(&count_query().with_group_by(GroupBy::new("price", width)));
+            let task = StratumTask {
+                shard: 0,
+                draws: Vec::new(),
+                steps: 0,
+                resamples: 20,
+            };
+            let response = bounded.handle(ShardRequest::Snapshot { query, task });
+            assert!(
+                matches!(response, ShardResponse::Buckets(_)),
+                "{response:?}"
+            );
+        }
+        {
+            let queries = bounded.queries.lock().unwrap();
+            assert_eq!(queries.by_text.len(), MAX_CACHED_QUERIES);
+            assert_eq!(queries.order.len(), MAX_CACHED_QUERIES);
+            assert!(!queries.by_text.contains_key(&first), "oldest text evicted");
+        }
+
+        // The evicted session's next round, then a repeat of an earlier one.
+        for round in [2, 1] {
+            assert_eq!(
+                step(&bounded, &first, round),
+                step(&reference, &first, round)
+            );
+        }
+        assert!(bounded.queries.lock().unwrap().by_text.contains_key(&first));
     }
 }

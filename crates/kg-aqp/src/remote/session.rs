@@ -127,11 +127,13 @@ impl RemoteStrata {
         }
     }
 
-    /// One request per stratum `wanted` selects, each on its own OS thread
-    /// (the work is network-bound; a thread pool would serialise the round
-    /// under `RAYON_NUM_THREADS=1`). Returns, per stratum asked, what `parse`
-    /// accepted of its answer — `None` when the shard stayed unreachable (or
-    /// answered nonsense) past the retry budget.
+    /// One request per stratum `wanted` selects, all in flight at once: the
+    /// last on the calling thread, each of the others on an OS thread of
+    /// its own (the work is network-bound; a thread pool would serialise
+    /// the round under `RAYON_NUM_THREADS=1`), so K = 1 spawns nothing.
+    /// Returns, per stratum asked, what `parse` accepted of its answer —
+    /// `None` when the shard stayed unreachable (or answered nonsense) past
+    /// the retry budget.
     fn scatter<T>(
         &self,
         resamples: usize,
@@ -141,25 +143,39 @@ impl RemoteStrata {
         parse: impl Fn(ShardResponse) -> Result<T, ShardResponse>,
     ) -> Vec<(usize, Option<T>)> {
         let fleet = &self.fleet;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .strata
+        let requests: Vec<(usize, ShardRequest)> = self
+            .strata
+            .iter()
+            .filter(|stratum| wanted(stratum))
+            .map(|stratum| {
+                let task = StratumTask {
+                    shard: stratum.shard,
+                    draws: stratum.draws.clone(),
+                    steps: stratum.steps,
+                    resamples,
+                };
+                (stratum.shard, request(self.query_text.clone(), task))
+            })
+            .collect();
+        let Some(((own_shard, own_request), others)) = requests.split_last() else {
+            return Vec::new();
+        };
+        let responses = std::thread::scope(|scope| {
+            let handles: Vec<_> = others
                 .iter()
-                .filter(|stratum| wanted(stratum))
-                .map(|stratum| {
-                    let task = StratumTask {
-                        shard: stratum.shard,
-                        draws: stratum.draws.clone(),
-                        steps: stratum.steps,
-                        resamples,
-                    };
-                    let request = request(self.query_text.clone(), task);
-                    let shard = stratum.shard;
-                    (shard, scope.spawn(move || fleet.call(shard, &request)))
-                })
+                .map(|(shard, request)| scope.spawn(move || fleet.call(*shard, request)))
                 .collect();
-            let answers = handles.into_iter().map(|(shard, handle)| {
-                let reason = match handle.join().expect("scatter thread panicked") {
+            let own = fleet.call(*own_shard, own_request);
+            let joined = handles
+                .into_iter()
+                .map(|handle| handle.join().expect("scatter thread panicked"));
+            joined.chain([own]).collect::<Vec<_>>()
+        });
+        let answers = requests
+            .iter()
+            .zip(responses)
+            .map(|(&(shard, _), response)| {
+                let reason = match response {
                     Err(error) => error.to_string(),
                     Ok(response) => match parse(response) {
                         Ok(answer) => return (shard, Some(answer)),
@@ -176,8 +192,7 @@ impl RemoteStrata {
                 );
                 (shard, None)
             });
-            answers.collect()
-        })
+        answers.collect()
     }
 
     /// One scattered round: a `Step` request per non-empty stratum. `None`

@@ -132,6 +132,11 @@ impl From<io::Error> for FrameError {
 /// Writes one frame (header + payload) to `w`. Fails with
 /// [`FrameError::Oversized`] before touching the stream if the payload
 /// exceeds [`MAX_FRAME_LEN`].
+///
+/// Header and payload leave in **one** `write`: on a connection that is
+/// kept between requests, a small header segment followed by a small
+/// payload segment and then a read is the write-write-read pattern that
+/// Nagle's algorithm and delayed ACK turn into a 40 ms stall.
 pub fn write_frame(w: &mut impl Write, codec: Codec, payload: &[u8]) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(FrameError::Oversized {
@@ -139,12 +144,12 @@ pub fn write_frame(w: &mut impl Write, codec: Codec, payload: &[u8]) -> Result<(
             max: MAX_FRAME_LEN as u64,
         });
     }
-    let mut header = [0u8; 9];
-    header[..4].copy_from_slice(&FRAME_MAGIC);
-    header[4] = codec.to_byte();
-    header[5..9].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(9 + payload.len());
+    frame.extend_from_slice(&FRAME_MAGIC);
+    frame.push(codec.to_byte());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

@@ -149,3 +149,31 @@ proptest! {
         }
     }
 }
+
+/// A frame leaves in one `write`, header and payload together, and the
+/// bytes are the pinned layout: on a kept connection two small writes
+/// followed by a read is what Nagle and delayed ACK stall.
+#[test]
+fn a_frame_is_written_in_one_write() {
+    /// Accepts whatever it is handed, and remembers each hand-over.
+    struct Writes(Vec<Vec<u8>>);
+    impl std::io::Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    for codec in [Codec::Json, Codec::Binary] {
+        let mut writes = Writes(Vec::new());
+        write_frame(&mut writes, codec, b"payload").unwrap();
+        let mut expected = Vec::from(FRAME_MAGIC);
+        expected.push(codec.to_byte());
+        expected.extend_from_slice(&7u32.to_le_bytes());
+        expected.extend_from_slice(b"payload");
+        assert_eq!(writes.0, [expected], "{codec:?}");
+    }
+}

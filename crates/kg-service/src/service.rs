@@ -450,6 +450,7 @@ impl MetricsSnapshot {
                 ("timeouts", remote.timeouts),
                 ("garbage", remote.garbage),
                 ("degraded_rounds", remote.degraded_rounds),
+                ("connects", remote.connects),
             ] {
                 row.insert(event.into(), Value::Number(value as f64));
             }
@@ -643,6 +644,7 @@ impl MetricsSnapshot {
                 ("timeouts", remote.timeouts),
                 ("garbage", remote.garbage),
                 ("degraded_rounds", remote.degraded_rounds),
+                ("connects", remote.connects),
             ] {
                 rpcs.push("", &[("event", event)], value as f64);
             }

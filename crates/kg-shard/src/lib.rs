@@ -40,7 +40,11 @@ impl ShardListener {
 }
 
 /// Binds `addr` and serves the framed shard protocol on it forever, one
-/// thread per connection.
+/// thread per connection. A coordinator keeps its connections between
+/// calls, so that is a thread per connection, not per call; a connection
+/// that idles in the coordinator's pool parks its thread here, and the
+/// pool's cap (`MAX_IDLE_CONNECTIONS` in `kg_aqp::remote::transport`) is
+/// what bounds how many one coordinator can park.
 pub fn serve_protocol(core: Arc<ShardServerCore>, addr: &str) -> std::io::Result<ShardListener> {
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
@@ -66,13 +70,16 @@ pub fn serve_protocol(core: Arc<ShardServerCore>, addr: &str) -> std::io::Result
 /// frame error. A clean peer hangup is silent; anything else logs one
 /// structured line and closes.
 fn serve_connection(core: &ShardServerCore, mut stream: TcpStream) {
+    // A response is one small write the peer is waiting on: never hold it
+    // back to coalesce. Best effort — a failure only costs latency.
+    let _ = stream.set_nodelay(true);
     loop {
         let (codec, payload) = match read_frame(&mut stream) {
             Ok(frame) => frame,
             Err(FrameError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => return,
             // Zero bytes of the next 9-byte header means the peer closed
-            // between frames — the one-shot transport's normal shutdown,
-            // not a malformed frame.
+            // between frames — how a kept connection normally ends, not a
+            // malformed frame.
             Err(FrameError::Truncated {
                 got: 0,
                 expected: 9,
