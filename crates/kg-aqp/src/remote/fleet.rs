@@ -34,8 +34,6 @@ use std::time::{Duration, Instant};
 /// Fleet robustness knobs. Defaults are tuned for LAN-local shards.
 #[derive(Clone, Debug)]
 pub struct FleetPolicy {
-    /// Wire codec for shard requests ([`Codec::Binary`] unless debugging).
-    pub codec: Codec,
     /// Per-attempt deadline, milliseconds.
     pub request_timeout_ms: u64,
     /// Hedge a straggler after this many milliseconds (0 disables hedging).
@@ -57,7 +55,6 @@ pub struct FleetPolicy {
 impl Default for FleetPolicy {
     fn default() -> Self {
         Self {
-            codec: Codec::Binary,
             request_timeout_ms: 2_000,
             hedge_after_ms: 150,
             retry_budget: 2,
@@ -324,7 +321,7 @@ impl ShardFleet {
         if self.policy.hedge_after_ms == 0 || self.replicas[shard].len() == 1 {
             let result = self
                 .transport
-                .call(&primary, self.policy.codec, payload, deadline);
+                .call(&primary, Codec::Binary, payload, deadline);
             match &result {
                 Ok(_) => {
                     self.on_success(&primary);
@@ -340,9 +337,8 @@ impl ShardFleet {
         let spawn = |endpoint: String, tag: usize, tx: mpsc::Sender<_>| {
             let transport = Arc::clone(&self.transport);
             let payload = Arc::clone(payload);
-            let codec = self.policy.codec;
             std::thread::spawn(move || {
-                let result = transport.call(&endpoint, codec, &payload, deadline);
+                let result = transport.call(&endpoint, Codec::Binary, &payload, deadline);
                 let _ = tx.send((tag, endpoint, result));
             });
         };
@@ -418,7 +414,7 @@ impl ShardFleet {
     ) -> Result<ShardResponse, ShardCallError> {
         assert!(shard < self.replicas.len(), "shard {shard} out of range");
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        let payload = Arc::new(request.encode(self.policy.codec));
+        let payload = Arc::new(request.encode(Codec::Binary));
         let mut last = String::new();
         let mut attempts = 0u32;
         for attempt in 0..=self.policy.retry_budget {

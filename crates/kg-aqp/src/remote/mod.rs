@@ -13,8 +13,8 @@
 //!
 //! Layering, bottom-up:
 //!
-//! * [`protocol`] — request/response envelopes over the pinned frame
-//!   format, JSON and compact binary codecs.
+//! * [`protocol`] — request/response envelopes in the compact binary codec
+//!   over the pinned frame format.
 //! * [`transport`] — one request/response exchange: real TCP, plus an
 //!   in-process fake with scripted [`FaultPlan`] injection for tests.
 //! * [`fleet`] — per-shard replica routing with deadlines, retries,

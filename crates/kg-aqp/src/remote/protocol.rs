@@ -1,9 +1,9 @@
 //! The coordinator ↔ shard-server request/response envelope.
 //!
 //! Every message travels inside a `kg_core::frame` (magic + codec byte +
-//! length prefix) and is available in both codecs: **JSON** for the
-//! handshake and debuggability, **binary** for the latency-sensitive
-//! per-round fan-out. A server always answers in the codec of the request.
+//! length prefix) in the one binary codec: a tag byte, then the variant's
+//! fields in a fixed order. Decoding fails closed on an unknown tag, a
+//! short field or trailing bytes.
 //!
 //! Responses are pure functions of their requests — the server replays a
 //! stratum to the requested `(draws, steps)` point deterministically — so a
@@ -11,9 +11,7 @@
 //! lets the fleet layer race duplicates without affecting results.
 
 use kg_core::{ByteReader, ByteWriter, Codec, DecodeError};
-use kg_query::wire::{as_array, as_str, as_usize, get_field, object, WireError};
 use kg_sampling::{BucketTerm, StratumReport, StratumTask};
-use serde_json::Value;
 
 /// A coordinator → shard-server message.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,65 +83,42 @@ const RESP_ESTIMATE: u8 = 1;
 const RESP_BUCKETS: u8 = 2;
 const RESP_ERROR: u8 = 3;
 
-fn u64_to_json(v: u64) -> Value {
-    // Fingerprints exceed 2^53; carry them as decimal strings in JSON.
-    Value::String(v.to_string())
-}
-
-fn u64_from_json(value: &Value, path: &str) -> Result<u64, WireError> {
-    as_str(value, path)?
-        .parse::<u64>()
-        .map_err(|_| WireError::new(path, "a decimal u64 string"))
-}
-
 impl ShardRequest {
     /// Encodes into the payload bytes for `codec`.
     pub fn encode(&self, codec: Codec) -> Vec<u8> {
-        match codec {
-            Codec::Json => self.to_json().to_string().into_bytes(),
-            Codec::Binary => {
-                let mut w = ByteWriter::new();
-                match self {
-                    Self::Ping {
-                        graph_fp,
-                        config_fp,
-                    } => {
-                        w.put_u8(REQ_PING);
-                        w.put_u64(*graph_fp);
-                        w.put_u64(*config_fp);
-                    }
-                    Self::Step { query, task } => {
-                        w.put_u8(REQ_STEP);
-                        w.put_str(query);
-                        task.encode(&mut w);
-                    }
-                    Self::Snapshot { query, task } => {
-                        w.put_u8(REQ_SNAPSHOT);
-                        w.put_str(query);
-                        task.encode(&mut w);
-                    }
-                }
-                w.into_bytes()
+        let Codec::Binary = codec;
+        let mut w = ByteWriter::new();
+        match self {
+            Self::Ping {
+                graph_fp,
+                config_fp,
+            } => {
+                w.put_u8(REQ_PING);
+                w.put_u64(*graph_fp);
+                w.put_u64(*config_fp);
+            }
+            Self::Step { query, task } => {
+                w.put_u8(REQ_STEP);
+                w.put_str(query);
+                task.encode(&mut w);
+            }
+            Self::Snapshot { query, task } => {
+                w.put_u8(REQ_SNAPSHOT);
+                w.put_str(query);
+                task.encode(&mut w);
             }
         }
+        w.into_bytes()
     }
 
     /// Decodes payload bytes in `codec`; errors are structured strings
     /// suitable for a `ShardResponse::Error`.
     pub fn decode(codec: Codec, payload: &[u8]) -> Result<Self, String> {
-        match codec {
-            Codec::Json => {
-                let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-                let value: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-                Self::from_json(&value).map_err(|e| e.to_string())
-            }
-            Codec::Binary => {
-                let mut r = ByteReader::new(payload);
-                let decoded = Self::decode_binary(&mut r).map_err(|e| e.to_string())?;
-                r.finish().map_err(|e| e.to_string())?;
-                Ok(decoded)
-            }
-        }
+        let Codec::Binary = codec;
+        let mut r = ByteReader::new(payload);
+        let decoded = Self::decode_binary(&mut r).map_err(|e| e.to_string())?;
+        r.finish().map_err(|e| e.to_string())?;
+        Ok(decoded)
     }
 
     fn decode_binary(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
@@ -166,111 +141,51 @@ impl ShardRequest {
             }),
         }
     }
-
-    fn to_json(&self) -> Value {
-        match self {
-            Self::Ping {
-                graph_fp,
-                config_fp,
-            } => object(vec![
-                ("kind", Value::String("ping".to_string())),
-                ("graph_fp", u64_to_json(*graph_fp)),
-                ("config_fp", u64_to_json(*config_fp)),
-            ]),
-            Self::Step { query, task } => object(vec![
-                ("kind", Value::String("step".to_string())),
-                ("query", Value::String(query.clone())),
-                ("task", task.to_json()),
-            ]),
-            Self::Snapshot { query, task } => object(vec![
-                ("kind", Value::String("snapshot".to_string())),
-                ("query", Value::String(query.clone())),
-                ("task", task.to_json()),
-            ]),
-        }
-    }
-
-    fn from_json(value: &Value) -> Result<Self, WireError> {
-        let kind = as_str(get_field(value, "request", "kind")?, "request.kind")?;
-        match kind.as_str() {
-            "ping" => Ok(Self::Ping {
-                graph_fp: u64_from_json(
-                    get_field(value, "request", "graph_fp")?,
-                    "request.graph_fp",
-                )?,
-                config_fp: u64_from_json(
-                    get_field(value, "request", "config_fp")?,
-                    "request.config_fp",
-                )?,
-            }),
-            "step" => Ok(Self::Step {
-                query: as_str(get_field(value, "request", "query")?, "request.query")?,
-                task: StratumTask::from_json(get_field(value, "request", "task")?, "request.task")?,
-            }),
-            "snapshot" => Ok(Self::Snapshot {
-                query: as_str(get_field(value, "request", "query")?, "request.query")?,
-                task: StratumTask::from_json(get_field(value, "request", "task")?, "request.task")?,
-            }),
-            _ => Err(WireError::new("request.kind", "ping|step|snapshot")),
-        }
-    }
 }
 
 impl ShardResponse {
     /// Encodes into the payload bytes for `codec`.
     pub fn encode(&self, codec: Codec) -> Vec<u8> {
-        match codec {
-            Codec::Json => self.to_json().to_string().into_bytes(),
-            Codec::Binary => {
-                let mut w = ByteWriter::new();
-                match self {
-                    Self::Pong {
-                        graph_fp,
-                        config_fp,
-                        shards,
-                    } => {
-                        w.put_u8(RESP_PONG);
-                        w.put_u64(*graph_fp);
-                        w.put_u64(*config_fp);
-                        w.put_u64(*shards as u64);
-                    }
-                    Self::Estimate(report) => {
-                        w.put_u8(RESP_ESTIMATE);
-                        report.encode(&mut w);
-                    }
-                    Self::Buckets(terms) => {
-                        w.put_u8(RESP_BUCKETS);
-                        w.put_len(terms.len());
-                        for term in terms {
-                            term.encode(&mut w);
-                        }
-                    }
-                    Self::Error { code, message } => {
-                        w.put_u8(RESP_ERROR);
-                        w.put_str(code);
-                        w.put_str(message);
-                    }
+        let Codec::Binary = codec;
+        let mut w = ByteWriter::new();
+        match self {
+            Self::Pong {
+                graph_fp,
+                config_fp,
+                shards,
+            } => {
+                w.put_u8(RESP_PONG);
+                w.put_u64(*graph_fp);
+                w.put_u64(*config_fp);
+                w.put_u64(*shards as u64);
+            }
+            Self::Estimate(report) => {
+                w.put_u8(RESP_ESTIMATE);
+                report.encode(&mut w);
+            }
+            Self::Buckets(terms) => {
+                w.put_u8(RESP_BUCKETS);
+                w.put_len(terms.len());
+                for term in terms {
+                    term.encode(&mut w);
                 }
-                w.into_bytes()
+            }
+            Self::Error { code, message } => {
+                w.put_u8(RESP_ERROR);
+                w.put_str(code);
+                w.put_str(message);
             }
         }
+        w.into_bytes()
     }
 
     /// Decodes payload bytes in `codec`.
     pub fn decode(codec: Codec, payload: &[u8]) -> Result<Self, String> {
-        match codec {
-            Codec::Json => {
-                let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-                let value: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-                Self::from_json(&value).map_err(|e| e.to_string())
-            }
-            Codec::Binary => {
-                let mut r = ByteReader::new(payload);
-                let decoded = Self::decode_binary(&mut r).map_err(|e| e.to_string())?;
-                r.finish().map_err(|e| e.to_string())?;
-                Ok(decoded)
-            }
-        }
+        let Codec::Binary = codec;
+        let mut r = ByteReader::new(payload);
+        let decoded = Self::decode_binary(&mut r).map_err(|e| e.to_string())?;
+        r.finish().map_err(|e| e.to_string())?;
+        Ok(decoded)
     }
 
     fn decode_binary(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
@@ -297,74 +212,6 @@ impl ShardResponse {
                 offset: 0,
                 message: format!("unknown response tag {tag}"),
             }),
-        }
-    }
-
-    fn to_json(&self) -> Value {
-        match self {
-            Self::Pong {
-                graph_fp,
-                config_fp,
-                shards,
-            } => object(vec![
-                ("kind", Value::String("pong".to_string())),
-                ("graph_fp", u64_to_json(*graph_fp)),
-                ("config_fp", u64_to_json(*config_fp)),
-                ("shards", Value::Number(*shards as f64)),
-            ]),
-            Self::Estimate(report) => object(vec![
-                ("kind", Value::String("estimate".to_string())),
-                ("report", report.to_json()),
-            ]),
-            Self::Buckets(terms) => object(vec![
-                ("kind", Value::String("buckets".to_string())),
-                (
-                    "terms",
-                    Value::Array(terms.iter().map(BucketTerm::to_json).collect()),
-                ),
-            ]),
-            Self::Error { code, message } => object(vec![
-                ("kind", Value::String("error".to_string())),
-                ("code", Value::String(code.clone())),
-                ("message", Value::String(message.clone())),
-            ]),
-        }
-    }
-
-    fn from_json(value: &Value) -> Result<Self, WireError> {
-        let kind = as_str(get_field(value, "response", "kind")?, "response.kind")?;
-        match kind.as_str() {
-            "pong" => Ok(Self::Pong {
-                graph_fp: u64_from_json(
-                    get_field(value, "response", "graph_fp")?,
-                    "response.graph_fp",
-                )?,
-                config_fp: u64_from_json(
-                    get_field(value, "response", "config_fp")?,
-                    "response.config_fp",
-                )?,
-                shards: as_usize(get_field(value, "response", "shards")?, "response.shards")?,
-            }),
-            "estimate" => Ok(Self::Estimate(StratumReport::from_json(
-                get_field(value, "response", "report")?,
-                "response.report",
-            )?)),
-            "buckets" => {
-                let terms = as_array(get_field(value, "response", "terms")?, "response.terms")?
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| BucketTerm::from_json(v, &format!("response.terms[{i}]")))
-                    .collect::<Result<Vec<_>, WireError>>()?;
-                Ok(Self::Buckets(terms))
-            }
-            "error" => Ok(Self::Error {
-                code: as_str(get_field(value, "response", "code")?, "response.code")?,
-                message: as_str(get_field(value, "response", "message")?, "response.message")?,
-            }),
-            _ => Err(WireError::new(
-                "response.kind",
-                "pong|estimate|buckets|error",
-            )),
         }
     }
 }
@@ -430,37 +277,31 @@ mod tests {
 
     fn assert_response_eq(a: &ShardResponse, b: &ShardResponse) {
         // PartialEq on f64 treats NaN != NaN; compare via encoded bytes,
-        // which carry floats bitwise in the binary codec.
+        // which carry floats bitwise.
         assert_eq!(a.encode(Codec::Binary), b.encode(Codec::Binary));
     }
 
     #[test]
     fn requests_round_trip_both_codecs() {
         for req in requests() {
-            for codec in [Codec::Json, Codec::Binary] {
-                let bytes = req.encode(codec);
-                assert_eq!(ShardRequest::decode(codec, &bytes).unwrap(), req);
-            }
+            let bytes = req.encode(Codec::Binary);
+            assert_eq!(ShardRequest::decode(Codec::Binary, &bytes).unwrap(), req);
         }
     }
 
     #[test]
     fn responses_round_trip_both_codecs() {
         for resp in responses() {
-            for codec in [Codec::Json, Codec::Binary] {
-                let bytes = resp.encode(codec);
-                let decoded = ShardResponse::decode(codec, &bytes).unwrap();
-                assert_response_eq(&decoded, &resp);
-            }
+            let bytes = resp.encode(Codec::Binary);
+            let decoded = ShardResponse::decode(Codec::Binary, &bytes).unwrap();
+            assert_response_eq(&decoded, &resp);
         }
     }
 
     #[test]
     fn garbage_payloads_are_structured_errors() {
-        for codec in [Codec::Json, Codec::Binary] {
-            assert!(ShardRequest::decode(codec, b"\xFF\xFE\x00garbage").is_err());
-            assert!(ShardResponse::decode(codec, b"").is_err());
-        }
+        assert!(ShardRequest::decode(Codec::Binary, b"\xFF\xFE\x00garbage").is_err());
+        assert!(ShardResponse::decode(Codec::Binary, b"").is_err());
         // Unknown binary tag.
         assert!(ShardRequest::decode(Codec::Binary, &[9]).is_err());
         // Trailing bytes after a valid binary message are rejected.

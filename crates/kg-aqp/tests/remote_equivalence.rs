@@ -16,7 +16,7 @@ use kg_aqp::{
     config_fingerprint, graph_fingerprint, AqpEngine, EngineConfig, FaultPlan, FleetPolicy,
     InProcessTransport, QueryAnswer, ShardCallError, ShardFleet, ShardServerCore,
 };
-use kg_core::{Codec, DegreeBalancedPartitioner, ShardedGraph};
+use kg_core::{DegreeBalancedPartitioner, ShardedGraph};
 use kg_datagen::{domains, generate, DatasetScale, GeneratorConfig};
 use kg_embed::PredicateSimilarity;
 use kg_query::{
@@ -74,7 +74,6 @@ fn fleet_for(
     sharded: &Arc<ShardedGraph>,
     config: &EngineConfig,
     similarity: &Arc<dyn PredicateSimilarity + Send + Sync>,
-    codec: Codec,
 ) -> Arc<ShardFleet> {
     let core = Arc::new(ShardServerCore::new(
         config.clone(),
@@ -88,11 +87,7 @@ fn fleet_for(
         Arc::new(FaultPlan::new()),
     ));
     let replicas = vec![vec!["proc0".to_string()]; sharded.shard_count()];
-    let policy = FleetPolicy {
-        codec,
-        ..FleetPolicy::default()
-    };
-    Arc::new(ShardFleet::new(transport, replicas, policy))
+    Arc::new(ShardFleet::new(transport, replicas, FleetPolicy::default()))
 }
 
 fn assert_bitwise_eq(reference: &QueryAnswer, candidate: &QueryAnswer, context: &str) {
@@ -146,8 +141,7 @@ fn assert_bitwise_eq(reference: &QueryAnswer, candidate: &QueryAnswer, context: 
 /// The core anchor: for K ∈ {2, 4}, the remote session over fingerprint
 /// -matched shard servers produces bitwise the in-process sharded answers
 /// (which sit on the equivalence chain to the unsharded engine pinned in
-/// `shard_equivalence.rs`). Both codecs, since the binary and JSON paths
-/// must carry the same floats. K = 1 is covered separately: the remote
+/// `shard_equivalence.rs`). K = 1 is covered separately: the remote
 /// path always runs the stratified estimator (a single stratum when
 /// K = 1), whereas the in-process K = 1 session is the unsharded BLB
 /// engine, so its anchor is determinism + accuracy, not bitwise identity.
@@ -171,29 +165,24 @@ fn fault_free_remote_execution_is_bitwise_identical_to_in_process() {
             .map(|q| engine.execute_sharded(&sharded, q, &d.oracle).unwrap())
             .collect();
 
-        for codec in [Codec::Binary, Codec::Json] {
-            let fleet = fleet_for(&sharded, engine.config(), &similarity, codec);
-            fleet
-                .ping_all(
-                    graph_fingerprint(&sharded),
-                    config_fingerprint(engine.config()),
-                )
+        let fleet = fleet_for(&sharded, engine.config(), &similarity);
+        fleet
+            .ping_all(
+                graph_fingerprint(&sharded),
+                config_fingerprint(engine.config()),
+            )
+            .unwrap();
+        for (query, reference) in queries.iter().zip(&in_process) {
+            let mut session = engine
+                .open_remote_session(&sharded, query, &d.oracle, Arc::clone(&fleet))
                 .unwrap();
-            for (query, reference) in queries.iter().zip(&in_process) {
-                let mut session = engine
-                    .open_remote_session(&sharded, query, &d.oracle, Arc::clone(&fleet))
-                    .unwrap();
-                let answer = session.refine_to(&sharded, &d.oracle, error_bound);
-                assert!(
-                    !answer.is_degraded(),
-                    "K={k} {codec:?}: fault-free degraded"
-                );
-                assert_bitwise_eq(reference, &answer, &format!("K={k} {codec:?} {query:?}"));
-            }
-            let metrics = fleet.metrics().snapshot();
-            assert_eq!(metrics.retries, 0, "K={k} {codec:?}");
-            assert_eq!(metrics.degraded_rounds, 0, "K={k} {codec:?}");
+            let answer = session.refine_to(&sharded, &d.oracle, error_bound);
+            assert!(!answer.is_degraded(), "K={k}: fault-free degraded");
+            assert_bitwise_eq(reference, &answer, &format!("K={k} {query:?}"));
         }
+        let metrics = fleet.metrics().snapshot();
+        assert_eq!(metrics.retries, 0, "K={k}");
+        assert_eq!(metrics.degraded_rounds, 0, "K={k}");
     }
 }
 
@@ -231,18 +220,8 @@ fn single_shard_remote_execution_is_deterministic_and_accurate() {
             })
             .collect()
     };
-    let first = run_all(&fleet_for(
-        &sharded,
-        engine.config(),
-        &similarity,
-        Codec::Binary,
-    ));
-    let second = run_all(&fleet_for(
-        &sharded,
-        engine.config(),
-        &similarity,
-        Codec::Json,
-    ));
+    let first = run_all(&fleet_for(&sharded, engine.config(), &similarity));
+    let second = run_all(&fleet_for(&sharded, engine.config(), &similarity));
     for ((query, a), b) in queries.iter().zip(&first).zip(&second) {
         assert_bitwise_eq(a, b, &format!("K=1 fleets {query:?}"));
         assert!(a.guarantee_met, "K=1: guarantee unmet for {query:?}");
@@ -271,7 +250,7 @@ fn rerunning_a_query_against_warm_servers_is_deterministic() {
         3,
     ));
     let engine = AqpEngine::new(config(0.05));
-    let fleet = fleet_for(&sharded, engine.config(), &similarity, Codec::Binary);
+    let fleet = fleet_for(&sharded, engine.config(), &similarity);
     let query = &workload()[0];
 
     let run = |bound: f64| {
@@ -302,7 +281,7 @@ fn fingerprint_mismatch_is_rejected_at_handshake() {
         2,
     ));
     let server_config = config(0.05);
-    let fleet = fleet_for(&sharded, &server_config, &similarity, Codec::Binary);
+    let fleet = fleet_for(&sharded, &server_config, &similarity);
 
     let mismatched = EngineConfig {
         seed: server_config.seed ^ 1,

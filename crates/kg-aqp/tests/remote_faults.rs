@@ -13,7 +13,7 @@ use kg_aqp::{
     AqpEngine, EngineConfig, FaultAction, FaultPlan, FleetPolicy, InProcessTransport, QueryAnswer,
     ShardFleet, ShardServerCore,
 };
-use kg_core::{Codec, DegreeBalancedPartitioner, ShardedGraph};
+use kg_core::{DegreeBalancedPartitioner, ShardedGraph};
 use kg_datagen::{domains, generate, DatasetScale, GeneratorConfig};
 use kg_embed::PredicateSimilarity;
 use kg_query::{AggregateFunction, AggregateQuery, GroupBy, SimpleQuery};
@@ -142,7 +142,6 @@ fn assert_bitwise_eq(reference: &QueryAnswer, candidate: &QueryAnswer, context: 
 #[test]
 fn delayed_primary_is_hedged_and_the_hedge_win_changes_no_bytes() {
     let policy = FleetPolicy {
-        codec: Codec::Binary,
         request_timeout_ms: 5_000,
         hedge_after_ms: 40,
         ..FleetPolicy::default()
@@ -168,7 +167,6 @@ fn delayed_primary_is_hedged_and_the_hedge_win_changes_no_bytes() {
 #[test]
 fn dropped_request_is_retried_with_identical_bytes() {
     let policy = FleetPolicy {
-        codec: Codec::Binary,
         request_timeout_ms: 150,
         hedge_after_ms: 0, // isolate the retry path
         retry_budget: 2,
@@ -191,7 +189,6 @@ fn dropped_request_is_retried_with_identical_bytes() {
 #[test]
 fn disconnect_fails_over_to_a_replica_with_identical_bytes() {
     let policy = FleetPolicy {
-        codec: Codec::Binary,
         request_timeout_ms: 2_000,
         hedge_after_ms: 0,
         retry_budget: 2,
@@ -215,7 +212,6 @@ fn disconnect_fails_over_to_a_replica_with_identical_bytes() {
 #[test]
 fn garbage_frames_are_structured_errors_and_retried() {
     let policy = FleetPolicy {
-        codec: Codec::Binary,
         request_timeout_ms: 2_000,
         hedge_after_ms: 0,
         retry_budget: 2,
@@ -241,7 +237,6 @@ fn garbage_frames_are_structured_errors_and_retried() {
 #[test]
 fn dead_shard_degrades_the_answer_and_recovery_restores_it() {
     let policy = FleetPolicy {
-        codec: Codec::Binary,
         request_timeout_ms: 200,
         hedge_after_ms: 0,
         retry_budget: 1,
@@ -291,7 +286,6 @@ fn dead_shard_degrades_the_answer_and_recovery_restores_it() {
 #[test]
 fn ejection_and_half_open_readmission_cycle() {
     let policy = FleetPolicy {
-        codec: Codec::Binary,
         request_timeout_ms: 100,
         hedge_after_ms: 0,
         retry_budget: 1,
@@ -327,7 +321,6 @@ fn ejection_and_half_open_readmission_cycle() {
 #[test]
 fn total_outage_degrades_every_stratum_without_panicking() {
     let policy = FleetPolicy {
-        codec: Codec::Binary,
         request_timeout_ms: 100,
         hedge_after_ms: 0,
         retry_budget: 0,

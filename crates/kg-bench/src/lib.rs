@@ -28,11 +28,9 @@
 //! assert_eq!(table.to_json()["id"].as_str(), Some("table6"));
 //! ```
 
-pub mod bench_record;
 pub mod experiments;
 pub mod harness;
 pub mod report;
 
-pub use bench_record::{bench_output_path, record_section};
 pub use harness::{BenchContext, Method};
 pub use report::Table;

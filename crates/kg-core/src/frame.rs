@@ -3,9 +3,8 @@
 //! A frame is the unit the coordinator and `kg-shard` servers exchange on
 //! a connection: a fixed 9-byte header — magic `"KGF1"`, one codec byte,
 //! a `u32` little-endian payload length — followed by the payload bytes.
-//! Two codecs share the framing: [`Codec::Json`] (the pinned JSON wire
-//! format, debuggable with a terminal) and [`Codec::Binary`] (a compact
-//! field-ordered encoding for the latency-sensitive per-round fan-out).
+//! The payload is always [`Codec::Binary`], a compact field-ordered
+//! encoding; any other codec byte is rejected at the frame boundary.
 //!
 //! The decoder fails closed: a bad magic, an unknown codec byte, a length
 //! past [`MAX_FRAME_LEN`], or a connection that ends mid-frame all become
@@ -36,12 +35,15 @@ pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 /// bytes the peer actually sent.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Which encoding the frame payload uses.
+/// The frame header's payload-format tag.
+///
+/// One format exists, so the tag only ever reads [`Codec::Binary`]. It
+/// stays a parameter of [`write_frame`], [`read_frame`] and the shard
+/// protocol's `encode`/`decode` because it is a header field, and because
+/// the benchmark in `kg-ledger/` calls those functions with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
-    /// The pinned JSON wire format (UTF-8 text payload).
-    Json,
-    /// The compact field-ordered binary encoding.
+    /// The compact field-ordered binary encoding (on-wire byte 1).
     Binary,
 }
 
@@ -49,7 +51,6 @@ impl Codec {
     /// The codec's on-wire byte.
     pub fn to_byte(self) -> u8 {
         match self {
-            Codec::Json => 0,
             Codec::Binary => 1,
         }
     }
@@ -58,7 +59,6 @@ impl Codec {
     /// default, so a skewed peer is detected at the frame boundary.
     pub fn from_byte(b: u8) -> Result<Self, FrameError> {
         match b {
-            0 => Ok(Codec::Json),
             1 => Ok(Codec::Binary),
             other => Err(FrameError::UnknownCodec(other)),
         }
@@ -425,14 +425,12 @@ mod tests {
 
     #[test]
     fn frames_round_trip_both_codecs() {
-        for codec in [Codec::Json, Codec::Binary] {
-            let payload = b"{\"kind\":\"ping\"}".to_vec();
-            let mut wire = Vec::new();
-            write_frame(&mut wire, codec, &payload).unwrap();
-            let (got_codec, got) = read_frame(&mut Cursor::new(&wire)).unwrap();
-            assert_eq!(got_codec, codec);
-            assert_eq!(got, payload);
-        }
+        let payload = b"{\"kind\":\"ping\"}".to_vec();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, Codec::Binary, &payload).unwrap();
+        let (got_codec, got) = read_frame(&mut Cursor::new(&wire)).unwrap();
+        assert_eq!(got_codec, Codec::Binary);
+        assert_eq!(got, payload);
     }
 
     #[test]
@@ -454,13 +452,15 @@ mod tests {
 
     #[test]
     fn unknown_codec_is_structured() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&FRAME_MAGIC);
-        wire.push(9);
-        wire.extend_from_slice(&0u32.to_le_bytes());
-        match read_frame(&mut Cursor::new(&wire)) {
-            Err(FrameError::UnknownCodec(9)) => {}
-            other => panic!("expected UnknownCodec(9), got {other:?}"),
+        for byte in [0, 9] {
+            let mut wire = Vec::new();
+            wire.extend_from_slice(&FRAME_MAGIC);
+            wire.push(byte);
+            wire.extend_from_slice(&0u32.to_le_bytes());
+            match read_frame(&mut Cursor::new(&wire)) {
+                Err(FrameError::UnknownCodec(b)) if b == byte => {}
+                other => panic!("expected UnknownCodec({byte}), got {other:?}"),
+            }
         }
     }
 
@@ -468,7 +468,7 @@ mod tests {
     fn oversized_length_rejected_before_allocation() {
         let mut wire = Vec::new();
         wire.extend_from_slice(&FRAME_MAGIC);
-        wire.push(0);
+        wire.push(1);
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
         match read_frame(&mut Cursor::new(&wire)) {
             Err(FrameError::Oversized { declared, max }) => {

@@ -8,10 +8,10 @@ use kg_core::{read_frame, write_frame, Codec, FrameError, FRAME_MAGIC, MAX_FRAME
 use proptest::prelude::*;
 use std::io::Cursor;
 
-/// Builds a well-formed frame for `payload` under `codec`.
-fn encode(codec: Codec, payload: &[u8]) -> Vec<u8> {
+/// Builds a well-formed frame for `payload`.
+fn encode(payload: &[u8]) -> Vec<u8> {
     let mut wire = Vec::new();
-    write_frame(&mut wire, codec, payload).unwrap();
+    write_frame(&mut wire, Codec::Binary, payload).unwrap();
     wire
 }
 
@@ -45,11 +45,9 @@ proptest! {
     #[test]
     fn truncation_at_every_boundary_is_structured(
         payload in prop::collection::vec(0u8..=255, 0..256),
-        binary in 0u8..2,
         cut_pick in 0usize..1 << 20,
     ) {
-        let codec = if binary == 1 { Codec::Binary } else { Codec::Json };
-        let wire = encode(codec, &payload);
+        let wire = encode(&payload);
         let cut = cut_pick % wire.len(); // 0..wire.len(): always short
         match read_frame(&mut Cursor::new(&wire[..cut])) {
             Err(FrameError::Truncated { expected, got }) => {
@@ -59,16 +57,14 @@ proptest! {
         }
     }
 
-    /// A round trip through write + read is lossless for both codecs.
+    /// A round trip through write + read is lossless.
     #[test]
     fn round_trip_is_lossless(
         payload in prop::collection::vec(0u8..=255, 0..2048),
-        binary in 0u8..2,
     ) {
-        let codec = if binary == 1 { Codec::Binary } else { Codec::Json };
-        let wire = encode(codec, &payload);
+        let wire = encode(&payload);
         let (got_codec, got_payload) = read_frame(&mut Cursor::new(&wire)).unwrap();
-        prop_assert_eq!(got_codec, codec);
+        prop_assert_eq!(got_codec, Codec::Binary);
         prop_assert_eq!(got_payload, payload);
     }
 
@@ -78,10 +74,9 @@ proptest! {
     #[test]
     fn oversized_length_prefix_is_rejected_from_the_header(
         declared in (MAX_FRAME_LEN as u32 + 1)..=u32::MAX,
-        codec_byte in 0u8..2,
     ) {
         let mut wire = Vec::from(FRAME_MAGIC);
-        wire.push(codec_byte);
+        wire.push(Codec::Binary.to_byte());
         wire.extend_from_slice(&declared.to_le_bytes());
         match read_frame(&mut Cursor::new(&wire)) {
             Err(FrameError::Oversized { declared: d, max }) => {
@@ -114,19 +109,22 @@ proptest! {
         }
     }
 
-    /// Garbage in the codec position is always `UnknownCodec` naming the
-    /// byte, provided the magic matched and the header is complete.
+    /// Any codec byte but the binary one — byte 0 of the retired JSON
+    /// codec included — is always `UnknownCodec` naming the byte, provided
+    /// the magic matched and the header is complete.
     #[test]
     fn unknown_codec_byte_is_named(
-        codec_byte in 2u8..=u8::MAX,
+        codec_byte in 0u8..=u8::MAX,
         len in 0u32..1024,
     ) {
-        let mut wire = Vec::from(FRAME_MAGIC);
-        wire.push(codec_byte);
-        wire.extend_from_slice(&len.to_le_bytes());
-        match read_frame(&mut Cursor::new(&wire)) {
-            Err(FrameError::UnknownCodec(b)) => prop_assert_eq!(b, codec_byte),
-            other => prop_assert!(false, "expected UnknownCodec, got {other:?}"),
+        if codec_byte != Codec::Binary.to_byte() {
+            let mut wire = Vec::from(FRAME_MAGIC);
+            wire.push(codec_byte);
+            wire.extend_from_slice(&len.to_le_bytes());
+            match read_frame(&mut Cursor::new(&wire)) {
+                Err(FrameError::UnknownCodec(b)) => prop_assert_eq!(b, codec_byte),
+                other => prop_assert!(false, "expected UnknownCodec, got {other:?}"),
+            }
         }
     }
 
@@ -167,13 +165,11 @@ fn a_frame_is_written_in_one_write() {
         }
     }
 
-    for codec in [Codec::Json, Codec::Binary] {
-        let mut writes = Writes(Vec::new());
-        write_frame(&mut writes, codec, b"payload").unwrap();
-        let mut expected = Vec::from(FRAME_MAGIC);
-        expected.push(codec.to_byte());
-        expected.extend_from_slice(&7u32.to_le_bytes());
-        expected.extend_from_slice(b"payload");
-        assert_eq!(writes.0, [expected], "{codec:?}");
-    }
+    let mut writes = Writes(Vec::new());
+    write_frame(&mut writes, Codec::Binary, b"payload").unwrap();
+    let mut expected = Vec::from(FRAME_MAGIC);
+    expected.push(1);
+    expected.extend_from_slice(&7u32.to_le_bytes());
+    expected.extend_from_slice(b"payload");
+    assert_eq!(writes.0, [expected]);
 }

@@ -77,4 +77,4 @@ pub use snapshot::{
 };
 pub use strategies::SamplingStrategy;
 pub use transition::TransitionMatrix;
-pub use wire::{f64_from_json, f64_to_json, BucketTerm, StratumReport, StratumTask};
+pub use wire::{BucketTerm, StratumReport, StratumTask};

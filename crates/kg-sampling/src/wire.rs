@@ -9,56 +9,11 @@
 //! snapshots additionally ship per-bucket point-estimate terms as
 //! [`BucketTerm`]s.
 //!
-//! Every type round-trips through both wire codecs used by the shard
-//! protocol:
-//!
-//! * **JSON** (`to_json` / `from_json`) — debuggable, used by the handshake
-//!   and by tooling. Non-finite floats (MAX/MIN neutral terms are `NaN`) are
-//!   encoded as the strings `"NaN"` / `"Infinity"` / `"-Infinity"` because
-//!   JSON numbers cannot represent them; finite floats use the shortest
-//!   round-trip form and decode bitwise-identically.
-//! * **Binary** (`encode` / `decode`) — the compact framing used for the
-//!   latency-sensitive per-round fan-out. Floats travel as raw IEEE-754 bits,
-//!   so `NaN` payloads and `-0.0` survive bitwise.
+//! Every type round-trips through the shard protocol's binary codec
+//! (`encode` / `decode`). Floats travel as raw IEEE-754 bits, so `NaN`
+//! payloads (MAX/MIN neutral terms) and `-0.0` survive bitwise.
 
 use kg_core::{ByteReader, ByteWriter, DecodeError};
-use kg_query::wire::{as_array, as_f64, as_usize, get_field, object, WireError};
-use serde_json::Value;
-
-/// Encodes an `f64` as JSON, string-tagging the values JSON text cannot
-/// carry bitwise: the non-finite values (JSON numbers have no NaN or
-/// infinities) and negative zero (integral floats print as integers, which
-/// drops the sign).
-pub fn f64_to_json(value: f64) -> Value {
-    if value.is_nan() {
-        Value::String("NaN".to_string())
-    } else if value == f64::INFINITY {
-        Value::String("Infinity".to_string())
-    } else if value == f64::NEG_INFINITY {
-        Value::String("-Infinity".to_string())
-    } else if value == 0.0 && value.is_sign_negative() {
-        Value::String("-0.0".to_string())
-    } else {
-        Value::Number(value)
-    }
-}
-
-/// Decodes an `f64` encoded by [`f64_to_json`], erroring with `path`.
-pub fn f64_from_json(value: &Value, path: &str) -> Result<f64, WireError> {
-    match value {
-        Value::String(s) => match s.as_str() {
-            "NaN" => Ok(f64::NAN),
-            "Infinity" => Ok(f64::INFINITY),
-            "-Infinity" => Ok(f64::NEG_INFINITY),
-            "-0.0" => Ok(-0.0),
-            _ => Err(WireError::new(
-                path,
-                "a number or NaN/Infinity/-Infinity/-0.0",
-            )),
-        },
-        _ => as_f64(value, path),
-    }
-}
 
 /// One shard's marching orders for a refine round.
 ///
@@ -84,46 +39,6 @@ pub struct StratumTask {
 }
 
 impl StratumTask {
-    /// Encodes as a JSON object.
-    pub fn to_json(&self) -> Value {
-        object(vec![
-            ("shard", Value::Number(self.shard as f64)),
-            (
-                "draws",
-                Value::Array(
-                    self.draws
-                        .iter()
-                        .map(|&d| Value::Number(d as f64))
-                        .collect(),
-                ),
-            ),
-            ("steps", Value::Number(self.steps as f64)),
-            ("resamples", Value::Number(self.resamples as f64)),
-        ])
-    }
-
-    /// Decodes from the JSON produced by [`StratumTask::to_json`].
-    pub fn from_json(value: &Value, path: &str) -> Result<Self, WireError> {
-        let draws_value = get_field(value, path, "draws")?;
-        let draws = as_array(draws_value, &format!("{path}.draws"))?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.as_u64()
-                    .ok_or_else(|| WireError::new(&format!("{path}.draws[{i}]"), "a draw count"))
-            })
-            .collect::<Result<Vec<u64>, WireError>>()?;
-        Ok(Self {
-            shard: as_usize(get_field(value, path, "shard")?, &format!("{path}.shard"))?,
-            draws,
-            steps: as_usize(get_field(value, path, "steps")?, &format!("{path}.steps"))?,
-            resamples: as_usize(
-                get_field(value, path, "resamples")?,
-                &format!("{path}.resamples"),
-            )?,
-        })
-    }
-
     /// Appends the binary encoding to `w`.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.shard as u64);
@@ -177,74 +92,6 @@ pub struct StratumReport {
 }
 
 impl StratumReport {
-    /// Encodes as a JSON object.
-    pub fn to_json(&self) -> Value {
-        object(vec![
-            ("primary", f64_to_json(self.primary)),
-            ("secondary", f64_to_json(self.secondary)),
-            (
-                "replicates",
-                Value::Array(
-                    self.replicates
-                        .iter()
-                        .map(|&(p, s)| Value::Array(vec![f64_to_json(p), f64_to_json(s)]))
-                        .collect(),
-                ),
-            ),
-            ("sample_size", Value::Number(self.sample_size as f64)),
-            ("correct", Value::Number(self.correct as f64)),
-            ("validate_ms", f64_to_json(self.validate_ms)),
-            ("bootstrap_ms", f64_to_json(self.bootstrap_ms)),
-        ])
-    }
-
-    /// Decodes from the JSON produced by [`StratumReport::to_json`].
-    pub fn from_json(value: &Value, path: &str) -> Result<Self, WireError> {
-        let replicates_path = format!("{path}.replicates");
-        let replicates = as_array(get_field(value, path, "replicates")?, &replicates_path)?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let pair_path = format!("{replicates_path}[{i}]");
-                let pair = as_array(v, &pair_path)?;
-                if pair.len() != 2 {
-                    return Err(WireError::new(&pair_path, "a [primary, secondary] pair"));
-                }
-                Ok((
-                    f64_from_json(&pair[0], &format!("{pair_path}[0]"))?,
-                    f64_from_json(&pair[1], &format!("{pair_path}[1]"))?,
-                ))
-            })
-            .collect::<Result<Vec<(f64, f64)>, WireError>>()?;
-        Ok(Self {
-            primary: f64_from_json(
-                get_field(value, path, "primary")?,
-                &format!("{path}.primary"),
-            )?,
-            secondary: f64_from_json(
-                get_field(value, path, "secondary")?,
-                &format!("{path}.secondary"),
-            )?,
-            replicates,
-            sample_size: as_usize(
-                get_field(value, path, "sample_size")?,
-                &format!("{path}.sample_size"),
-            )?,
-            correct: as_usize(
-                get_field(value, path, "correct")?,
-                &format!("{path}.correct"),
-            )?,
-            validate_ms: f64_from_json(
-                get_field(value, path, "validate_ms")?,
-                &format!("{path}.validate_ms"),
-            )?,
-            bootstrap_ms: f64_from_json(
-                get_field(value, path, "bootstrap_ms")?,
-                &format!("{path}.bootstrap_ms"),
-            )?,
-        })
-    }
-
     /// Appends the binary encoding to `w`.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_f64(self.primary);
@@ -301,35 +148,6 @@ pub struct BucketTerm {
 }
 
 impl BucketTerm {
-    /// Encodes as a JSON object.
-    pub fn to_json(&self) -> Value {
-        object(vec![
-            ("key", Value::Number(self.key as f64)),
-            ("primary", f64_to_json(self.primary)),
-            ("secondary", f64_to_json(self.secondary)),
-        ])
-    }
-
-    /// Decodes from the JSON produced by [`BucketTerm::to_json`].
-    pub fn from_json(value: &Value, path: &str) -> Result<Self, WireError> {
-        let key_path = format!("{path}.key");
-        let key_value = as_f64(get_field(value, path, "key")?, &key_path)?;
-        if key_value.fract() != 0.0 || key_value.abs() > 2f64.powi(53) {
-            return Err(WireError::new(&key_path, "an integer bucket key"));
-        }
-        Ok(Self {
-            key: key_value as i64,
-            primary: f64_from_json(
-                get_field(value, path, "primary")?,
-                &format!("{path}.primary"),
-            )?,
-            secondary: f64_from_json(
-                get_field(value, path, "secondary")?,
-                &format!("{path}.secondary"),
-            )?,
-        })
-    }
-
     /// Appends the binary encoding to `w`.
     pub fn encode(&self, w: &mut ByteWriter) {
         w.put_u64(self.key as u64);
@@ -379,7 +197,6 @@ mod tests {
     #[test]
     fn task_round_trips_both_codecs() {
         let t = task();
-        assert_eq!(StratumTask::from_json(&t.to_json(), "task").unwrap(), t);
         let mut w = ByteWriter::new();
         t.encode(&mut w);
         let bytes = w.into_bytes();
@@ -391,28 +208,21 @@ mod tests {
     #[test]
     fn report_round_trips_bitwise_in_both_codecs() {
         let rep = report();
-        for decoded in [
-            StratumReport::from_json(&rep.to_json(), "report").unwrap(),
-            {
-                let mut w = ByteWriter::new();
-                rep.encode(&mut w);
-                let bytes = w.into_bytes();
-                let mut r = ByteReader::new(&bytes);
-                let d = StratumReport::decode(&mut r).unwrap();
-                r.finish().unwrap();
-                d
-            },
-        ] {
-            assert_eq!(decoded.primary.to_bits(), rep.primary.to_bits());
-            assert_eq!(decoded.secondary.to_bits(), rep.secondary.to_bits());
-            assert_eq!(decoded.replicates.len(), rep.replicates.len());
-            for (a, b) in decoded.replicates.iter().zip(&rep.replicates) {
-                assert_eq!(bits(*a), bits(*b));
-            }
-            assert_eq!(decoded.sample_size, rep.sample_size);
-            assert_eq!(decoded.correct, rep.correct);
-            assert_eq!(decoded.bootstrap_ms.to_bits(), rep.bootstrap_ms.to_bits());
+        let mut w = ByteWriter::new();
+        rep.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let decoded = StratumReport::decode(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(decoded.primary.to_bits(), rep.primary.to_bits());
+        assert_eq!(decoded.secondary.to_bits(), rep.secondary.to_bits());
+        assert_eq!(decoded.replicates.len(), rep.replicates.len());
+        for (a, b) in decoded.replicates.iter().zip(&rep.replicates) {
+            assert_eq!(bits(*a), bits(*b));
         }
+        assert_eq!(decoded.sample_size, rep.sample_size);
+        assert_eq!(decoded.correct, rep.correct);
+        assert_eq!(decoded.bootstrap_ms.to_bits(), rep.bootstrap_ms.to_bits());
     }
 
     #[test]
@@ -422,9 +232,6 @@ mod tests {
             primary: f64::NAN,
             secondary: 0.0,
         };
-        let decoded = BucketTerm::from_json(&b.to_json(), "bucket").unwrap();
-        assert_eq!(decoded.key, b.key);
-        assert_eq!(decoded.primary.to_bits(), b.primary.to_bits());
         let mut w = ByteWriter::new();
         b.encode(&mut w);
         let bytes = w.into_bytes();
@@ -434,37 +241,6 @@ mod tests {
         assert_eq!(decoded.key, b.key);
         assert_eq!(decoded.primary.to_bits(), b.primary.to_bits());
         assert_eq!(decoded.secondary.to_bits(), b.secondary.to_bits());
-    }
-
-    #[test]
-    fn non_finite_floats_survive_json() {
-        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1.5e-300] {
-            // Through the *text* layer, not just the value tree: integral
-            // floats print as integers, which is where -0.0 would lose its
-            // sign without the string tagging.
-            let text = serde_json::to_string(&f64_to_json(v)).unwrap();
-            let parsed: Value = serde_json::from_str(&text).unwrap();
-            let decoded = f64_from_json(&parsed, "x").unwrap();
-            assert_eq!(decoded.to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
-    fn malformed_json_is_a_structured_error() {
-        let err = f64_from_json(&Value::String("nan".to_string()), "x").unwrap_err();
-        assert_eq!(err.path, "x");
-        let missing = StratumTask::from_json(&object(vec![]), "task").unwrap_err();
-        assert!(missing.path.starts_with("task."));
-        let bad_key = BucketTerm::from_json(
-            &object(vec![
-                ("key", Value::Number(1.5)),
-                ("primary", Value::Number(0.0)),
-                ("secondary", Value::Number(0.0)),
-            ]),
-            "bucket",
-        )
-        .unwrap_err();
-        assert_eq!(bad_key.path, "bucket.key");
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //!          [--slow-query-ms MS] [--snapshot PATH] [--write-snapshot PATH]
 //!          [--shard-endpoint SHARD=HOST:PORT[,HOST:PORT]]...
 //!          [--request-timeout-ms 2000] [--hedge-after-ms 150]
-//!          [--retry-budget 2] [--shard-codec binary|json]
+//!          [--retry-budget 2]
 //! ```
+//!
+//! Every flag takes a value. An unknown flag, a value that does not parse,
+//! or a flag with no value exits with status 2 and one stderr line naming
+//! the flag, before any data is generated.
 //!
 //! Repeatable `--shard-endpoint SHARD=HOST:PORT[,HOST:PORT]` flags switch
 //! the process into **coordinator mode**: refinement rounds scatter to the
@@ -57,12 +61,69 @@ use kg_sampling::SamplerCache;
 use kg_service::{HttpServer, RemoteTopology, Service, ServiceConfig};
 use std::sync::Arc;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Every flag `kg-serve` understands; each takes one value.
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--seed",
+    "--workers",
+    "--queue-capacity",
+    "--drain-batch",
+    "--error-bound",
+    "--confidence",
+    "--shards",
+    "--tenant-weight",
+    "--tenant-quota",
+    "--tenant",
+    "--compact-threshold",
+    "--slow-query-ms",
+    "--snapshot",
+    "--write-snapshot",
+    "--shard-endpoint",
+    "--request-timeout-ms",
+    "--hedge-after-ms",
+    "--retry-budget",
+];
+
+/// Prints `kg-serve: {message}` and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("kg-serve: {message}");
+    std::process::exit(2);
+}
+
+/// Splits the command line into `(flag, value)` pairs, exiting 2 on an
+/// unknown flag or a flag with no value.
+fn flag_pairs(args: &[String]) -> Vec<(&str, &str)> {
+    let mut pairs = Vec::new();
+    let mut rest = args.iter().skip(1);
+    while let Some(flag) = rest.next() {
+        if !FLAGS.contains(&flag.as_str()) {
+            usage_error(&format!("unknown flag {flag} (see --help)"));
+        }
+        let Some(value) = rest.next() else {
+            usage_error(&format!("{flag} needs a value"));
+        };
+        pairs.push((flag.as_str(), value.as_str()));
+    }
+    pairs
+}
+
+/// Every value given for `flag`, in order.
+fn flag_values<'a>(flags: &'a [(&str, &'a str)], flag: &'a str) -> impl Iterator<Item = &'a str> {
+    flags
+        .iter()
+        .filter(move |(f, _)| *f == flag)
+        .map(|&(_, v)| v)
+}
+
+/// The first value given for `flag`, parsed, or `default` when the flag is
+/// absent. A value that does not parse exits 2.
+fn parse_flag<T: std::str::FromStr>(flags: &[(&str, &str)], flag: &str, default: T) -> T {
+    match flag_values(flags, flag).next() {
+        None => default,
+        Some(value) => value
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag}: cannot parse {value:?}"))),
+    }
 }
 
 /// Parses one `NAME=WEIGHT:QUOTA` tenant override.
@@ -100,70 +161,54 @@ fn main() {
              [--snapshot PATH] [--write-snapshot PATH] \
              [--shard-endpoint SHARD=HOST:PORT[,HOST:PORT]]... \
              [--request-timeout-ms MS] [--hedge-after-ms MS] \
-             [--retry-budget N] [--shard-codec binary|json]"
+             [--retry-budget N]"
         );
         return;
     }
-    let addr: String = parse_flag(&args, "--addr", "127.0.0.1:7878".to_string());
-    let seed: u64 = parse_flag(&args, "--seed", 42);
-    let workers: usize = parse_flag(&args, "--workers", 4);
-    let queue_capacity: usize = parse_flag(&args, "--queue-capacity", 256);
-    let drain_batch: usize = parse_flag(&args, "--drain-batch", 16);
-    let error_bound: f64 = parse_flag(&args, "--error-bound", 0.01);
-    let confidence: f64 = parse_flag(&args, "--confidence", 0.95);
-    let shards: usize = parse_flag(&args, "--shards", 1).max(1);
-    let tenant_weight: f64 = parse_flag(&args, "--tenant-weight", 1.0);
-    let tenant_quota: usize = parse_flag(&args, "--tenant-quota", 256);
-    let compact_threshold: usize = parse_flag(&args, "--compact-threshold", 4096);
-    let slow_query_ms: f64 = parse_flag(&args, "--slow-query-ms", 0.0);
-    let snapshot_path: String = parse_flag(&args, "--snapshot", String::new());
-    let write_snapshot_path: String = parse_flag(&args, "--write-snapshot", String::new());
-    let request_timeout_ms: u64 = parse_flag(&args, "--request-timeout-ms", 2000);
-    let hedge_after_ms: u64 = parse_flag(&args, "--hedge-after-ms", 150);
-    let retry_budget: u32 = parse_flag(&args, "--retry-budget", 2);
-    let shard_codec: String = parse_flag(&args, "--shard-codec", "binary".to_string());
-    let binary_codec = match shard_codec.as_str() {
-        "binary" => true,
-        "json" => false,
-        other => {
-            eprintln!("kg-serve: unknown --shard-codec {other:?} (want binary or json)");
-            std::process::exit(2);
-        }
-    };
+    let flags = flag_pairs(&args);
+    let addr: String = parse_flag(&flags, "--addr", "127.0.0.1:7878".to_string());
+    let seed: u64 = parse_flag(&flags, "--seed", 42);
+    let workers: usize = parse_flag(&flags, "--workers", 4);
+    let queue_capacity: usize = parse_flag(&flags, "--queue-capacity", 256);
+    let drain_batch: usize = parse_flag(&flags, "--drain-batch", 16);
+    let error_bound: f64 = parse_flag(&flags, "--error-bound", 0.01);
+    let confidence: f64 = parse_flag(&flags, "--confidence", 0.95);
+    let shards: usize = parse_flag(&flags, "--shards", 1).max(1);
+    let tenant_weight: f64 = parse_flag(&flags, "--tenant-weight", 1.0);
+    let tenant_quota: usize = parse_flag(&flags, "--tenant-quota", 256);
+    let compact_threshold: usize = parse_flag(&flags, "--compact-threshold", 4096);
+    let slow_query_ms: f64 = parse_flag(&flags, "--slow-query-ms", 0.0);
+    let snapshot_path: String = parse_flag(&flags, "--snapshot", String::new());
+    let write_snapshot_path: String = parse_flag(&flags, "--write-snapshot", String::new());
+    let request_timeout_ms: u64 = parse_flag(&flags, "--request-timeout-ms", 2000);
+    let hedge_after_ms: u64 = parse_flag(&flags, "--hedge-after-ms", 150);
+    let retry_budget: u32 = parse_flag(&flags, "--retry-budget", 2);
 
     // Collect the coordinator topology: one `--shard-endpoint` per shard,
     // each naming that shard's replicas in failover order.
     let mut shard_endpoints: Vec<Option<Vec<String>>> = vec![None; shards];
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--shard-endpoint" {
-            let Some(spec) = args.get(i + 1) else {
-                eprintln!("kg-serve: --shard-endpoint needs a SHARD=HOST:PORT[,HOST:PORT] value");
-                std::process::exit(2);
-            };
-            let Some((shard, replicas)) = parse_shard_endpoint(spec) else {
-                eprintln!(
-                    "kg-serve: unparsable shard endpoint {spec:?} \
-                     (want SHARD=HOST:PORT[,HOST:PORT])"
-                );
-                std::process::exit(2);
-            };
-            if shard >= shards {
-                eprintln!("kg-serve: --shard-endpoint {spec:?} names shard {shard}, but --shards is {shards}");
-                std::process::exit(2);
-            }
-            shard_endpoints[shard] = Some(replicas);
+    for spec in flag_values(&flags, "--shard-endpoint") {
+        let Some((shard, replicas)) = parse_shard_endpoint(spec) else {
+            usage_error(&format!(
+                "unparsable shard endpoint {spec:?} (want SHARD=HOST:PORT[,HOST:PORT])"
+            ));
+        };
+        if shard >= shards {
+            usage_error(&format!(
+                "--shard-endpoint {spec:?} names shard {shard}, but --shards is {shards}"
+            ));
         }
+        shard_endpoints[shard] = Some(replicas);
     }
     let remote_mode = shard_endpoints.iter().any(Option::is_some);
     let topology = if remote_mode {
         let mut replicas = Vec::with_capacity(shards);
         for (shard, endpoints) in shard_endpoints.into_iter().enumerate() {
             let Some(endpoints) = endpoints else {
-                eprintln!(
-                    "kg-serve: coordinator mode needs an endpoint for every shard; \
+                usage_error(&format!(
+                    "coordinator mode needs an endpoint for every shard; \
                      shard {shard} of {shards} has none"
-                );
-                std::process::exit(2);
+                ));
             };
             replicas.push(endpoints);
         }
@@ -172,7 +217,6 @@ fn main() {
             request_timeout_ms,
             hedge_after_ms,
             retry_budget,
-            binary_codec,
         })
     } else {
         None
@@ -195,25 +239,17 @@ fn main() {
     if let Some(topology) = topology {
         builder = builder.remote(topology);
     }
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--tenant" {
-            let Some(spec) = args.get(i + 1) else {
-                eprintln!("kg-serve: --tenant needs a NAME=WEIGHT:QUOTA value");
-                std::process::exit(2);
-            };
-            let Some((name, weight, quota)) = parse_tenant_spec(spec) else {
-                eprintln!("kg-serve: unparsable tenant spec {spec:?} (want NAME=WEIGHT:QUOTA)");
-                std::process::exit(2);
-            };
-            builder = builder.tenant(name, weight, quota);
-        }
+    for spec in flag_values(&flags, "--tenant") {
+        let Some((name, weight, quota)) = parse_tenant_spec(spec) else {
+            usage_error(&format!(
+                "unparsable tenant spec {spec:?} (want NAME=WEIGHT:QUOTA)"
+            ));
+        };
+        builder = builder.tenant(name, weight, quota);
     }
     let config = match builder.build() {
         Ok(config) => config,
-        Err(e) => {
-            eprintln!("kg-serve: invalid configuration: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => usage_error(&format!("invalid configuration: {e}")),
     };
 
     // Either a millisecond cold start from a prebuilt snapshot, or the

@@ -133,9 +133,6 @@ pub struct RemoteTopology {
     /// unreachable for the round (the answer then degrades rather than
     /// erroring).
     pub retry_budget: u32,
-    /// Use the compact binary codec on the wire (JSON when false — slower,
-    /// trivially inspectable).
-    pub binary_codec: bool,
 }
 
 impl Default for RemoteTopology {
@@ -145,7 +142,6 @@ impl Default for RemoteTopology {
             request_timeout_ms: 2_000,
             hedge_after_ms: 150,
             retry_budget: 2,
-            binary_codec: true,
         }
     }
 }

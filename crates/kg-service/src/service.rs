@@ -15,7 +15,7 @@ use kg_aqp::{
 };
 use kg_core::snapshot::SnapshotOptions;
 use kg_core::{
-    Codec, DegreeBalancedPartitioner, EntityId, KnowledgeGraph, PredicateId, ShardedGraph, TypeId,
+    DegreeBalancedPartitioner, EntityId, KnowledgeGraph, PredicateId, ShardedGraph, TypeId,
 };
 use kg_core::{KgError, KgResult};
 use kg_embed::{PredicateSimilarity, PredicateVectorStore};
@@ -754,11 +754,6 @@ impl Service {
         let sched = Scheduler::new(config.tenants.clone(), config.queue_capacity);
         let remote = config.remote.as_ref().map(|topology| {
             let policy = FleetPolicy {
-                codec: if topology.binary_codec {
-                    Codec::Binary
-                } else {
-                    Codec::Json
-                },
                 request_timeout_ms: topology.request_timeout_ms,
                 hedge_after_ms: topology.hedge_after_ms,
                 retry_budget: topology.retry_budget,

@@ -54,7 +54,7 @@ fn service(workers: usize, queue_capacity: usize, d: &GeneratedDataset) -> Servi
     )
 }
 
-/// Acceptance criterion: for cache-miss paths with a fixed seed, the
+/// Acceptance condition: for cache-miss paths with a fixed seed, the
 /// service returns the same estimates and CIs as calling the batch engine
 /// directly.
 #[test]
@@ -146,7 +146,7 @@ fn cache_miss_answers_are_bitwise_identical_across_thread_counts() {
     }
 }
 
-/// Acceptance criterion: cache-hit answers provably satisfy the request's
+/// Acceptance condition: cache-hit answers provably satisfy the request's
 /// error/confidence targets.
 #[test]
 fn cache_hits_dominate_the_request_targets() {

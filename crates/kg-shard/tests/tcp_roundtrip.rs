@@ -9,7 +9,7 @@ use kg_aqp::{
     config_fingerprint, graph_fingerprint, AqpEngine, EngineConfig, FleetPolicy, ShardFleet,
     ShardServerCore, TcpTransport,
 };
-use kg_core::{Codec, DegreeBalancedPartitioner, ShardedGraph};
+use kg_core::{DegreeBalancedPartitioner, ShardedGraph, FRAME_MAGIC};
 use kg_datagen::{domains, generate, DatasetScale, GeneratorConfig};
 use kg_embed::PredicateSimilarity;
 use kg_query::{AggregateFunction, AggregateQuery, SimpleQuery};
@@ -59,35 +59,29 @@ fn tcp_fleet_round_trips_and_matches_in_process_execution() {
     );
     let reference = engine.execute_sharded(&sharded, &query, &d.oracle).unwrap();
 
-    for codec in [Codec::Binary, Codec::Json] {
-        let policy = FleetPolicy {
-            codec,
-            ..FleetPolicy::default()
-        };
-        let fleet = Arc::new(ShardFleet::new(
-            Arc::new(TcpTransport),
-            replicas.clone(),
-            policy,
-        ));
-        fleet
-            .ping_all(
-                graph_fingerprint(&sharded),
-                config_fingerprint(engine.config()),
-            )
-            .unwrap();
-        let mut session = engine
-            .open_remote_session(&sharded, &query, &d.oracle, Arc::clone(&fleet))
-            .unwrap();
-        let answer = session.refine_to(&sharded, &d.oracle, 0.05);
-        assert!(!answer.is_degraded());
-        assert_eq!(
-            answer.estimate.to_bits(),
-            reference.estimate.to_bits(),
-            "{codec:?}: TCP answer diverged from in-process"
-        );
-        assert_eq!(answer.moe.to_bits(), reference.moe.to_bits(), "{codec:?}");
-        assert_eq!(answer.sample_size, reference.sample_size, "{codec:?}");
-    }
+    let fleet = Arc::new(ShardFleet::new(
+        Arc::new(TcpTransport),
+        replicas,
+        FleetPolicy::default(),
+    ));
+    fleet
+        .ping_all(
+            graph_fingerprint(&sharded),
+            config_fingerprint(engine.config()),
+        )
+        .unwrap();
+    let mut session = engine
+        .open_remote_session(&sharded, &query, &d.oracle, Arc::clone(&fleet))
+        .unwrap();
+    let answer = session.refine_to(&sharded, &d.oracle, 0.05);
+    assert!(!answer.is_degraded());
+    assert_eq!(
+        answer.estimate.to_bits(),
+        reference.estimate.to_bits(),
+        "TCP answer diverged from in-process"
+    );
+    assert_eq!(answer.moe.to_bits(), reference.moe.to_bits());
+    assert_eq!(answer.sample_size, reference.sample_size);
 }
 
 /// A peer that sends garbage bytes gets its connection closed — the server
@@ -121,6 +115,52 @@ fn garbage_bytes_close_the_connection_without_killing_the_listener() {
     drop(stream);
 
     // The listener still serves a well-formed handshake afterwards.
+    let fleet = Arc::new(ShardFleet::new(
+        Arc::new(TcpTransport),
+        vec![vec![addr.to_string()]],
+        FleetPolicy::default(),
+    ));
+    fleet
+        .ping_all(graph_fingerprint(&sharded), config_fingerprint(&config))
+        .unwrap();
+}
+
+/// A peer still speaking the retired JSON codec — a well-formed frame with
+/// codec byte 0 around a JSON ping — is refused at the frame boundary: the
+/// server closes that connection without a response, and the listener
+/// answers a binary ping on a new connection afterwards.
+#[test]
+fn json_codec_frame_is_closed_and_the_listener_keeps_serving_binary() {
+    let d = dataset();
+    let graph = Arc::new(d.graph.clone());
+    let similarity: Arc<dyn PredicateSimilarity + Send + Sync> = Arc::new(d.oracle.clone());
+    let sharded = Arc::new(ShardedGraph::single(Arc::clone(&graph)));
+    let config = EngineConfig::default();
+    let core = Arc::new(ShardServerCore::new(
+        config.clone(),
+        Arc::clone(&sharded),
+        Arc::clone(&similarity),
+    ));
+    let listener = kg_shard::serve_protocol(core, "127.0.0.1:0").unwrap();
+    let addr = listener.local_addr();
+
+    let ping = format!(
+        r#"{{"config_fp":"{}","graph_fp":"{}","kind":"ping"}}"#,
+        config_fingerprint(&config),
+        graph_fingerprint(&sharded)
+    );
+    let mut frame = Vec::from(FRAME_MAGIC);
+    frame.push(0);
+    frame.extend_from_slice(&(ping.len() as u32).to_le_bytes());
+    frame.extend_from_slice(ping.as_bytes());
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(&frame).unwrap();
+    stream.flush().unwrap();
+    let mut buf = Vec::new();
+    let n = stream.read_to_end(&mut buf).unwrap_or(0);
+    assert_eq!(n, 0, "server must not reply to a JSON-codec frame");
+    drop(stream);
+
     let fleet = Arc::new(ShardFleet::new(
         Arc::new(TcpTransport),
         vec![vec![addr.to_string()]],
