@@ -12,10 +12,15 @@
 //! fans the per-query sampling–estimation loops out on the rayon pool.
 //!
 //! Batched answers are **bitwise-identical** to the serial per-query loop
-//! for a fixed seed: every query still runs its own
-//! [`InteractiveSession`] seeded from the engine configuration, and the
-//! only shared state — prepared samplers — is the result of deterministic
-//! computation, so sharing changes who computes a value, never the value.
+//! for a fixed seed: every query still runs its own [`Session`] seeded from
+//! the engine configuration, and the only shared state — prepared samplers
+//! — is the result of deterministic computation, so sharing changes who
+//! computes a value, never the value.
+//!
+//! The graph handle picks the executor, as for [`AqpEngine::open_session`]:
+//! the same two entry points run a [`kg_core::KnowledgeGraph`], a
+//! [`kg_core::ShardedGraph`] in process, or — on a [`BatchEngine::remote`]
+//! engine — a sharded graph on its shard servers.
 //!
 //! ```
 //! use kg_aqp::{BatchEngine, EngineConfig};
@@ -31,7 +36,7 @@
 //!         .with_filter(Filter::range("price", 10_000.0, 80_000.0)),
 //! ];
 //! let batch = BatchEngine::new(EngineConfig::default());
-//! let (answers, stats) = batch.execute_with_stats(&dataset.graph, &queries, &dataset.oracle);
+//! let (answers, stats) = batch.execute(&dataset.graph, &queries, &dataset.oracle);
 //! assert_eq!(answers.len(), 2);
 //! assert!(answers.iter().all(|a| a.is_ok()));
 //! // Both queries share one component: it is prepared once and reused.
@@ -43,13 +48,13 @@ use crate::config::EngineConfig;
 use crate::engine::AqpEngine;
 use crate::remote::fleet::ShardFleet;
 use crate::result::QueryAnswer;
-use crate::session::{InteractiveSession, Session};
-use crate::sharded::{ShardedSession, ShardedStats};
+use crate::session::Session;
+use crate::sharded::ShardedStats;
 use crate::stratum::{GraphHandle, GraphView};
-use kg_core::{KgResult, KnowledgeGraph, ShardedGraph};
+use kg_core::KgResult;
 use kg_embed::PredicateSimilarity;
 use kg_query::AggregateQuery;
-use kg_sampling::{CacheStats, SamplerCache, ShardSamplerCache};
+use kg_sampling::{CacheStats, SamplerCache};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -87,12 +92,12 @@ pub struct BatchStats {
     /// Wall-clock milliseconds per query, in input order (planning plus the
     /// sampling–estimation loop). Queries whose planning failed hold `NaN`
     /// so the slot-to-query alignment survives without zeros dragging the
-    /// percentiles down. Filled by [`BatchEngine::execute_with_stats`];
-    /// empty when only sessions were opened.
+    /// percentiles down. Filled by [`BatchEngine::execute`]; empty when only
+    /// sessions were opened.
     pub per_query_ms: Vec<f64>,
     /// Cumulative sample draws per shard across the batch (indexed by shard
-    /// id), making shard imbalance observable. Empty for unsharded
-    /// execution; filled by [`BatchEngine::execute_sharded_with_stats`].
+    /// id), making shard imbalance observable. Filled by
+    /// [`BatchEngine::execute`] over a sharded graph; empty otherwise.
     pub shard_samples: Vec<u64>,
     /// Total milliseconds spent merging per-shard estimates into one
     /// interval across the batch (the coordination overhead sharded
@@ -168,57 +173,33 @@ impl BatchEngine {
         }
     }
 
+    /// Creates a batch engine whose sessions over a sharded graph run their
+    /// strata on `fleet`'s shard servers ([`AqpEngine::remote`]).
+    pub fn remote(config: EngineConfig, fleet: Arc<ShardFleet>) -> Self {
+        Self {
+            engine: AqpEngine::remote(config, fleet),
+        }
+    }
+
     fn fresh_cache(&self) -> SamplerCache {
         let config = self.engine.config();
         SamplerCache::new(config.strategy, config.sampler_config())
     }
 
-    /// Opens one session per query, in input order, planning through
-    /// `cache`. The reported cache stats cover only this call, not the
-    /// cache's history.
-    fn open_all<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
+    /// Executes every query in `queries` against a fresh sampler cache,
+    /// returning one result per query in input order and the batch
+    /// statistics. Equivalent to calling [`AqpEngine::execute`] in a loop,
+    /// but each distinct simple component is prepared once and the per-query
+    /// sampling–estimation loops run on the rayon pool. Over a sharded graph
+    /// the stats also carry per-shard draw counts and merge time.
+    pub fn execute<G: GraphHandle + Sync + ?Sized, S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &G,
         queries: &[AggregateQuery],
         similarity: &S,
-        cache: &SamplerCache,
-        shard_cache: Option<&ShardSamplerCache>,
-        fleet: Option<&Arc<ShardFleet>>,
-    ) -> (Vec<KgResult<Session<G>>>, BatchStats) {
-        let before = cache.stats();
-        let open = |query| {
-            let cache = Some(cache);
-            self.engine
-                .open(graph, query, similarity, cache, shard_cache, fleet)
-        };
-        let sessions: Vec<KgResult<Session<G>>> = queries.iter().map(open).collect();
-        let after = cache.stats();
-        let stats = BatchStats {
-            queries: queries.len(),
-            failures: sessions.iter().filter(|s| s.is_err()).count(),
-            sampler_cache: CacheStats {
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-            },
-            ..BatchStats::default()
-        };
-        (sessions, stats)
-    }
-
-    /// Opens every query ([`Self::open_all`]) and refines each to the
-    /// engine's error bound on the rayon pool, folding per-query latency
-    /// and — over a sharded graph — per-shard draw counts and merge time
-    /// into the stats.
-    fn run_all<G: GraphHandle + Sync + ?Sized, S: PredicateSimilarity + ?Sized>(
-        &self,
-        graph: &G,
-        queries: &[AggregateQuery],
-        similarity: &S,
-        cache: &SamplerCache,
-        shard_cache: Option<&ShardSamplerCache>,
     ) -> (Vec<KgResult<QueryAnswer>>, BatchStats) {
-        let (sessions, mut stats) =
-            self.open_all(graph, queries, similarity, cache, shard_cache, None);
+        let cache = self.fresh_cache();
+        let (sessions, mut stats) = self.open_sessions_cached(graph, queries, similarity, &cache);
         let error_bound = self.engine.config().error_bound;
         let refine = |mut session: Session<G>| {
             let answer = session.refine_to(graph, similarity, error_bound);
@@ -251,117 +232,36 @@ impl BatchEngine {
         (answers, stats)
     }
 
-    /// Executes every query in `queries`, returning one result per query in
-    /// input order. Equivalent to calling [`AqpEngine::execute`] in a loop,
-    /// but each distinct simple component is prepared once and the per-query
-    /// sampling–estimation loops run on the rayon pool.
-    pub fn execute<S: PredicateSimilarity + ?Sized + Sync>(
+    /// Opens one session per query, in input order, planning through a
+    /// caller-owned [`SamplerCache`], so a caller can refine the error bound
+    /// of each query incrementally (the batched counterpart of
+    /// [`AqpEngine::open_session`]) and prepared components survive beyond
+    /// one batch (the service keeps a cache alive for its whole lifetime).
+    /// The reported cache stats cover only this call, not the cache's
+    /// history. Sessions are identical to fresh-cache ones: sampler
+    /// preparation is deterministic, so a shared cache changes who prepares
+    /// a sampler, never its value.
+    pub fn open_sessions_cached<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
         &self,
-        graph: &KnowledgeGraph,
-        queries: &[AggregateQuery],
-        similarity: &S,
-    ) -> Vec<KgResult<QueryAnswer>> {
-        self.execute_with_stats(graph, queries, similarity).0
-    }
-
-    /// [`Self::execute`] plus the planner's cache statistics.
-    pub fn execute_with_stats<S: PredicateSimilarity + ?Sized + Sync>(
-        &self,
-        graph: &KnowledgeGraph,
-        queries: &[AggregateQuery],
-        similarity: &S,
-    ) -> (Vec<KgResult<QueryAnswer>>, BatchStats) {
-        self.execute_with_stats_cached(graph, queries, similarity, &self.fresh_cache())
-    }
-
-    /// [`Self::execute_with_stats`] against a caller-owned [`SamplerCache`],
-    /// so prepared components survive beyond one batch (the service keeps a
-    /// cache alive for its whole lifetime). The reported cache stats cover
-    /// only this call, not the cache's history. Answers are identical to the
-    /// fresh-cache path: sampler preparation is deterministic, so a cache
-    /// carried across batches changes who prepares a sampler, never its
-    /// value.
-    pub fn execute_with_stats_cached<S: PredicateSimilarity + ?Sized + Sync>(
-        &self,
-        graph: &KnowledgeGraph,
+        graph: &G,
         queries: &[AggregateQuery],
         similarity: &S,
         cache: &SamplerCache,
-    ) -> (Vec<KgResult<QueryAnswer>>, BatchStats) {
-        self.run_all(graph, queries, similarity, cache, None)
-    }
-
-    /// Opens one interactive session per query with shared planning, so a
-    /// caller can refine the error bound of each query incrementally (the
-    /// batched counterpart of [`AqpEngine::open_session`]), against a
-    /// caller-owned [`SamplerCache`] (see
-    /// [`Self::execute_with_stats_cached`] for why sharing is sound).
-    pub fn open_sessions_cached<S: PredicateSimilarity + ?Sized>(
-        &self,
-        graph: &KnowledgeGraph,
-        queries: &[AggregateQuery],
-        similarity: &S,
-        cache: &SamplerCache,
-    ) -> (Vec<KgResult<InteractiveSession>>, BatchStats) {
-        self.open_all(graph, queries, similarity, cache, None, None)
-    }
-
-    /// Executes every query against a sharded graph, one merged answer per
-    /// query in input order: the sharded counterpart of [`Self::execute`].
-    /// With a single-shard graph the answers are bitwise-identical to
-    /// [`Self::execute`].
-    pub fn execute_sharded<S: PredicateSimilarity + ?Sized + Sync>(
-        &self,
-        sharded: &ShardedGraph,
-        queries: &[AggregateQuery],
-        similarity: &S,
-    ) -> Vec<KgResult<QueryAnswer>> {
-        self.execute_sharded_with_stats(sharded, queries, similarity)
-            .0
-    }
-
-    /// [`Self::execute_sharded`] plus batch statistics, including the
-    /// per-shard sample counts and stratified-merge overhead.
-    pub fn execute_sharded_with_stats<S: PredicateSimilarity + ?Sized + Sync>(
-        &self,
-        sharded: &ShardedGraph,
-        queries: &[AggregateQuery],
-        similarity: &S,
-    ) -> (Vec<KgResult<QueryAnswer>>, BatchStats) {
-        let (cache, shard_cache) = (self.fresh_cache(), ShardSamplerCache::new());
-        self.execute_sharded_with_stats_cached(sharded, queries, similarity, &cache, &shard_cache)
-    }
-
-    /// [`Self::execute_sharded_with_stats`] against caller-owned caches (the
-    /// service keeps both alive for its lifetime; see
-    /// [`Self::execute_with_stats_cached`] for why sharing is sound).
-    pub fn execute_sharded_with_stats_cached<S: PredicateSimilarity + ?Sized + Sync>(
-        &self,
-        sharded: &ShardedGraph,
-        queries: &[AggregateQuery],
-        similarity: &S,
-        cache: &SamplerCache,
-        shard_cache: &ShardSamplerCache,
-    ) -> (Vec<KgResult<QueryAnswer>>, BatchStats) {
-        self.run_all(sharded, queries, similarity, cache, Some(shard_cache))
-    }
-
-    /// Opens one [`ShardedSession`] per query with shared planning and
-    /// shared per-shard restrictions: the sharded counterpart of
-    /// [`Self::open_sessions_cached`]. With a `fleet`, the sessions execute
-    /// their strata on its shard servers
-    /// ([`AqpEngine::open_remote_session`]) instead of in-process.
-    pub fn open_sharded_sessions_cached<S: PredicateSimilarity + ?Sized>(
-        &self,
-        sharded: &ShardedGraph,
-        queries: &[AggregateQuery],
-        similarity: &S,
-        cache: &SamplerCache,
-        shard_cache: &ShardSamplerCache,
-        fleet: Option<&Arc<ShardFleet>>,
-    ) -> (Vec<KgResult<ShardedSession>>, BatchStats) {
-        let shard_cache = Some(shard_cache);
-        self.open_all(sharded, queries, similarity, cache, shard_cache, fleet)
+    ) -> (Vec<KgResult<Session<G>>>, BatchStats) {
+        let before = cache.stats();
+        let open = |query| self.engine.open(graph, query, similarity, Some(cache));
+        let sessions: Vec<KgResult<Session<G>>> = queries.iter().map(open).collect();
+        let after = cache.stats();
+        let stats = BatchStats {
+            queries: queries.len(),
+            failures: sessions.iter().filter(|s| s.is_err()).count(),
+            sampler_cache: CacheStats {
+                hits: after.hits - before.hits,
+                misses: after.misses - before.misses,
+            },
+            ..BatchStats::default()
+        };
+        (sessions, stats)
     }
 }
 
@@ -422,7 +322,9 @@ mod tests {
             .iter()
             .map(|q| engine.execute(&d.graph, q, &d.oracle).unwrap())
             .collect();
-        let batched = BatchEngine::new(config).execute(&d.graph, &queries, &d.oracle);
+        let batched = BatchEngine::new(config)
+            .execute(&d.graph, &queries, &d.oracle)
+            .0;
 
         assert_eq!(serial.len(), batched.len());
         for (s, b) in serial.iter().zip(&batched) {
@@ -447,7 +349,7 @@ mod tests {
             error_bound: 0.05,
             ..EngineConfig::default()
         });
-        let (answers, stats) = batch.execute_with_stats(&d.graph, &queries, &d.oracle);
+        let (answers, stats) = batch.execute(&d.graph, &queries, &d.oracle);
         assert_eq!(stats.queries, queries.len());
         assert_eq!(stats.failures, 0);
         assert!(answers.iter().all(|a| a.is_ok()));
@@ -474,7 +376,7 @@ mod tests {
             error_bound: 0.05,
             ..EngineConfig::default()
         });
-        let (answers, stats) = batch.execute_with_stats(&d.graph, &queries, &d.oracle);
+        let (answers, stats) = batch.execute(&d.graph, &queries, &d.oracle);
         assert_eq!(answers.len(), queries.len());
         assert!(answers[2].is_err());
         assert_eq!(stats.failures, 1);
@@ -493,7 +395,7 @@ mod tests {
             error_bound: 0.05,
             ..EngineConfig::default()
         });
-        let (answers, stats) = batch.execute_with_stats(&d.graph, &queries, &d.oracle);
+        let (answers, stats) = batch.execute(&d.graph, &queries, &d.oracle);
         assert_eq!(stats.per_query_ms.len(), queries.len());
         for (answer, ms) in answers.iter().zip(&stats.per_query_ms) {
             assert_eq!(*ms, answer.as_ref().unwrap().elapsed_ms);
@@ -572,10 +474,17 @@ mod tests {
         let batch = BatchEngine::new(config.clone());
         let cache = kg_sampling::SamplerCache::new(config.strategy, config.sampler_config());
 
-        let (first, stats_first) =
-            batch.execute_with_stats_cached(&d.graph, &queries, &d.oracle, &cache);
-        let (second, stats_second) =
-            batch.execute_with_stats_cached(&d.graph, &queries, &d.oracle, &cache);
+        let run = || {
+            let (sessions, stats) =
+                batch.open_sessions_cached(&d.graph, &queries, &d.oracle, &cache);
+            let refine = |session: KgResult<Session<_>>| {
+                session
+                    .map(|mut session| session.refine_to(&d.graph, &d.oracle, config.error_bound))
+            };
+            (sessions.into_iter().map(refine).collect::<Vec<_>>(), stats)
+        };
+        let (first, stats_first) = run();
+        let (second, stats_second) = run();
         // Second pass over the same workload prepares nothing new...
         assert_eq!(stats_second.sampler_cache.misses, 0);
         assert!(stats_second.sampler_cache.hits >= queries.len());

@@ -2,8 +2,10 @@
 //! decomposition–assembly planner for complex shapes (§V).
 
 use crate::config::EngineConfig;
+use crate::remote::fleet::ShardFleet;
 use crate::result::QueryAnswer;
-use crate::session::InteractiveSession;
+use crate::session::Session;
+use crate::stratum::GraphHandle;
 use kg_core::{EntityId, KgResult, KnowledgeGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{validate_answer, ValidationConfig, ValidationTable};
@@ -106,15 +108,44 @@ pub(crate) struct QueryPlan {
 }
 
 /// The approximate aggregate query engine.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct AqpEngine {
     config: EngineConfig,
+    /// The shard servers a sharded graph's strata run on, for an engine
+    /// built with [`Self::remote`].
+    pub(crate) fleet: Option<Arc<ShardFleet>>,
+}
+
+// `ShardFleet` holds a transport trait object, so it has no `Debug`.
+impl std::fmt::Debug for AqpEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AqpEngine")
+            .field("config", &self.config)
+            .field("remote", &self.fleet.is_some())
+            .finish()
+    }
 }
 
 impl AqpEngine {
     /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            fleet: None,
+        }
+    }
+
+    /// Creates a coordinator engine: sessions over a
+    /// [`kg_core::ShardedGraph`] run their strata on `fleet`'s shard
+    /// servers instead of in this process. The coordinator plans against its
+    /// own (identical) copy of the graph; `fleet` must route to servers whose
+    /// fingerprints match (checked via [`ShardFleet::ping_all`] at topology
+    /// setup, not per session).
+    pub fn remote(config: EngineConfig, fleet: Arc<ShardFleet>) -> Self {
+        Self {
+            config,
+            fleet: Some(fleet),
+        }
     }
 
     /// The engine's configuration.
@@ -124,9 +155,9 @@ impl AqpEngine {
 
     /// Executes an aggregate query, iterating until the error-bound guarantee
     /// of Theorem 2 holds or the round/sample caps are reached.
-    pub fn execute<S: PredicateSimilarity + ?Sized>(
+    pub fn execute<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
         &self,
-        graph: &KnowledgeGraph,
+        graph: &G,
         query: &AggregateQuery,
         similarity: &S,
     ) -> KgResult<QueryAnswer> {
@@ -135,14 +166,19 @@ impl AqpEngine {
     }
 
     /// Opens an interactive session for a query: the plan and sample are kept
-    /// so the error bound can be tightened incrementally (Fig. 6(a)).
-    pub fn open_session<S: PredicateSimilarity + ?Sized>(
+    /// so the error bound can be tightened incrementally (Fig. 6(a)). The
+    /// graph handle picks the executor: a [`KnowledgeGraph`] (or a
+    /// single-shard graph) runs as one whole-graph stratum, a
+    /// [`kg_core::ShardedGraph`] of two or more shards as one in-process
+    /// stratum per shard — or, on a [`Self::remote`] engine, any sharded
+    /// graph as one stratum per shard server.
+    pub fn open_session<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
         &self,
-        graph: &KnowledgeGraph,
+        graph: &G,
         query: &AggregateQuery,
         similarity: &S,
-    ) -> KgResult<InteractiveSession> {
-        self.open(graph, query, similarity, None, None, None)
+    ) -> KgResult<Session<G>> {
+        self.open(graph, query, similarity, None)
     }
 
     // ------------------------------------------------------------------

@@ -51,6 +51,7 @@ pub use remote::{
 pub use result::{QueryAnswer, RoundTrace, StepTimings};
 pub use session::{InteractiveSession, RoundOutcome, Session};
 pub use sharded::{ShardedSession, ShardedStats};
+pub use stratum::{GraphHandle, GraphView};
 
 /// Convenience re-exports for downstream users of the public API.
 pub mod prelude {

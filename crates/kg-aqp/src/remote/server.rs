@@ -25,7 +25,7 @@ use kg_core::{Codec, ShardedGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{StratumEstimate, ValidatedAnswer};
 use kg_query::AggregateQuery;
-use kg_sampling::{SamplerCache, ShardSamplerCache, StratumTask};
+use kg_sampling::{SamplerCache, StratumTask};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -172,7 +172,6 @@ pub struct ShardServerCore {
     sharded: Arc<ShardedGraph>,
     similarity: Arc<dyn PredicateSimilarity + Send + Sync>,
     sampler_cache: SamplerCache,
-    shard_cache: ShardSamplerCache,
     queries: Mutex<QueryTable>,
     graph_fp: u64,
     config_fp: u64,
@@ -194,7 +193,6 @@ impl ShardServerCore {
             sharded,
             similarity,
             sampler_cache,
-            shard_cache: ShardSamplerCache::new(),
             queries: Mutex::new(QueryTable::default()),
             graph_fp,
             config_fp,
@@ -324,7 +322,7 @@ impl ShardServerCore {
     }
 
     fn fresh_state(&self, plan: Arc<QueryPlan>, shard: usize) -> SessionState {
-        let sampler = shard_sampler(&plan, &self.sharded, shard, Some(&self.shard_cache));
+        let sampler = shard_sampler(&plan, &self.sharded, shard);
         SessionState {
             stratum: Stratum::new(shard, Some(sampler), self.engine.config().seed),
             plan,

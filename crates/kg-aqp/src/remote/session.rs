@@ -1,10 +1,10 @@
 //! The coordinator half of distributed execution: the session loop's
 //! *remote* executor, whose per-stratum work is a remote procedure call.
 //!
-//! `RemoteStrata` holds, per shard, the identical [`ShardSampler`] the
-//! in-process executor would draw from (for its weight and emptiness only —
-//! the coordinator never draws) and the replay history of draw counts every
-//! request carries. The session loop in [`crate::session`] allocates,
+//! `RemoteStrata` holds, per shard, the weight and emptiness of the
+//! identical [`kg_sampling::ShardSampler`] the in-process executor would
+//! draw from (the coordinator never draws, so it keeps nothing else of it)
+//! and the replay history of draw counts every request carries. The session loop in [`crate::session`] allocates,
 //! merges and terminates exactly as it does in-process; each stratum's
 //! draw/validate/estimate step runs the same `Stratum` code on a shard
 //! server, reached through the [`ShardFleet`]. On the fault-free path the
@@ -21,16 +21,14 @@
 //! shard replays the identical RNG stream (discarded-round estimates burn
 //! the same draws) and later rounds pick it back up with no special-casing.
 
-use crate::engine::{AqpEngine, QueryPlan};
+use crate::engine::QueryPlan;
 use crate::remote::fleet::ShardFleet;
 use crate::remote::protocol::{ShardRequest, ShardResponse};
-use crate::sharded::ShardedSession;
 use crate::stratum::{shard_sampler, stratum_report, StratumMass};
-use kg_core::{KgResult, ShardedGraph};
-use kg_embed::PredicateSimilarity;
+use kg_core::ShardedGraph;
 use kg_estimate::StratumEstimate;
 use kg_query::{AggregateQuery, ResolvedAggregate};
-use kg_sampling::{BucketTerm, ShardSampler, ShardSamplerCache, StratumReport, StratumTask};
+use kg_sampling::{BucketTerm, StratumReport, StratumTask};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::Ordering;
@@ -39,7 +37,7 @@ use std::sync::Arc;
 /// One stratum's coordinator-side bookkeeping.
 struct RemoteStratum {
     shard: usize,
-    sampler: Arc<ShardSampler>,
+    mass: StratumMass,
     /// Per-round draw counts pushed so far (the replay history every
     /// request carries).
     draws: Vec<u64>,
@@ -74,7 +72,6 @@ impl RemoteStrata {
     pub(crate) fn new(
         plan: &QueryPlan,
         sharded: &ShardedGraph,
-        shard_cache: Option<&ShardSamplerCache>,
         fleet: Arc<ShardFleet>,
         query: &AggregateQuery,
     ) -> Self {
@@ -86,7 +83,7 @@ impl RemoteStrata {
         let strata = (0..sharded.shard_count())
             .map(|shard| RemoteStratum {
                 shard,
-                sampler: shard_sampler(plan, sharded, shard, shard_cache),
+                mass: StratumMass::of(&shard_sampler(plan, sharded, shard)),
                 draws: Vec::new(),
                 steps: 0,
             })
@@ -108,11 +105,7 @@ impl RemoteStrata {
     }
 
     pub(crate) fn masses(&self) -> Vec<StratumMass> {
-        let mass = |s: &RemoteStratum| StratumMass {
-            mass: s.sampler.weight(),
-            empty: s.sampler.is_empty(),
-        };
-        self.strata.iter().map(mass).collect()
+        self.strata.iter().map(|s| s.mass).collect()
     }
 
     pub(crate) fn missing(&self) -> &[usize] {
@@ -215,7 +208,7 @@ impl RemoteStrata {
             resamples,
             round,
             |query, task| ShardRequest::Step { query, task },
-            |stratum| !stratum.sampler.is_empty(),
+            |stratum| !stratum.mass.empty,
             |response| match response {
                 ShardResponse::Estimate(report) => Ok(report),
                 other => Err(other),
@@ -231,7 +224,7 @@ impl RemoteStrata {
         // An empty stratum is synthesised locally: its estimate consumes no
         // RNG, so skipping the RPC is exact.
         let synthesised = |stratum: &RemoteStratum| {
-            stratum.sampler.is_empty().then(|| {
+            stratum.mass.empty.then(|| {
                 let mut unused = SmallRng::seed_from_u64(0);
                 let empty = StratumEstimate::compute(aggregate, &[], resamples, &mut unused);
                 stratum_report(empty, 0.0, 0.0)
@@ -267,7 +260,7 @@ impl RemoteStrata {
             resamples,
             round,
             |query, task| ShardRequest::Snapshot { query, task },
-            |stratum| !stratum.sampler.is_empty() && !self.missing.contains(&stratum.shard),
+            |stratum| !stratum.mass.empty && !self.missing.contains(&stratum.shard),
             |response| match response {
                 ShardResponse::Buckets(terms) => Ok(terms),
                 other => Err(other),
@@ -282,23 +275,5 @@ impl RemoteStrata {
         }
         missing.sort_unstable();
         per_stratum
-    }
-}
-
-impl AqpEngine {
-    /// Opens a [`ShardedSession`] whose per-shard work executes on the
-    /// remote shard fleet: the distributed counterpart of
-    /// [`AqpEngine::open_sharded_session`]. The coordinator plans against
-    /// its own (identical) copy of the graph; `fleet` must route to servers
-    /// whose fingerprints match (checked via [`ShardFleet::ping_all`] at
-    /// topology setup, not per session).
-    pub fn open_remote_session<S: PredicateSimilarity + ?Sized>(
-        &self,
-        sharded: &ShardedGraph,
-        query: &AggregateQuery,
-        similarity: &S,
-        fleet: Arc<ShardFleet>,
-    ) -> KgResult<ShardedSession> {
-        self.open(sharded, query, similarity, None, None, Some(&fleet))
     }
 }

@@ -10,7 +10,7 @@
 //! * **local** — one stratum per shard of a [`ShardedGraph`], each with its
 //!   own RNG stream, fanned out on the rayon pool;
 //! * **remote** — the same strata executed by shard servers behind a
-//!   [`ShardFleet`], tolerating unreachable shards.
+//!   [`crate::ShardFleet`], tolerating unreachable shards.
 //!
 //! The paths differ in exactly three places, each a `match` below: how the
 //! interval is computed (BLB over the whole stratum, or per-stratum bootstrap
@@ -22,7 +22,6 @@
 
 use crate::config::EngineConfig;
 use crate::engine::{AqpEngine, QueryPlan};
-use crate::remote::fleet::ShardFleet;
 use crate::remote::session::RemoteStrata;
 use crate::result::{QueryAnswer, RoundTrace, StepTimings};
 use crate::sharded::ShardedStats;
@@ -34,7 +33,7 @@ use kg_estimate::{
     merge_strata, neutral_point_terms, satisfies_error_bound, MergedEstimate, StratumEstimate,
 };
 use kg_query::{AggregateQuery, ResolvedAggregate};
-use kg_sampling::{BucketTerm, SamplerCache, ShardSamplerCache, StratumReport};
+use kg_sampling::{BucketTerm, SamplerCache, StratumReport};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
@@ -206,16 +205,8 @@ impl Strata {
 
     /// The in-process executor: `plan`'s distribution split by shard
     /// ownership.
-    pub(crate) fn local(
-        plan: &QueryPlan,
-        sharded: &ShardedGraph,
-        shard_cache: Option<&ShardSamplerCache>,
-        seed: u64,
-    ) -> Self {
-        let stratum = |shard| {
-            let sampler = shard_sampler(plan, sharded, shard, shard_cache);
-            Stratum::new(shard, Some(sampler), seed)
-        };
+    pub(crate) fn local(plan: &QueryPlan, sharded: &ShardedGraph, seed: u64) -> Self {
+        let stratum = |shard| Stratum::new(shard, Some(shard_sampler(plan, sharded, shard)), seed);
         Strata::Local((0..sharded.shard_count()).map(stratum).collect())
     }
 
@@ -659,31 +650,25 @@ impl<G: GraphHandle + ?Sized> Session<G> {
 
 impl AqpEngine {
     /// Plans `query` once against the full graph and opens a session on the
-    /// executor the arguments select: remote when a `fleet` is given, one
-    /// in-process stratum per shard for a graph of two or more shards, the
-    /// whole graph otherwise.
+    /// executor the engine and graph select: remote when the engine has a
+    /// fleet and the graph is sharded, one in-process stratum per shard for
+    /// a graph of two or more shards, the whole graph otherwise.
     pub(crate) fn open<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &G,
         query: &AggregateQuery,
         similarity: &S,
         cache: Option<&SamplerCache>,
-        shard_cache: Option<&ShardSamplerCache>,
-        fleet: Option<&Arc<ShardFleet>>,
     ) -> KgResult<Session<G>> {
         let config = self.config().clone();
         let view = graph.view();
         let plan = self.plan_with_cache(view.global(), query, similarity, cache)?;
-        let strata = match (view, fleet) {
-            (GraphView::Sharded(sharded), Some(fleet)) => Strata::Remote(RemoteStrata::new(
-                &plan,
-                sharded,
-                shard_cache,
-                Arc::clone(fleet),
-                query,
-            )),
+        let strata = match (view, &self.fleet) {
+            (GraphView::Sharded(sharded), Some(fleet)) => {
+                Strata::Remote(RemoteStrata::new(&plan, sharded, Arc::clone(fleet), query))
+            }
             (GraphView::Sharded(sharded), None) if sharded.shard_count() > 1 => {
-                Strata::local(&plan, sharded, shard_cache, config.seed)
+                Strata::local(&plan, sharded, config.seed)
             }
             _ => Strata::whole(config.seed),
         };
@@ -695,7 +680,7 @@ impl AqpEngine {
 mod tests {
     use super::*;
     use crate::engine::AqpEngine;
-    use crate::remote::{FaultPlan, FleetPolicy, InProcessTransport, ShardServerCore};
+    use crate::remote::{FaultPlan, FleetPolicy, InProcessTransport, ShardFleet, ShardServerCore};
     use crate::ShardedSession;
     use kg_core::{DegreeBalancedPartitioner, GraphBuilder};
     use kg_datagen::{domains, generate, DatasetScale, GeneratorConfig};
@@ -924,9 +909,10 @@ mod tests {
         let plan = || engine.plan_with_cache(sharded.global(), query, similarity, None);
         let whole = Session::new(config.clone(), plan().unwrap(), Strata::whole(config.seed));
         let local_plan = plan().unwrap();
-        let strata = Strata::local(&local_plan, sharded, None, config.seed);
+        let strata = Strata::local(&local_plan, sharded, config.seed);
         let local = Session::new(config.clone(), local_plan, strata);
-        let remote = engine.open(&**sharded, query, similarity, None, None, Some(&fleet));
+        let remote =
+            AqpEngine::remote(config.clone(), fleet).open_session(&**sharded, query, similarity);
         [
             ("whole", whole),
             ("local", local),

@@ -23,17 +23,17 @@
 //!   allocation) — samples are spent where the interval is widest.
 //!
 //! It is the same loop as an [`crate::InteractiveSession`] (see
-//! [`crate::session`]), and over a single-shard graph the same executor:
-//! one whole-graph stratum with a BLB interval, so K = 1 answers are
+//! [`crate::session`]), entered through the same
+//! [`crate::AqpEngine::execute`] / [`crate::AqpEngine::open_session`] with a
+//! [`ShardedGraph`] as the graph handle — strata run on remote shard
+//! servers when the engine was built with [`crate::AqpEngine::remote`].
+//! In process, a single-shard graph runs the unsharded executor: one
+//! whole-graph stratum with a BLB interval, so K = 1 answers are
 //! bitwise-identical to the unsharded engine — pinned by
 //! `tests/shard_equivalence.rs`.
 
-use crate::engine::AqpEngine;
-use crate::result::QueryAnswer;
 use crate::session::Session;
-use kg_core::{KgResult, ShardedGraph};
-use kg_embed::PredicateSimilarity;
-use kg_query::AggregateQuery;
+use kg_core::ShardedGraph;
 
 /// Per-shard observability of one sharded session: how many draws each
 /// shard performed and how long stratified merging took — the numbers that
@@ -48,36 +48,9 @@ pub struct ShardedStats {
 }
 
 /// An interactive query session over a sharded graph; see the
-/// [module docs](self). Obtained from [`AqpEngine::open_sharded_session`],
-/// [`AqpEngine::open_remote_session`] or the sharded batch entry points.
+/// [module docs](self). Obtained from [`crate::AqpEngine::open_session`] or
+/// [`crate::BatchEngine::open_sessions_cached`] with a [`ShardedGraph`].
 pub type ShardedSession = Session<ShardedGraph>;
-
-impl AqpEngine {
-    /// Opens a [`ShardedSession`]: the sharded counterpart of
-    /// [`AqpEngine::open_session`]. With a single-shard graph the session
-    /// *is* the unsharded session (bitwise-identical answers).
-    pub fn open_sharded_session<S: PredicateSimilarity + ?Sized>(
-        &self,
-        sharded: &ShardedGraph,
-        query: &AggregateQuery,
-        similarity: &S,
-    ) -> KgResult<ShardedSession> {
-        self.open(sharded, query, similarity, None, None, None)
-    }
-
-    /// Executes one query over a sharded graph until the Theorem-2
-    /// guarantee holds for the merged interval: the sharded counterpart of
-    /// [`AqpEngine::execute`].
-    pub fn execute_sharded<S: PredicateSimilarity + ?Sized + Sync>(
-        &self,
-        sharded: &ShardedGraph,
-        query: &AggregateQuery,
-        similarity: &S,
-    ) -> KgResult<QueryAnswer> {
-        let mut session = self.open_sharded_session(sharded, query, similarity)?;
-        Ok(session.refine_to(sharded, similarity, self.config().error_bound))
-    }
-}
 
 #[cfg(test)]
 mod tests {

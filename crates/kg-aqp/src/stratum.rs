@@ -17,7 +17,7 @@ use kg_core::{EntityId, KnowledgeGraph, ShardedGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{stratum_point_terms, StratumEstimate, ValidatedAnswer, ValidationConfig};
 use kg_query::matches_all;
-use kg_sampling::{BucketTerm, ShardSampler, ShardSamplerCache, StratumReport};
+use kg_sampling::{BucketTerm, ShardSampler, StratumReport};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeSet, HashMap};
@@ -86,33 +86,17 @@ pub(crate) fn shard_seed(seed: u64, shard: usize) -> u64 {
 
 /// The restriction of `plan`'s answer distribution to the candidates
 /// `shard` owns — built identically by a coordinator and a shard server.
-///
-/// A plan with exactly one simple component has a distribution that is a
-/// pure (deterministic) function of that component, so its restrictions are
-/// memoised in `cache` across queries, keyed by the prepared sampler's
-/// identity.
 pub(crate) fn shard_sampler(
     plan: &QueryPlan,
     sharded: &ShardedGraph,
     shard: usize,
-    cache: Option<&ShardSamplerCache>,
 ) -> Arc<ShardSampler> {
-    let component_key = match plan.components.as_slice() {
-        [single] => match &single.validator {
-            ComponentValidator::Simple(search) => Some(Arc::as_ptr(&search.sampler) as usize),
-            ComponentValidator::Chain { .. } => None,
-        },
-        _ => None,
-    };
-    let build = || {
-        ShardSampler::from_distribution(shard, &plan.distribution, |e| sharded.shard_of(e) == shard)
-    };
-    match (cache, component_key) {
-        (Some(cache), Some(key)) => {
-            cache.get_or_insert_with(key, sharded.partition_id(), shard, build)
-        }
-        _ => Arc::new(build()),
-    }
+    let owned = |e| sharded.shard_of(e) == shard;
+    Arc::new(ShardSampler::from_distribution(
+        shard,
+        &plan.distribution,
+        owned,
+    ))
 }
 
 /// The graph as a session's strata read it.
@@ -174,6 +158,16 @@ pub(crate) struct StratumMass {
     pub(crate) empty: bool,
 }
 
+impl StratumMass {
+    /// What a shard restriction weighs.
+    pub(crate) fn of(sampler: &ShardSampler) -> Self {
+        Self {
+            mass: sampler.weight(),
+            empty: sampler.is_empty(),
+        }
+    }
+}
+
 /// One stratum's sampling state; see the [module docs](self).
 pub(crate) struct Stratum {
     pub(crate) shard: usize,
@@ -206,10 +200,7 @@ impl Stratum {
                 mass: if plan.table.is_some() { 1.0 } else { 0.0 },
                 empty: plan.table.is_none(),
             },
-            Some(sampler) => StratumMass {
-                mass: sampler.weight(),
-                empty: sampler.is_empty(),
-            },
+            Some(sampler) => StratumMass::of(sampler),
         }
     }
 

@@ -13,8 +13,8 @@
 //!   mismatch is rejected with a structured error.
 
 use kg_aqp::{
-    config_fingerprint, graph_fingerprint, AqpEngine, EngineConfig, FaultPlan, FleetPolicy,
-    InProcessTransport, QueryAnswer, ShardCallError, ShardFleet, ShardServerCore,
+    config_fingerprint, graph_fingerprint, AqpEngine, BatchEngine, EngineConfig, FaultPlan,
+    FleetPolicy, InProcessTransport, QueryAnswer, ShardCallError, ShardFleet, ShardServerCore,
 };
 use kg_core::{DegreeBalancedPartitioner, ShardedGraph};
 use kg_datagen::{domains, generate, DatasetScale, GeneratorConfig};
@@ -145,6 +145,8 @@ fn assert_bitwise_eq(reference: &QueryAnswer, candidate: &QueryAnswer, context: 
 /// path always runs the stratified estimator (a single stratum when
 /// K = 1), whereas the in-process K = 1 session is the unsharded BLB
 /// engine, so its anchor is determinism + accuracy, not bitwise identity.
+/// The batch entry point holds the same equivalence: a remote
+/// `BatchEngine` answers the batch bitwise as an in-process one.
 #[test]
 fn fault_free_remote_execution_is_bitwise_identical_to_in_process() {
     let d = dataset();
@@ -162,7 +164,7 @@ fn fault_free_remote_execution_is_bitwise_identical_to_in_process() {
         let engine = AqpEngine::new(config(error_bound));
         let in_process: Vec<QueryAnswer> = queries
             .iter()
-            .map(|q| engine.execute_sharded(&sharded, q, &d.oracle).unwrap())
+            .map(|q| engine.execute(&*sharded, q, &d.oracle).unwrap())
             .collect();
 
         let fleet = fleet_for(&sharded, engine.config(), &similarity);
@@ -173,12 +175,21 @@ fn fault_free_remote_execution_is_bitwise_identical_to_in_process() {
             )
             .unwrap();
         for (query, reference) in queries.iter().zip(&in_process) {
-            let mut session = engine
-                .open_remote_session(&sharded, query, &d.oracle, Arc::clone(&fleet))
+            let mut session = AqpEngine::remote(engine.config().clone(), Arc::clone(&fleet))
+                .open_session(&*sharded, query, &d.oracle)
                 .unwrap();
             let answer = session.refine_to(&sharded, &d.oracle, error_bound);
             assert!(!answer.is_degraded(), "K={k}: fault-free degraded");
             assert_bitwise_eq(reference, &answer, &format!("K={k} {query:?}"));
+        }
+        let (batched, _) =
+            BatchEngine::new(config(error_bound)).execute(&*sharded, &queries, &d.oracle);
+        let remote = BatchEngine::remote(config(error_bound), Arc::clone(&fleet));
+        let (remote, _) = remote.execute(&*sharded, &queries, &d.oracle);
+        for ((query, reference), answer) in queries.iter().zip(&batched).zip(&remote) {
+            let (reference, answer) = (reference.as_ref().unwrap(), answer.as_ref().unwrap());
+            assert!(!answer.is_degraded(), "K={k}: fault-free batch degraded");
+            assert_bitwise_eq(reference, answer, &format!("K={k} batch {query:?}"));
         }
         let metrics = fleet.metrics().snapshot();
         assert_eq!(metrics.retries, 0, "K={k}");
@@ -213,8 +224,8 @@ fn single_shard_remote_execution_is_deterministic_and_accurate() {
         queries
             .iter()
             .map(|q| {
-                let mut session = engine
-                    .open_remote_session(&sharded, q, &d.oracle, Arc::clone(fleet))
+                let mut session = AqpEngine::remote(engine.config().clone(), Arc::clone(fleet))
+                    .open_session(&*sharded, q, &d.oracle)
                     .unwrap();
                 session.refine_to(&sharded, &d.oracle, error_bound)
             })
@@ -254,8 +265,8 @@ fn rerunning_a_query_against_warm_servers_is_deterministic() {
     let query = &workload()[0];
 
     let run = |bound: f64| {
-        let mut session = engine
-            .open_remote_session(&sharded, query, &d.oracle, Arc::clone(&fleet))
+        let mut session = AqpEngine::remote(engine.config().clone(), Arc::clone(&fleet))
+            .open_session(&*sharded, query, &d.oracle)
             .unwrap();
         session.refine_to(&sharded, &d.oracle, bound)
     };

@@ -100,14 +100,8 @@ fn rig(k: usize, replica_count: usize, policy: FleetPolicy) -> Rig {
 
 impl Rig {
     fn refine(&self, query: &AggregateQuery, error_bound: f64) -> QueryAnswer {
-        let mut session = self
-            .engine
-            .open_remote_session(
-                &self.sharded,
-                query,
-                &self.d.oracle,
-                Arc::clone(&self.fleet),
-            )
+        let mut session = AqpEngine::remote(self.engine.config().clone(), Arc::clone(&self.fleet))
+            .open_session(&*self.sharded, query, &self.d.oracle)
             .unwrap();
         session.refine_to(&self.sharded, &self.d.oracle, error_bound)
     }
@@ -245,9 +239,8 @@ fn dead_shard_degrades_the_answer_and_recovery_restores_it() {
     };
     let r = rig(2, 1, policy);
     let q = group_by_query();
-    let mut session = r
-        .engine
-        .open_remote_session(&r.sharded, &q, &r.d.oracle, Arc::clone(&r.fleet))
+    let mut session = AqpEngine::remote(r.engine.config().clone(), Arc::clone(&r.fleet))
+        .open_session(&*r.sharded, &q, &r.d.oracle)
         .unwrap();
 
     // Phase 1: healthy refinement.

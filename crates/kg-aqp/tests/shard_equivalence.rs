@@ -76,10 +76,10 @@ fn single_shard_execution_is_bitwise_identical_to_the_unsharded_engine() {
         .iter()
         .map(|q| engine.execute(&d.graph, q, &d.oracle).unwrap())
         .collect();
-    let via_batch = batch.execute_sharded(&sharded, &queries, &d.oracle);
+    let via_batch = batch.execute(&sharded, &queries, &d.oracle).0;
     let via_engine: Vec<_> = queries
         .iter()
-        .map(|q| engine.execute_sharded(&sharded, q, &d.oracle).unwrap())
+        .map(|q| engine.execute(&sharded, q, &d.oracle).unwrap())
         .collect();
 
     for ((reference, batched), single) in unsharded.iter().zip(&via_batch).zip(&via_engine) {
@@ -132,7 +132,7 @@ fn merged_estimates_hit_the_ssb_ground_truth_within_the_error_bound() {
     let graph = Arc::new(d.graph.clone());
     for k in [2usize, 4, 7] {
         let sharded = ShardedGraph::new(Arc::clone(&graph), &DegreeBalancedPartitioner, k);
-        let (answers, stats) = batch.execute_sharded_with_stats(&sharded, &queries, &d.oracle);
+        let (answers, stats) = batch.execute(&sharded, &queries, &d.oracle);
         for ((query, answer), truth) in queries.iter().zip(&answers).zip(&truths) {
             let answer = answer.as_ref().unwrap();
             assert!(
@@ -169,8 +169,8 @@ fn sharded_execution_is_deterministic_for_every_k() {
     for k in [1usize, 2, 4, 7] {
         let sharded = ShardedGraph::new(Arc::clone(&graph), &DegreeBalancedPartitioner, k);
         let batch = BatchEngine::new(config(0.05));
-        let first = batch.execute_sharded(&sharded, &queries, &d.oracle);
-        let second = batch.execute_sharded(&sharded, &queries, &d.oracle);
+        let first = batch.execute(&sharded, &queries, &d.oracle).0;
+        let second = batch.execute(&sharded, &queries, &d.oracle).0;
         for (a, b) in first.iter().zip(&second) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
             assert_eq!(a.estimate.to_bits(), b.estimate.to_bits(), "K={k}");
@@ -192,9 +192,7 @@ fn sharded_sessions_support_interactive_refinement() {
         SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
         AggregateFunction::Count,
     );
-    let mut session = engine
-        .open_sharded_session(&sharded, &query, &d.oracle)
-        .unwrap();
+    let mut session = engine.open_session(&sharded, &query, &d.oracle).unwrap();
     assert_eq!(session.shard_count(), 3);
     let coarse = session.refine_to(&sharded, &d.oracle, 0.10);
     let coarse_samples = session.sample_size();
@@ -225,7 +223,7 @@ fn sharded_batches_keep_failure_slots() {
         ),
     );
     let batch = BatchEngine::new(config(0.05));
-    let (answers, stats) = batch.execute_sharded_with_stats(&sharded, &queries, &d.oracle);
+    let (answers, stats) = batch.execute(&sharded, &queries, &d.oracle);
     assert_eq!(answers.len(), queries.len());
     assert!(answers[1].is_err());
     assert_eq!(stats.failures, 1);
@@ -235,10 +233,10 @@ fn sharded_batches_keep_failure_slots() {
     assert!(rendered.contains("merge overhead"), "{rendered}");
 }
 
-/// A caller-owned `ShardSamplerCache` reused across two different
-/// partitionings of the same graph must never serve strata from the other
-/// partitioning: answers after the cross-partition reuse are bitwise those
-/// of a fresh-cache run (the cache keys on the partition identity).
+/// A caller-owned `SamplerCache` reused across two different partitionings
+/// of the same graph must never serve strata from the other partitioning:
+/// answers after the cross-partition reuse are bitwise those of a
+/// fresh-cache run.
 #[test]
 fn shared_shard_cache_across_partitionings_never_serves_stale_strata() {
     let d = dataset();
@@ -250,24 +248,18 @@ fn shared_shard_cache_across_partitionings_never_serves_stale_strata() {
     let batch = BatchEngine::new(config.clone());
 
     let shared_cache = kg_sampling::SamplerCache::new(config.strategy, config.sampler_config());
-    let shared_shard_cache = kg_sampling::ShardSamplerCache::new();
-    // Warm both caches against the K=2 partitioning…
-    let _ = batch.execute_sharded_with_stats_cached(
-        &two,
-        &queries,
-        &d.oracle,
-        &shared_cache,
-        &shared_shard_cache,
-    );
-    // …then run K=4 against the same caches.
-    let (reused, _) = batch.execute_sharded_with_stats_cached(
-        &four,
-        &queries,
-        &d.oracle,
-        &shared_cache,
-        &shared_shard_cache,
-    );
-    let (fresh, _) = batch.execute_sharded_with_stats(&four, &queries, &d.oracle);
+    let run = |sharded: &ShardedGraph| -> Vec<_> {
+        let (sessions, _) = batch.open_sessions_cached(sharded, &queries, &d.oracle, &shared_cache);
+        let refine = |mut session: kg_aqp::ShardedSession| {
+            session.refine_to(sharded, &d.oracle, config.error_bound)
+        };
+        sessions.into_iter().map(|s| s.map(refine)).collect()
+    };
+    // Warm the cache against the K=2 partitioning…
+    let _ = run(&two);
+    // …then run K=4 against the same cache.
+    let reused = run(&four);
+    let (fresh, _) = batch.execute(&four, &queries, &d.oracle);
     for (a, b) in reused.iter().zip(&fresh) {
         let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
         assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());

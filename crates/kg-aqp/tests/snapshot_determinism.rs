@@ -114,10 +114,10 @@ fn snapshot_loaded_answers_are_bitwise_identical_across_k_and_threads() {
             for threads in THREAD_COUNTS {
                 let label = format!("compress={compress} K={k} threads={threads}");
                 let built = at_threads(threads, || {
-                    batch.execute_sharded(&built_sharded, &queries, &d.oracle)
+                    batch.execute(&built_sharded, &queries, &d.oracle).0
                 });
                 let snapped = at_threads(threads, || {
-                    batch.execute_sharded(&snap_sharded, &queries, &snap_oracle)
+                    batch.execute(&snap_sharded, &queries, &snap_oracle).0
                 });
                 assert_bitwise_identical(&label, &built, &snapped);
             }
@@ -126,9 +126,9 @@ fn snapshot_loaded_answers_are_bitwise_identical_across_k_and_threads() {
         // Unsharded engine too, for completeness of the matrix.
         for threads in THREAD_COUNTS {
             let label = format!("compress={compress} unsharded threads={threads}");
-            let built = at_threads(threads, || batch.execute(&d.graph, &queries, &d.oracle));
+            let built = at_threads(threads, || batch.execute(&d.graph, &queries, &d.oracle).0);
             let snapped = at_threads(threads, || {
-                batch.execute(&snap_graph, &queries, &snap_oracle)
+                batch.execute(&*snap_graph, &queries, &snap_oracle).0
             });
             assert_bitwise_identical(&label, &built, &snapped);
         }

@@ -84,9 +84,7 @@ fn stepping_k_rounds_equals_a_fresh_engine_capped_at_k() {
                         // Stepped: an uncapped session driven k rounds by
                         // hand (the worker-loop/deadline path).
                         let engine = AqpEngine::new(config());
-                        let mut stepped = engine
-                            .open_sharded_session(&sharded, &query, &d.oracle)
-                            .unwrap();
+                        let mut stepped = engine.open_session(&sharded, &query, &d.oracle).unwrap();
                         for _ in 0..cap {
                             if stepped.step_with(&sharded, &d.oracle, TIGHT_EB, CONF)
                                 != RoundOutcome::Continue
@@ -103,9 +101,8 @@ fn stepping_k_rounds_equals_a_fresh_engine_capped_at_k() {
                             max_rounds: cap,
                             ..config()
                         });
-                        let mut reference = capped
-                            .open_sharded_session(&sharded, &query, &d.oracle)
-                            .unwrap();
+                        let mut reference =
+                            capped.open_session(&sharded, &query, &d.oracle).unwrap();
                         let full = reference.refine_with(&sharded, &d.oracle, TIGHT_EB, CONF);
 
                         assert_bitwise(
@@ -128,9 +125,7 @@ fn refine_deadline_in_the_past_still_runs_one_round() {
     let sharded = ShardedGraph::single(Arc::new(d.graph.clone()));
     let query = &workload()[0];
     let engine = AqpEngine::new(config());
-    let mut session = engine
-        .open_sharded_session(&sharded, query, &d.oracle)
-        .unwrap();
+    let mut session = engine.open_session(&sharded, query, &d.oracle).unwrap();
     let expired = std::time::Instant::now() - std::time::Duration::from_millis(10);
     let (answer, truncated) = session.refine_deadline(&sharded, &d.oracle, TIGHT_EB, CONF, expired);
     assert!(truncated, "an expired deadline truncates");
@@ -150,9 +145,7 @@ fn round_outcomes_track_the_guarantee() {
         error_bound: 0.5,
         ..EngineConfig::default()
     });
-    let mut session = engine
-        .open_sharded_session(&sharded, query, &d.oracle)
-        .unwrap();
+    let mut session = engine.open_session(&sharded, query, &d.oracle).unwrap();
     let mut last = RoundOutcome::Continue;
     for _ in 0..session.max_rounds() {
         last = session.step_with(&sharded, &d.oracle, 0.5, CONF);

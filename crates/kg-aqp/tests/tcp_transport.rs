@@ -217,11 +217,10 @@ fn a_peer_that_hangs_up_after_every_response_costs_no_fleet_counter() {
     );
     let reference = rig
         .engine
-        .execute_sharded(&rig.sharded, &query, &rig.d.oracle)
+        .execute(&*rig.sharded, &query, &rig.d.oracle)
         .unwrap();
-    let mut session = rig
-        .engine
-        .open_remote_session(&rig.sharded, &query, &rig.d.oracle, Arc::clone(&fleet))
+    let mut session = AqpEngine::remote(rig.engine.config().clone(), Arc::clone(&fleet))
+        .open_session(&*rig.sharded, &query, &rig.d.oracle)
         .unwrap();
     let answer = session.refine_to(&rig.sharded, &rig.d.oracle, 0.05);
     assert!(!answer.is_degraded());

@@ -126,7 +126,7 @@ fn batch_results_are_bitwise_identical_across_thread_counts_and_to_the_serial_lo
     let batch = BatchEngine::new(config);
     let mut per_thread_count = Vec::new();
     for threads in THREAD_COUNTS {
-        let answers = at_threads(threads, || batch.execute(&d.graph, &queries, &d.oracle));
+        let answers = at_threads(threads, || batch.execute(&d.graph, &queries, &d.oracle).0);
         assert_bitwise_identical(&format!("batch@{threads} vs serial"), &serial, &answers);
         per_thread_count.push((threads, answers));
     }
@@ -146,17 +146,15 @@ fn sharded_results_are_bitwise_identical_across_thread_counts() {
 
     for k in [1usize, 4] {
         let sharded = ShardedGraph::new(Arc::clone(&graph), &DegreeBalancedPartitioner, k);
-        let reference = at_threads(1, || batch.execute_sharded(&sharded, &queries, &d.oracle));
+        let reference = at_threads(1, || batch.execute(&sharded, &queries, &d.oracle).0);
         for threads in THREAD_COUNTS {
-            let answers = at_threads(threads, || {
-                batch.execute_sharded(&sharded, &queries, &d.oracle)
-            });
+            let answers = at_threads(threads, || batch.execute(&sharded, &queries, &d.oracle).0);
             assert_bitwise_identical(&format!("K={k}@{threads} threads"), &reference, &answers);
         }
         if k == 1 {
             // K = 1 is the identity configuration: also bitwise the
             // unsharded engine, at any thread count.
-            let unsharded = at_threads(4, || batch.execute(&d.graph, &queries, &d.oracle));
+            let unsharded = at_threads(4, || batch.execute(&d.graph, &queries, &d.oracle).0);
             assert_bitwise_identical("K=1 vs unsharded", &reference, &unsharded);
         }
     }

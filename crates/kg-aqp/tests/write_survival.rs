@@ -67,10 +67,10 @@ fn session_mid_refinement_is_unperturbed_by_an_unrelated_write() {
             |s: &mut ShardedSession, view: &ShardedGraph| s.step_with(view, &oracle, 0.01, 0.95);
 
         let mut racing = engine
-            .open_sharded_session(&view, &car_query(), &oracle)
+            .open_session(&view, &car_query(), &oracle)
             .expect("plannable");
         let mut control = engine
-            .open_sharded_session(&view, &car_query(), &oracle)
+            .open_session(&view, &car_query(), &oracle)
             .expect("plannable");
 
         step(&mut racing, &view);

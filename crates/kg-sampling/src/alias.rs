@@ -9,8 +9,8 @@
 //! replaces all three:
 //!
 //! * **One build per prepare.** The table is built once when a sampler is
-//!   prepared (O(n)), cached alongside it in `SamplerCache` /
-//!   `ShardSamplerCache`, and shared across the queries of a batch.
+//!   prepared (O(n)), cached alongside it in `SamplerCache`, and shared
+//!   across the queries of a batch.
 //! * **Expected O(1) per draw.** A Walker-style bucket table over the
 //!   cumulative weights: `[0, 1)` is cut into `n` equal buckets and each
 //!   bucket stores the first answer index whose cumulative weight reaches

@@ -70,7 +70,7 @@ pub mod wire;
 pub use alias::{AliasTable, WeightError};
 pub use cache::{CacheStats, SamplerCache};
 pub use sampler::{prepare, PreparedSampler, SampledAnswer, SamplerConfig};
-pub use shard::{ShardSampler, ShardSamplerCache};
+pub use shard::ShardSampler;
 pub use snapshot::{
     bundle_bytes, bundle_from_snapshot, open_bundle, snapshot_boot_error, write_bundle,
     SnapshotBundle,

@@ -11,18 +11,14 @@
 //! and the per-shard Horvitz–Thompson estimates compose by stratified
 //! summation in `kg-estimate`.
 //!
-//! Restriction is cheap (one pass over the distribution) but repeated
-//! across the queries of a batch that share a component, so
-//! [`ShardSamplerCache`] memoises restrictions per (component,
-//! partitioning, shard) — the shard-local counterpart of
-//! [`crate::SamplerCache`].
+//! Restriction is one pass over the distribution plus one alias-table build,
+//! no more than planning already spends on the same distribution, so every
+//! session restricts afresh.
 
 use crate::alias::AliasTable;
 use crate::sampler::SampledAnswer;
 use kg_core::EntityId;
 use rand::Rng;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// One stratum of an answer distribution: the candidates a shard owns, with
 /// probabilities re-normalised within the stratum.
@@ -132,60 +128,6 @@ impl ShardSampler {
         (0..count)
             .map(|_| self.answers[table.sample(rng)])
             .collect()
-    }
-}
-
-/// Memoises [`ShardSampler`] restrictions per (component, partitioning,
-/// shard).
-///
-/// Component keys use the prepared sampler's allocation address — stable
-/// for the cache's lifetime because the cache holds each restricted
-/// sampler's source `Arc` alive via [`crate::SamplerCache`]-style sharing
-/// upstream; `partition_id` (a `ShardedGraph`'s process-unique identity)
-/// keeps restrictions from one partitioning from ever being served for
-/// another partitioning of the same graph. Like the sampler cache, entries
-/// are value-identical regardless of who computes them (restriction is
-/// deterministic), so racing inserts are harmless and the first insert
-/// wins.
-#[derive(Debug, Default)]
-pub struct ShardSamplerCache {
-    entries: Mutex<HashMap<(usize, u64, usize), Arc<ShardSampler>>>,
-}
-
-impl ShardSamplerCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the stratum memoised under `(component_key, partition_id,
-    /// shard)`, building it with `build` on first sight. `build` must be a
-    /// pure function of the key — the key must identify the restriction
-    /// input (the component's distribution *and* the partitioning that
-    /// defines ownership) — so racing inserts stay value-identical.
-    pub fn get_or_insert_with(
-        &self,
-        component_key: usize,
-        partition_id: u64,
-        shard: usize,
-        build: impl FnOnce() -> ShardSampler,
-    ) -> Arc<ShardSampler> {
-        let key = (component_key, partition_id, shard);
-        if let Some(found) = self.entries.lock().unwrap().get(&key) {
-            return Arc::clone(found);
-        }
-        let built = Arc::new(build());
-        Arc::clone(self.entries.lock().unwrap().entry(key).or_insert(built))
-    }
-
-    /// Number of memoised restrictions.
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    /// True when nothing has been restricted yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().unwrap().is_empty()
     }
 }
 

@@ -26,24 +26,38 @@
 //! Multi-tenant runs print a per-tenant latency breakdown under the
 //! aggregate report line.
 //!
+//! `--trace` is the one flag without a value. An unknown flag, a value that
+//! does not parse, or a flag with no value exits with status 2 and one
+//! stderr line naming the flag, before the workload is generated.
+//!
 //! Regenerates the workload of the DBpedia-like profile with the same seed
 //! `kg-serve` used, so every query resolves against the server's graph. The
 //! first answer is validated field-by-field (the CI smoke contract: HTTP
 //! 200 and a well-formed JSON answer) and printed; the rest run through the
 //! closed-loop driver. Exits non-zero on any failed or malformed response.
 
+mod cli;
+
+use cli::Flags;
 use kg_datagen::{build_workload, generate, profiles, DatasetScale, WorkloadConfig};
 use kg_service::{http_query, run_http, QueryRequest};
 use serde_json::Value;
 use std::time::Duration;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Every flag `kg-load` understands that takes a value.
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--queries",
+    "--concurrency",
+    "--seed",
+    "--error-bound",
+    "--confidence",
+    "--deadline-ms",
+    "--tenants",
+    "--min-ok-rate",
+    "--max-degraded",
+    "--min-degraded",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -56,18 +70,19 @@ fn main() {
         );
         return;
     }
-    let addr: String = parse_flag(&args, "--addr", "127.0.0.1:7878".to_string());
-    let queries: usize = parse_flag(&args, "--queries", 1);
-    let concurrency: usize = parse_flag(&args, "--concurrency", 1);
-    let seed: u64 = parse_flag(&args, "--seed", 42);
-    let error_bound: f64 = parse_flag(&args, "--error-bound", 0.05);
-    let confidence: f64 = parse_flag(&args, "--confidence", 0.95);
-    let deadline_ms: f64 = parse_flag(&args, "--deadline-ms", 0.0);
-    let tenants: String = parse_flag(&args, "--tenants", String::new());
-    let min_ok_rate: f64 = parse_flag(&args, "--min-ok-rate", 0.0);
-    let max_degraded: i64 = parse_flag(&args, "--max-degraded", -1);
-    let min_degraded: usize = parse_flag(&args, "--min-degraded", 0);
-    let trace = args.iter().any(|a| a == "--trace");
+    let flags = Flags::parse("kg-load", &args, FLAGS, &["--trace"]);
+    let addr: String = flags.get("--addr", "127.0.0.1:7878".to_string());
+    let queries: usize = flags.get("--queries", 1);
+    let concurrency: usize = flags.get("--concurrency", 1);
+    let seed: u64 = flags.get("--seed", 42);
+    let error_bound: f64 = flags.get("--error-bound", 0.05);
+    let confidence: f64 = flags.get("--confidence", 0.95);
+    let deadline_ms: f64 = flags.get("--deadline-ms", 0.0);
+    let tenants: String = flags.get("--tenants", String::new());
+    let min_ok_rate: f64 = flags.get("--min-ok-rate", 0.0);
+    let max_degraded: i64 = flags.get("--max-degraded", -1);
+    let min_degraded: usize = flags.get("--min-degraded", 0);
+    let trace: bool = flags.get("--trace", false);
     let tenants: Vec<&str> = tenants.split(',').filter(|t| !t.is_empty()).collect();
     let timeout = Duration::from_secs(120);
 

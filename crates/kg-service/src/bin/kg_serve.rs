@@ -55,6 +55,9 @@
 //! `kg-serve listening on http://…` line once the socket is bound, then
 //! serves until killed.
 
+mod cli;
+
+use cli::Flags;
 use kg_datagen::{generate, profiles, DatasetScale};
 use kg_embed::PredicateVectorStore;
 use kg_sampling::SamplerCache;
@@ -83,48 +86,6 @@ const FLAGS: &[&str] = &[
     "--hedge-after-ms",
     "--retry-budget",
 ];
-
-/// Prints `kg-serve: {message}` and exits with status 2.
-fn usage_error(message: &str) -> ! {
-    eprintln!("kg-serve: {message}");
-    std::process::exit(2);
-}
-
-/// Splits the command line into `(flag, value)` pairs, exiting 2 on an
-/// unknown flag or a flag with no value.
-fn flag_pairs(args: &[String]) -> Vec<(&str, &str)> {
-    let mut pairs = Vec::new();
-    let mut rest = args.iter().skip(1);
-    while let Some(flag) = rest.next() {
-        if !FLAGS.contains(&flag.as_str()) {
-            usage_error(&format!("unknown flag {flag} (see --help)"));
-        }
-        let Some(value) = rest.next() else {
-            usage_error(&format!("{flag} needs a value"));
-        };
-        pairs.push((flag.as_str(), value.as_str()));
-    }
-    pairs
-}
-
-/// Every value given for `flag`, in order.
-fn flag_values<'a>(flags: &'a [(&str, &'a str)], flag: &'a str) -> impl Iterator<Item = &'a str> {
-    flags
-        .iter()
-        .filter(move |(f, _)| *f == flag)
-        .map(|&(_, v)| v)
-}
-
-/// The first value given for `flag`, parsed, or `default` when the flag is
-/// absent. A value that does not parse exits 2.
-fn parse_flag<T: std::str::FromStr>(flags: &[(&str, &str)], flag: &str, default: T) -> T {
-    match flag_values(flags, flag).next() {
-        None => default,
-        Some(value) => value
-            .parse()
-            .unwrap_or_else(|_| usage_error(&format!("{flag}: cannot parse {value:?}"))),
-    }
-}
 
 /// Parses one `NAME=WEIGHT:QUOTA` tenant override.
 fn parse_tenant_spec(spec: &str) -> Option<(String, f64, usize)> {
@@ -165,36 +126,36 @@ fn main() {
         );
         return;
     }
-    let flags = flag_pairs(&args);
-    let addr: String = parse_flag(&flags, "--addr", "127.0.0.1:7878".to_string());
-    let seed: u64 = parse_flag(&flags, "--seed", 42);
-    let workers: usize = parse_flag(&flags, "--workers", 4);
-    let queue_capacity: usize = parse_flag(&flags, "--queue-capacity", 256);
-    let drain_batch: usize = parse_flag(&flags, "--drain-batch", 16);
-    let error_bound: f64 = parse_flag(&flags, "--error-bound", 0.01);
-    let confidence: f64 = parse_flag(&flags, "--confidence", 0.95);
-    let shards: usize = parse_flag(&flags, "--shards", 1).max(1);
-    let tenant_weight: f64 = parse_flag(&flags, "--tenant-weight", 1.0);
-    let tenant_quota: usize = parse_flag(&flags, "--tenant-quota", 256);
-    let compact_threshold: usize = parse_flag(&flags, "--compact-threshold", 4096);
-    let slow_query_ms: f64 = parse_flag(&flags, "--slow-query-ms", 0.0);
-    let snapshot_path: String = parse_flag(&flags, "--snapshot", String::new());
-    let write_snapshot_path: String = parse_flag(&flags, "--write-snapshot", String::new());
-    let request_timeout_ms: u64 = parse_flag(&flags, "--request-timeout-ms", 2000);
-    let hedge_after_ms: u64 = parse_flag(&flags, "--hedge-after-ms", 150);
-    let retry_budget: u32 = parse_flag(&flags, "--retry-budget", 2);
+    let flags = Flags::parse("kg-serve", &args, FLAGS, &[]);
+    let addr: String = flags.get("--addr", "127.0.0.1:7878".to_string());
+    let seed: u64 = flags.get("--seed", 42);
+    let workers: usize = flags.get("--workers", 4);
+    let queue_capacity: usize = flags.get("--queue-capacity", 256);
+    let drain_batch: usize = flags.get("--drain-batch", 16);
+    let error_bound: f64 = flags.get("--error-bound", 0.01);
+    let confidence: f64 = flags.get("--confidence", 0.95);
+    let shards: usize = flags.get("--shards", 1).max(1);
+    let tenant_weight: f64 = flags.get("--tenant-weight", 1.0);
+    let tenant_quota: usize = flags.get("--tenant-quota", 256);
+    let compact_threshold: usize = flags.get("--compact-threshold", 4096);
+    let slow_query_ms: f64 = flags.get("--slow-query-ms", 0.0);
+    let snapshot_path: String = flags.get("--snapshot", String::new());
+    let write_snapshot_path: String = flags.get("--write-snapshot", String::new());
+    let request_timeout_ms: u64 = flags.get("--request-timeout-ms", 2000);
+    let hedge_after_ms: u64 = flags.get("--hedge-after-ms", 150);
+    let retry_budget: u32 = flags.get("--retry-budget", 2);
 
     // Collect the coordinator topology: one `--shard-endpoint` per shard,
     // each naming that shard's replicas in failover order.
     let mut shard_endpoints: Vec<Option<Vec<String>>> = vec![None; shards];
-    for spec in flag_values(&flags, "--shard-endpoint") {
+    for spec in flags.values("--shard-endpoint") {
         let Some((shard, replicas)) = parse_shard_endpoint(spec) else {
-            usage_error(&format!(
+            flags.usage_error(&format!(
                 "unparsable shard endpoint {spec:?} (want SHARD=HOST:PORT[,HOST:PORT])"
             ));
         };
         if shard >= shards {
-            usage_error(&format!(
+            flags.usage_error(&format!(
                 "--shard-endpoint {spec:?} names shard {shard}, but --shards is {shards}"
             ));
         }
@@ -205,7 +166,7 @@ fn main() {
         let mut replicas = Vec::with_capacity(shards);
         for (shard, endpoints) in shard_endpoints.into_iter().enumerate() {
             let Some(endpoints) = endpoints else {
-                usage_error(&format!(
+                flags.usage_error(&format!(
                     "coordinator mode needs an endpoint for every shard; \
                      shard {shard} of {shards} has none"
                 ));
@@ -239,9 +200,9 @@ fn main() {
     if let Some(topology) = topology {
         builder = builder.remote(topology);
     }
-    for spec in flag_values(&flags, "--tenant") {
+    for spec in flags.values("--tenant") {
         let Some((name, weight, quota)) = parse_tenant_spec(spec) else {
-            usage_error(&format!(
+            flags.usage_error(&format!(
                 "unparsable tenant spec {spec:?} (want NAME=WEIGHT:QUOTA)"
             ));
         };
@@ -249,7 +210,7 @@ fn main() {
     }
     let config = match builder.build() {
         Ok(config) => config,
-        Err(e) => usage_error(&format!("invalid configuration: {e}")),
+        Err(e) => flags.usage_error(&format!("invalid configuration: {e}")),
     };
 
     // Either a millisecond cold start from a prebuilt snapshot, or the

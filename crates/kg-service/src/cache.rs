@@ -342,9 +342,7 @@ mod tests {
             3,
         ));
         let sharded = kg_core::ShardedGraph::single(std::sync::Arc::new(d.graph.clone()));
-        let session = engine
-            .open_sharded_session(&sharded, query, &d.oracle)
-            .unwrap();
+        let session = engine.open_session(&sharded, query, &d.oracle).unwrap();
         (session, query.footprint())
     }
 

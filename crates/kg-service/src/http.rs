@@ -10,7 +10,7 @@
 //!
 //! | Method & path | Behaviour |
 //! |---|---|
-//! | `POST /query` | v2 body `{"v": 2, "query": .., "targets"?: {"error_bound"?, "confidence"?}, "deadline_ms"?, "tenant"?}` (the v1 flat shape is still accepted) → `200` with `{"answer": ..}`, `400` malformed, `422` unresolvable, `429` tenant quota, `503` shed, `504` deadline expired before planning |
+//! | `POST /query` | v2 body `{"v": 2, "query": .., "targets"?: {"error_bound"?, "confidence"?}, "deadline_ms"?, "tenant"?}` (an untagged v1 flat body is upgraded to v2) → `200` with `{"answer": ..}`, `400` malformed, `422` unresolvable, `429` tenant quota, `503` shed, `504` deadline expired before planning |
 //! | `POST /v2/write` | body `{"v"?: 2, "ops": [{"op": "upsert_entity"\|"upsert_edge"\|"delete_edge", ..}, ..], "compact"?: bool}` → `200` with the [`crate::WriteOutcome`] JSON (applied counts, compaction, component-scoped evictions, write epoch), `400` malformed, `503` shutting down |
 //! | `GET /metrics` | `200` with the [`crate::MetricsSnapshot`] JSON |
 //! | `GET /metrics.prom` | `200` with the same snapshot in the Prometheus text exposition format (`text/plain; version=0.0.4`) |

@@ -2,21 +2,18 @@
 //!
 //! # Wire versions
 //!
-//! The request body is versioned by an optional `"v"` tag:
-//!
-//! * **v1 (legacy, no tag)** — the flat shape
-//!   `{"query": .., "error_bound": .., "confidence": ..}`. Still accepted:
-//!   it decodes into the same [`QueryRequest`] as the equivalent v2 body
-//!   (default tenant, no deadline), so cache keys are unaffected.
-//! * **v2 (`"v": 2`)** — accuracy targets nested under `"targets"`, plus
-//!   the scheduling fields: `{"v": 2, "query": .., "targets":
-//!   {"error_bound": .., "confidence": ..}, "deadline_ms": .., "tenant": ..}`.
-//!
-//! [`QueryRequest::to_json`] emits v2; [`QueryRequest::to_json_v1`] keeps
-//! the legacy encoder for compatibility tests and old clients.
+//! A request body carries accuracy targets nested under `"targets"`, plus
+//! the scheduling fields: `{"v": 2, "query": .., "targets":
+//! {"error_bound": .., "confidence": ..}, "deadline_ms": .., "tenant": ..}`.
+//! A body without the `"v"` tag is the legacy flat (v1) shape
+//! `{"query": .., "error_bound": .., "confidence": ..}`: it is upgraded to
+//! the v2 body with the same query and targets and decoded as one, so it
+//! yields the same [`QueryRequest`] (default tenant, no deadline) and the
+//! same cache key.
 
 use kg_aqp::QueryAnswer;
 use kg_core::KgError;
+use kg_query::wire::{as_array, as_bool, as_f64, as_str, get_field, object};
 use kg_query::{AggregateQuery, WireError};
 use serde_json::Value;
 use std::fmt;
@@ -118,177 +115,89 @@ impl QueryRequest {
     /// (`deadline_ms` and `request_id` omitted when unset, `trace` omitted
     /// when false).
     pub fn to_json(&self) -> Value {
-        let mut targets = serde_json::Map::new();
-        targets.insert("error_bound".to_string(), Value::Number(self.error_bound));
-        targets.insert("confidence".to_string(), Value::Number(self.confidence));
-        let mut map = serde_json::Map::new();
-        map.insert("v".to_string(), Value::Number(WIRE_VERSION as f64));
-        map.insert("query".to_string(), self.query.to_json());
-        map.insert("targets".to_string(), Value::Object(targets));
-        map.insert("tenant".to_string(), Value::String(self.tenant.clone()));
+        let targets = object(vec![
+            ("error_bound", Value::Number(self.error_bound)),
+            ("confidence", Value::Number(self.confidence)),
+        ]);
+        let mut fields = vec![
+            ("v", Value::Number(WIRE_VERSION as f64)),
+            ("query", self.query.to_json()),
+            ("targets", targets),
+            ("tenant", Value::String(self.tenant.clone())),
+        ];
         if let Some(deadline_ms) = self.deadline_ms {
-            map.insert("deadline_ms".to_string(), Value::Number(deadline_ms));
+            fields.push(("deadline_ms", Value::Number(deadline_ms)));
         }
         if let Some(request_id) = &self.request_id {
-            map.insert("request_id".to_string(), Value::String(request_id.clone()));
+            fields.push(("request_id", Value::String(request_id.clone())));
         }
         if self.trace {
-            map.insert("trace".to_string(), Value::Bool(true));
+            fields.push(("trace", Value::Bool(true)));
         }
-        Value::Object(map)
+        object(fields)
     }
 
-    /// Encodes the legacy flat v1 shape
-    /// `{"query": .., "error_bound": .., "confidence": ..}` (no deadline or
-    /// tenant — v1 predates both).
-    pub fn to_json_v1(&self) -> Value {
-        let mut map = serde_json::Map::new();
-        map.insert("query".to_string(), self.query.to_json());
-        map.insert("error_bound".to_string(), Value::Number(self.error_bound));
-        map.insert("confidence".to_string(), Value::Number(self.confidence));
-        Value::Object(map)
-    }
-
-    /// Decodes either wire shape, dispatching on the `"v"` tag: absent →
-    /// legacy v1 flat body, `2` → v2, anything else → [`WireError`].
-    /// Accuracy targets fall back to `defaults` when absent (the HTTP
-    /// endpoint lets clients omit them). Both shapes canonicalise into the
-    /// same [`QueryRequest`], so a v1 body and its v2 equivalent produce
-    /// identical cache keys.
+    /// Decodes a request body: `"v": 2`, or no tag for the legacy flat body
+    /// (see the [module docs](self); every field of a flat body other than
+    /// `query`, `error_bound` and `confidence` is ignored). Any other tag is
+    /// a [`WireError`]. Accuracy targets fall back to `defaults` when absent
+    /// (the HTTP endpoint lets clients omit them).
     pub fn from_json(value: &Value, defaults: (f64, f64)) -> Result<Self, WireError> {
-        match value.get("v") {
-            None => Self::from_json_v1(value, defaults),
-            Some(tag) => {
-                let version = tag.as_f64().ok_or_else(|| WireError {
-                    path: "request.v".to_string(),
-                    expected: "a numeric wire version".to_string(),
-                })?;
-                if version != WIRE_VERSION as f64 {
-                    return Err(WireError {
-                        path: "request.v".to_string(),
-                        expected: format!("supported wire version {WIRE_VERSION}"),
-                    });
-                }
-                Self::from_json_v2(value, defaults)
-            }
+        let Some(tag) = value.get("v") else {
+            let flat = |field| value.get(field).map(|v| (field, v.clone()));
+            let targets = ["error_bound", "confidence"].into_iter().filter_map(flat);
+            let mut upgraded = vec![
+                ("v", Value::Number(WIRE_VERSION as f64)),
+                ("targets", object(targets.collect())),
+            ];
+            upgraded.extend(flat("query"));
+            return Self::from_json(&object(upgraded), defaults);
+        };
+        if as_f64(tag, "request.v")? != WIRE_VERSION as f64 {
+            let expected = format!("supported wire version {WIRE_VERSION}");
+            return Err(WireError::new("request.v", expected));
         }
-    }
-
-    fn parse_query(value: &Value) -> Result<AggregateQuery, WireError> {
-        let query_value = value.get("query").ok_or_else(|| WireError {
-            path: "request.query".to_string(),
-            expected: "a wire-encoded aggregate query".to_string(),
-        })?;
-        AggregateQuery::from_json(query_value)
-    }
-
-    fn number_field(
-        value: &Value,
-        field: &str,
-        path: &str,
-        fallback: f64,
-    ) -> Result<f64, WireError> {
-        match value.get(field) {
+        let query = value
+            .get("query")
+            .ok_or_else(|| WireError::new("request.query", "a wire-encoded aggregate query"))?;
+        let query = AggregateQuery::from_json(query)?;
+        let target = |targets: &Value, field: &str, fallback: f64| match targets.get(field) {
             None => Ok(fallback),
-            Some(v) => v.as_f64().ok_or_else(|| WireError {
-                path: path.to_string(),
-                expected: "a number".to_string(),
-            }),
-        }
-    }
-
-    fn from_json_v1(value: &Value, defaults: (f64, f64)) -> Result<Self, WireError> {
-        Ok(Self {
-            query: Self::parse_query(value)?,
-            error_bound: Self::number_field(
-                value,
-                "error_bound",
-                "request.error_bound",
-                defaults.0,
-            )?,
-            confidence: Self::number_field(value, "confidence", "request.confidence", defaults.1)?,
-            deadline_ms: None,
-            tenant: DEFAULT_TENANT.to_string(),
-            request_id: None,
-            trace: false,
-        })
-    }
-
-    fn from_json_v2(value: &Value, defaults: (f64, f64)) -> Result<Self, WireError> {
-        let query = Self::parse_query(value)?;
+            Some(v) => as_f64(v, &format!("request.targets.{field}")),
+        };
         let (error_bound, confidence) = match value.get("targets") {
             None => defaults,
-            Some(targets) => {
-                if !matches!(targets, Value::Object(_)) {
-                    return Err(WireError {
-                        path: "request.targets".to_string(),
-                        expected: "an object {error_bound, confidence}".to_string(),
-                    });
-                }
-                (
-                    Self::number_field(
-                        targets,
-                        "error_bound",
-                        "request.targets.error_bound",
-                        defaults.0,
-                    )?,
-                    Self::number_field(
-                        targets,
-                        "confidence",
-                        "request.targets.confidence",
-                        defaults.1,
-                    )?,
-                )
+            Some(targets @ Value::Object(_)) => (
+                target(targets, "error_bound", defaults.0)?,
+                target(targets, "confidence", defaults.1)?,
+            ),
+            Some(_) => {
+                let expected = "an object {error_bound, confidence}";
+                return Err(WireError::new("request.targets", expected));
             }
-        };
-        let deadline_ms = match value.get("deadline_ms") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(v.as_f64().ok_or_else(|| WireError {
-                path: "request.deadline_ms".to_string(),
-                expected: "a number of milliseconds".to_string(),
-            })?),
         };
         let tenant = match value.get("tenant") {
             None => DEFAULT_TENANT.to_string(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| WireError {
-                    path: "request.tenant".to_string(),
-                    expected: "a tenant name string".to_string(),
-                })?
-                .to_string(),
+            Some(v) => as_str(v, "request.tenant")?,
         };
-        let request_id = match value.get("request_id") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| WireError {
-                        path: "request.request_id".to_string(),
-                        expected: "a correlation ID string".to_string(),
-                    })?
-                    .to_string(),
-            ),
-        };
-        let trace = match value.get("trace") {
-            None | Some(Value::Null) => false,
-            Some(Value::Bool(b)) => *b,
-            Some(_) => {
-                return Err(WireError {
-                    path: "request.trace".to_string(),
-                    expected: "a boolean".to_string(),
-                })
-            }
-        };
+        let deadline_ms = present(value, "deadline_ms").map(|v| as_f64(v, "request.deadline_ms"));
+        let request_id = present(value, "request_id").map(|v| as_str(v, "request.request_id"));
+        let trace = present(value, "trace").map(|v| as_bool(v, "request.trace"));
         Ok(Self {
             query,
             error_bound,
             confidence,
-            deadline_ms,
+            deadline_ms: deadline_ms.transpose()?,
             tenant,
-            request_id,
-            trace,
+            request_id: request_id.transpose()?,
+            trace: trace.transpose()?.unwrap_or(false),
         })
     }
+}
+
+/// `field` of `value`, unless it is absent or `null`.
+fn present<'a>(value: &'a Value, field: &str) -> Option<&'a Value> {
+    value.get(field).filter(|v| !v.is_null())
 }
 
 /// One mutation of a [`WriteRequest`] (the `/v2/write` ingest endpoint).
@@ -324,52 +233,28 @@ pub enum WriteOp {
 }
 
 impl WriteOp {
-    fn string_field(value: &Value, field: &str, path: usize) -> Result<String, WireError> {
-        value
-            .get(field)
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| WireError {
-                path: format!("write.ops[{path}].{field}"),
-                expected: "a name string".to_string(),
-            })
-    }
-
     fn from_json(value: &Value, index: usize) -> Result<Self, WireError> {
-        let op = value
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| WireError {
-                path: format!("write.ops[{index}].op"),
-                expected: "one of \"upsert_entity\", \"upsert_edge\", \"delete_edge\"".to_string(),
-            })?;
-        match op {
+        let path = format!("write.ops[{index}]");
+        let name =
+            |field: &str| as_str(get_field(value, &path, field)?, &format!("{path}.{field}"));
+        let op = name("op")?;
+        match op.as_str() {
             "upsert_entity" => {
-                let name = Self::string_field(value, "name", index)?;
-                let types = match value.get("types") {
-                    None | Some(Value::Null) => Vec::new(),
-                    Some(Value::Array(items)) => items
+                let name = name("name")?;
+                let types_path = format!("{path}.types");
+                let types = match present(value, "types") {
+                    None => Vec::new(),
+                    Some(types) => as_array(types, &types_path)?
                         .iter()
-                        .map(|t| {
-                            t.as_str().map(str::to_string).ok_or_else(|| WireError {
-                                path: format!("write.ops[{index}].types"),
-                                expected: "an array of type name strings".to_string(),
-                            })
-                        })
+                        .map(|t| as_str(t, &types_path))
                         .collect::<Result<_, _>>()?,
-                    Some(_) => {
-                        return Err(WireError {
-                            path: format!("write.ops[{index}].types"),
-                            expected: "an array of type name strings".to_string(),
-                        })
-                    }
                 };
                 Ok(WriteOp::UpsertEntity { name, types })
             }
             "upsert_edge" | "delete_edge" => {
-                let subject = Self::string_field(value, "subject", index)?;
-                let predicate = Self::string_field(value, "predicate", index)?;
-                let object = Self::string_field(value, "object", index)?;
+                let subject = name("subject")?;
+                let predicate = name("predicate")?;
+                let object = name("object")?;
                 if op == "upsert_edge" {
                     Ok(WriteOp::UpsertEdge {
                         subject,
@@ -384,46 +269,47 @@ impl WriteOp {
                     })
                 }
             }
-            _ => Err(WireError {
-                path: format!("write.ops[{index}].op"),
-                expected: "one of \"upsert_entity\", \"upsert_edge\", \"delete_edge\"".to_string(),
-            }),
+            _ => Err(WireError::new(
+                &format!("{path}.op"),
+                "one of \"upsert_entity\", \"upsert_edge\", \"delete_edge\"",
+            )),
         }
     }
 
     fn to_json(&self) -> Value {
-        let mut map = serde_json::Map::new();
+        let string = |s: &str| Value::String(s.to_string());
         match self {
-            WriteOp::UpsertEntity { name, types } => {
-                map.insert("op".to_string(), Value::String("upsert_entity".to_string()));
-                map.insert("name".to_string(), Value::String(name.clone()));
-                map.insert(
-                    "types".to_string(),
-                    Value::Array(types.iter().map(|t| Value::String(t.clone())).collect()),
-                );
-            }
+            WriteOp::UpsertEntity { name, types } => object(vec![
+                ("op", string("upsert_entity")),
+                ("name", string(name)),
+                (
+                    "types",
+                    Value::Array(types.iter().map(|t| string(t)).collect()),
+                ),
+            ]),
             WriteOp::UpsertEdge {
                 subject,
                 predicate,
-                object,
+                object: target,
             }
             | WriteOp::DeleteEdge {
                 subject,
                 predicate,
-                object,
+                object: target,
             } => {
                 let op = if matches!(self, WriteOp::UpsertEdge { .. }) {
                     "upsert_edge"
                 } else {
                     "delete_edge"
                 };
-                map.insert("op".to_string(), Value::String(op.to_string()));
-                map.insert("subject".to_string(), Value::String(subject.clone()));
-                map.insert("predicate".to_string(), Value::String(predicate.clone()));
-                map.insert("object".to_string(), Value::String(object.clone()));
+                object(vec![
+                    ("op", string(op)),
+                    ("subject", string(subject)),
+                    ("predicate", string(predicate)),
+                    ("object", string(target)),
+                ])
             }
         }
-        Value::Object(map)
     }
 }
 
@@ -459,48 +345,32 @@ impl WriteRequest {
     pub fn from_json(value: &Value) -> Result<Self, WireError> {
         if let Some(tag) = value.get("v") {
             if tag.as_f64() != Some(WIRE_VERSION as f64) {
-                return Err(WireError {
-                    path: "write.v".to_string(),
-                    expected: format!("supported wire version {WIRE_VERSION}"),
-                });
+                let expected = format!("supported wire version {WIRE_VERSION}");
+                return Err(WireError::new("write.v", expected));
             }
         }
-        let ops = match value.get("ops") {
-            Some(Value::Array(items)) => items
-                .iter()
-                .enumerate()
-                .map(|(i, v)| WriteOp::from_json(v, i))
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => {
-                return Err(WireError {
-                    path: "write.ops".to_string(),
-                    expected: "an array of write ops".to_string(),
-                })
-            }
-        };
-        let compact = match value.get("compact") {
-            None | Some(Value::Null) => false,
-            Some(Value::Bool(b)) => *b,
-            Some(_) => {
-                return Err(WireError {
-                    path: "write.compact".to_string(),
-                    expected: "a boolean".to_string(),
-                })
-            }
-        };
-        Ok(Self { ops, compact })
+        let ops = as_array(get_field(value, "write", "ops")?, "write.ops")?
+            .iter()
+            .enumerate()
+            .map(|(i, v)| WriteOp::from_json(v, i))
+            .collect::<Result<Vec<_>, _>>()?;
+        let compact = present(value, "compact").map(|v| as_bool(v, "write.compact"));
+        Ok(Self {
+            ops,
+            compact: compact.transpose()?.unwrap_or(false),
+        })
     }
 
     /// Encodes the wire shape accepted by [`Self::from_json`].
     pub fn to_json(&self) -> Value {
-        let mut map = serde_json::Map::new();
-        map.insert("v".to_string(), Value::Number(WIRE_VERSION as f64));
-        map.insert(
-            "ops".to_string(),
-            Value::Array(self.ops.iter().map(WriteOp::to_json).collect()),
-        );
-        map.insert("compact".to_string(), Value::Bool(self.compact));
-        Value::Object(map)
+        object(vec![
+            ("v", Value::Number(WIRE_VERSION as f64)),
+            (
+                "ops",
+                Value::Array(self.ops.iter().map(WriteOp::to_json).collect()),
+            ),
+            ("compact", Value::Bool(self.compact)),
+        ])
     }
 }
 
@@ -531,27 +401,16 @@ impl WriteOutcome {
     /// "delta_ops": .., "evicted_answers": .., "evicted_samplers": ..,
     /// "epoch": ..}`.
     pub fn to_json(&self) -> Value {
-        let mut map = serde_json::Map::new();
-        map.insert("applied".to_string(), Value::Number(self.applied as f64));
-        map.insert(
-            "edges_deleted".to_string(),
-            Value::Number(self.edges_deleted as f64),
-        );
-        map.insert("compacted".to_string(), Value::Bool(self.compacted));
-        map.insert(
-            "delta_ops".to_string(),
-            Value::Number(self.delta_ops as f64),
-        );
-        map.insert(
-            "evicted_answers".to_string(),
-            Value::Number(self.evicted_answers as f64),
-        );
-        map.insert(
-            "evicted_samplers".to_string(),
-            Value::Number(self.evicted_samplers as f64),
-        );
-        map.insert("epoch".to_string(), Value::Number(self.epoch as f64));
-        Value::Object(map)
+        let count = |n: usize| Value::Number(n as f64);
+        object(vec![
+            ("applied", count(self.applied)),
+            ("edges_deleted", count(self.edges_deleted)),
+            ("compacted", Value::Bool(self.compacted)),
+            ("delta_ops", count(self.delta_ops)),
+            ("evicted_answers", count(self.evicted_answers)),
+            ("evicted_samplers", count(self.evicted_samplers)),
+            ("epoch", Value::Number(self.epoch as f64)),
+        ])
     }
 }
 
@@ -617,32 +476,31 @@ impl ServiceAnswer {
     /// achieved bound encodes as `null`; `trace` is omitted unless the
     /// request opted in.
     pub fn to_json(&self) -> Value {
-        let mut map = serde_json::Map::new();
-        map.insert("answer".to_string(), self.answer.to_json());
-        map.insert(
-            "served_from".to_string(),
-            Value::String(self.served_from.name().to_string()),
-        );
-        map.insert("queue_ms".to_string(), Value::Number(self.queue_ms));
-        map.insert("total_ms".to_string(), Value::Number(self.total_ms));
-        map.insert(
-            "achieved_error_bound".to_string(),
-            if self.achieved_error_bound.is_finite() {
-                Value::Number(self.achieved_error_bound)
-            } else {
-                Value::Null
-            },
-        );
-        map.insert("deadline_hit".to_string(), Value::Bool(self.deadline_hit));
-        map.insert("tenant".to_string(), Value::String(self.tenant.clone()));
-        map.insert(
-            "request_id".to_string(),
-            Value::String(self.request_id.clone()),
-        );
+        let achieved = self.achieved_error_bound;
+        let mut fields = vec![
+            ("answer", self.answer.to_json()),
+            (
+                "served_from",
+                Value::String(self.served_from.name().to_string()),
+            ),
+            ("queue_ms", Value::Number(self.queue_ms)),
+            ("total_ms", Value::Number(self.total_ms)),
+            (
+                "achieved_error_bound",
+                if achieved.is_finite() {
+                    Value::Number(achieved)
+                } else {
+                    Value::Null
+                },
+            ),
+            ("deadline_hit", Value::Bool(self.deadline_hit)),
+            ("tenant", Value::String(self.tenant.clone())),
+            ("request_id", Value::String(self.request_id.clone())),
+        ];
         if let Some(trace) = &self.trace {
-            map.insert("trace".to_string(), trace.clone());
+            fields.push(("trace", trace.clone()));
         }
-        Value::Object(map)
+        object(fields)
     }
 }
 
@@ -732,13 +590,13 @@ impl ServiceError {
     /// Encodes as `{"error": {"code": .., "kind": .., "message": ..}}`
     /// (`kind` duplicates `code` for v1 clients).
     pub fn to_json(&self) -> Value {
-        let mut inner = serde_json::Map::new();
-        inner.insert("code".to_string(), Value::String(self.code().to_string()));
-        inner.insert("kind".to_string(), Value::String(self.code().to_string()));
-        inner.insert("message".to_string(), Value::String(self.to_string()));
-        let mut map = serde_json::Map::new();
-        map.insert("error".to_string(), Value::Object(inner));
-        Value::Object(map)
+        let code = Value::String(self.code().to_string());
+        let error = object(vec![
+            ("code", code.clone()),
+            ("kind", code),
+            ("message", Value::String(self.to_string())),
+        ]);
+        object(vec![("error", error)])
     }
 }
 
@@ -800,6 +658,16 @@ mod tests {
         )
     }
 
+    /// The legacy flat (v1) body of `r`, as an old client sends it.
+    fn flat_body(r: &QueryRequest) -> Value {
+        let query = serde_json::to_string(&r.query.to_json()).unwrap();
+        let (error_bound, confidence) = (r.error_bound, r.confidence);
+        let text = format!(
+            r#"{{"query": {query}, "error_bound": {error_bound}, "confidence": {confidence}}}"#
+        );
+        serde_json::from_str(&text).unwrap()
+    }
+
     #[test]
     fn v2_request_round_trips() {
         let r = request()
@@ -837,12 +705,24 @@ mod tests {
         }
         let err = QueryRequest::from_json(&json, (0.01, 0.9)).unwrap_err();
         assert_eq!(err.path, "request.trace");
+
+        // A flat body is decoded as its v2 upgrade, so a malformed flat
+        // target names the nested path.
+        let mut json = flat_body(&request());
+        if let Value::Object(map) = &mut json {
+            map.insert(
+                "error_bound".to_string(),
+                Value::String("tight".to_string()),
+            );
+        }
+        let err = QueryRequest::from_json(&json, (0.01, 0.9)).unwrap_err();
+        assert_eq!(err.path, "request.targets.error_bound");
     }
 
     #[test]
     fn v1_request_round_trips_and_canonicalises() {
         let r = request();
-        let back = QueryRequest::from_json(&r.to_json_v1(), (0.01, 0.9)).unwrap();
+        let back = QueryRequest::from_json(&flat_body(&r), (0.01, 0.9)).unwrap();
         assert_eq!(back.query, r.query);
         assert_eq!(back.error_bound, 0.05);
         assert_eq!(back.confidence, 0.95);
@@ -853,7 +733,7 @@ mod tests {
     #[test]
     fn absent_targets_use_defaults() {
         // v1: flat fields removed.
-        let mut json = request().to_json_v1();
+        let mut json = flat_body(&request());
         if let Value::Object(map) = &mut json {
             map.remove("error_bound");
             map.remove("confidence");
@@ -885,7 +765,7 @@ mod tests {
         assert_eq!(v2["deadline_ms"].as_f64(), Some(75.0));
         assert_eq!(v2["tenant"].as_str(), Some("acme"));
 
-        let v1 = r.to_json_v1();
+        let v1 = flat_body(&r);
         assert!(v1.get("v").is_none(), "v1 bodies carry no version tag");
         assert!(matches!(v1.get("query"), Some(Value::Object(_))));
         assert_eq!(v1["error_bound"].as_f64(), Some(0.05));
@@ -897,7 +777,7 @@ mod tests {
     #[test]
     fn both_wire_shapes_canonicalise_to_the_same_cache_key() {
         let r = request();
-        let from_v1 = QueryRequest::from_json(&r.to_json_v1(), (0.05, 0.95)).unwrap();
+        let from_v1 = QueryRequest::from_json(&flat_body(&r), (0.05, 0.95)).unwrap();
         let from_v2 = QueryRequest::from_json(&r.to_json(), (0.05, 0.95)).unwrap();
         assert_eq!(
             from_v1.query.canonical_key(),
@@ -906,7 +786,7 @@ mod tests {
         );
         // Deadline and tenant are scheduling metadata, not identity: they
         // must not perturb the key either.
-        let scheduled = QueryRequest::from_json(&r.to_json_v1(), (0.05, 0.95))
+        let scheduled = QueryRequest::from_json(&flat_body(&r), (0.05, 0.95))
             .unwrap()
             .with_deadline_ms(10.0)
             .with_tenant("acme")

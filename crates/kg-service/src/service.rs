@@ -21,7 +21,7 @@ use kg_core::{KgError, KgResult};
 use kg_embed::{PredicateSimilarity, PredicateVectorStore};
 use kg_estimate::achieved_error_bound;
 use kg_query::{AggregateQuery, QueryFootprint};
-use kg_sampling::{write_bundle, CacheStats, SamplerCache, ShardSamplerCache};
+use kg_sampling::{write_bundle, CacheStats, SamplerCache};
 use kg_telemetry::{Histogram, HistogramSnapshot, MetricFamily, MetricKind};
 use serde_json::{Map, Value};
 use std::collections::{BTreeMap, VecDeque};
@@ -40,9 +40,6 @@ struct EngineState {
     /// Prepared samplers shared across the service lifetime (one entry per
     /// distinct simple component ever planned against this graph).
     samplers: Arc<SamplerCache>,
-    /// Per-(component, shard) restrictions of prepared samplers, recreated
-    /// with the sampler cache on every swap.
-    shard_samplers: Arc<ShardSamplerCache>,
 }
 
 /// Where and how compaction writes snapshots once
@@ -765,14 +762,17 @@ impl Service {
                 policy,
             ))
         });
+        let batch = match &remote {
+            Some(fleet) => BatchEngine::remote(config.engine.clone(), Arc::clone(fleet)),
+            None => BatchEngine::new(config.engine.clone()),
+        };
         let inner = Arc::new(Inner {
-            batch: BatchEngine::new(config.engine.clone()),
+            batch,
             config,
             state: Mutex::new(EngineState {
                 sharded,
                 similarity,
                 samplers,
-                shard_samplers: Arc::new(ShardSamplerCache::new()),
             }),
             sched: Mutex::new(sched),
             available: Condvar::new(),
@@ -922,7 +922,7 @@ impl Service {
 
     /// Atomically replaces the graph (and its similarity provider): the
     /// graph is re-partitioned into `config.shards` shards, the sampler
-    /// caches are recreated and the result cache invalidated by generation
+    /// cache is recreated and the result cache invalidated by generation
     /// — exactly as for an unsharded swap — so no answer computed against
     /// the old graph can be served afterwards. Requests already checked out
     /// by a worker still complete against the graph they started with.
@@ -935,7 +935,6 @@ impl Service {
             self.inner.config.engine.strategy,
             self.inner.config.engine.sampler_config(),
         ));
-        state.shard_samplers = Arc::new(ShardSamplerCache::new());
         self.inner.cache.invalidate();
     }
 
@@ -947,7 +946,6 @@ impl Service {
             self.inner.config.engine.strategy,
             self.inner.config.engine.sampler_config(),
         ));
-        state.shard_samplers = Arc::new(ShardSamplerCache::new());
         self.inner.cache.invalidate();
     }
 
@@ -1047,7 +1045,6 @@ impl Service {
         }
         let mut state = self.inner.state.lock().unwrap();
         state.samplers = Arc::new(samplers);
-        state.shard_samplers = Arc::new(ShardSamplerCache::new());
         Ok(())
     }
 
@@ -1147,9 +1144,7 @@ impl Service {
             };
             // Resolve the footprint names against the post-write graph (new
             // names intern during application) and evict only the prepared
-            // samplers whose key touches them; per-shard restrictions are
-            // rebuilt wholesale — they are cheap derived views and the
-            // shard layout may have changed.
+            // samplers whose key touches them.
             let touched_predicates: Vec<PredicateId> = footprint
                 .predicates
                 .iter()
@@ -1170,7 +1165,6 @@ impl Service {
                 &touched_types,
                 &touched_entities,
             );
-            state.shard_samplers = Arc::new(ShardSamplerCache::new());
             state.sharded = Arc::new(sharded);
             // Still under the state lock: a worker snapshotting (sharded,
             // write_seq) can never pair the new graph with the old seq.
@@ -1515,13 +1509,12 @@ fn handle_jobs(inner: &Arc<Inner>, jobs: Vec<Job>) {
     // *together*: swap_graph bumps the generation and apply_write bumps the
     // write seq under the same lock, so a worker can never pair a new graph
     // with an old stamp (or vice versa).
-    let (sharded, similarity, samplers, shard_samplers, generation, snapshot_seq) = {
+    let (sharded, similarity, samplers, generation, snapshot_seq) = {
         let state = inner.state.lock().unwrap();
         (
             Arc::clone(&state.sharded),
             Arc::clone(&state.similarity),
             Arc::clone(&state.samplers),
-            Arc::clone(&state.shard_samplers),
             inner.cache.generation(),
             inner.cache.write_seq(),
         )
@@ -1530,14 +1523,7 @@ fn handle_jobs(inner: &Arc<Inner>, jobs: Vec<Job>) {
 
     let mut tasks: BTreeMap<String, VecDeque<ActiveTask>> = BTreeMap::new();
     triage_jobs(
-        inner,
-        &sharded,
-        similarity,
-        &samplers,
-        &shard_samplers,
-        generation,
-        jobs,
-        &mut tasks,
+        inner, &sharded, similarity, &samplers, generation, jobs, &mut tasks,
     );
 
     // Round-interleaved refinement: every iteration grants ONE refinement
@@ -1558,14 +1544,7 @@ fn handle_jobs(inner: &Arc<Inner>, jobs: Vec<Job>) {
         };
         if !late.is_empty() {
             triage_jobs(
-                inner,
-                &sharded,
-                similarity,
-                &samplers,
-                &shard_samplers,
-                generation,
-                late,
-                &mut tasks,
+                inner, &sharded, similarity, &samplers, generation, late, &mut tasks,
             );
         }
 
@@ -1638,13 +1617,11 @@ fn handle_jobs(inner: &Arc<Inner>, jobs: Vec<Job>) {
 /// immediately, resumable sessions and freshly planned queries become
 /// [`ActiveTask`]s, deadline-expired misses get the one deadline→error
 /// path, and unplannable queries are rejected.
-#[allow(clippy::too_many_arguments)]
 fn triage_jobs(
     inner: &Arc<Inner>,
-    sharded: &Arc<ShardedGraph>,
+    sharded: &ShardedGraph,
     similarity: &dyn PredicateSimilarity,
     samplers: &SamplerCache,
-    shard_samplers: &ShardSamplerCache,
     generation: u64,
     jobs: Vec<Job>,
     tasks: &mut BTreeMap<String, VecDeque<ActiveTask>>,
@@ -1729,14 +1706,9 @@ fn triage_jobs(
             .collect();
         // The whole batch is planned at once; in coordinator mode the
         // sessions scatter their refinement rounds to the shard fleet.
-        let (sessions, _) = inner.batch.open_sharded_sessions_cached(
-            sharded,
-            &queries,
-            similarity,
-            samplers,
-            shard_samplers,
-            inner.remote.as_ref(),
-        );
+        let (sessions, _) = inner
+            .batch
+            .open_sessions_cached(sharded, &queries, similarity, samplers);
         for ((job, key, queue_ms), session) in fresh.into_iter().zip(sessions) {
             match session {
                 Err(e) => {

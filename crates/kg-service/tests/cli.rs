@@ -1,61 +1,70 @@
-//! `kg-serve` refuses an argument list it cannot use before it generates
-//! any data: exit status 2 and one stderr line naming the flag. A binary
-//! that boots instead would serve until killed, so every run here is
-//! bounded and killed if it outlives the bound.
+//! `kg-serve` and `kg-load` refuse an argument list they cannot use before
+//! they generate any data: exit status 2 and one stderr line naming the
+//! flag. A `kg-serve` that boots instead would serve until killed, so every
+//! run here is bounded and killed if it outlives the bound.
 
 use std::process::{Command, Output, Stdio};
 use std::thread::sleep;
 use std::time::{Duration, Instant};
 
-/// Runs `kg-serve` on an ephemeral port with `args` last, and fails the
-/// test (after killing the process) if it is still running after 10 s.
-fn run(args: &[&str]) -> Output {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_kg-serve"))
-        .args(["--addr", "127.0.0.1:0"])
+/// Runs the binary `exe` with `args`, and fails the test (after killing the
+/// process) if it is still running after 10 s.
+fn run_bin(exe: &str, args: &[&str]) -> Output {
+    let mut child = Command::new(exe)
         .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("spawn kg-serve");
+        .expect("spawn");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while child.try_wait().expect("poll kg-serve").is_none() {
+    while child.try_wait().expect("poll").is_none() {
         if Instant::now() >= deadline {
             let _ = child.kill();
             let _ = child.wait();
-            panic!("kg-serve {args:?} was still running after 10 s");
+            panic!("{exe} {args:?} was still running after 10 s");
         }
         sleep(Duration::from_millis(20));
     }
-    child.wait_with_output().expect("collect kg-serve output")
+    child.wait_with_output().expect("collect output")
 }
 
-/// Asserts `kg-serve args` exits 2 with one stderr line that names `flag`.
-fn assert_refused(args: &[&str], flag: &str) {
-    let out = run(args);
+/// Runs `kg-serve` on an ephemeral port with `args` last.
+fn run(args: &[&str]) -> Output {
+    let args = [&["--addr", "127.0.0.1:0"], args].concat();
+    run_bin(env!("CARGO_BIN_EXE_kg-serve"), &args)
+}
+
+/// Runs `kg-load` with `args`.
+fn load(args: &[&str]) -> Output {
+    run_bin(env!("CARGO_BIN_EXE_kg-load"), args)
+}
+
+/// Asserts `out` is an exit 2 with one stderr line that names `flag`.
+fn assert_refused(out: Output, flag: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
-    assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
-    assert!(stderr.contains(flag), "{args:?}: stderr {stderr:?}");
+    assert_eq!(out.status.code(), Some(2), "stderr {stderr:?}");
+    assert_eq!(stderr.lines().count(), 1, "stderr {stderr:?}");
+    assert!(stderr.contains(flag), "stderr {stderr:?}");
 }
 
 #[test]
 fn unparsable_value_is_refused() {
-    assert_refused(&["--workers", "four"], "--workers");
+    assert_refused(run(&["--workers", "four"]), "--workers");
 }
 
 #[test]
 fn retired_shard_codec_flag_is_refused() {
-    assert_refused(&["--shard-codec", "json"], "--shard-codec");
+    assert_refused(run(&["--shard-codec", "json"]), "--shard-codec");
 }
 
 #[test]
 fn misspelt_flag_is_refused() {
-    assert_refused(&["--wrkers", "2"], "--wrkers");
+    assert_refused(run(&["--wrkers", "2"]), "--wrkers");
 }
 
 #[test]
 fn flag_without_value_is_refused() {
-    assert_refused(&["--seed"], "--seed");
+    assert_refused(run(&["--seed"]), "--seed");
 }
 
 #[test]
@@ -63,4 +72,22 @@ fn help_still_exits_0() {
     let out = run(&["--help"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: kg-serve"));
+}
+
+#[test]
+fn load_refuses_an_unparsable_gate() {
+    assert_refused(load(&["--min-ok-rate", "0,9"]), "--min-ok-rate");
+}
+
+#[test]
+fn load_refuses_a_trailing_flag_without_value() {
+    assert_refused(load(&["--max-degraded"]), "--max-degraded");
+}
+
+#[test]
+fn load_trace_takes_no_value() {
+    let out = load(&["--trace", "--addr", "127.0.0.1:1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr {stderr:?}");
+    assert!(stderr.contains("request failed"), "stderr {stderr:?}");
 }

@@ -90,6 +90,7 @@ fn truncated_answers_match_a_round_capped_engine_bitwise() {
         });
         let reference = capped
             .execute(&d.graph, &[count_query("Germany")], &d.oracle)
+            .0
             .remove(0)
             .unwrap();
         // The reference must also have been truncated by the cap (same

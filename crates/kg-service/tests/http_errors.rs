@@ -157,11 +157,9 @@ fn unknown_routes_and_bad_targets() {
     assert_eq!(parsed["error"]["code"].as_str(), Some("invalid_targets"));
 
     // …and in the legacy v1 flat shape.
-    let mut json = QueryRequest::new(count_query(), 0.05, 0.95).to_json_v1();
-    if let Value::Object(map) = &mut json {
-        map.insert("error_bound".to_string(), Value::Number(-0.5));
-    }
-    let (status, parsed) = post_query(addr, &serde_json::to_string(&json).unwrap());
+    let query = serde_json::to_string(&count_query().to_json()).unwrap();
+    let json = format!(r#"{{"query": {query}, "error_bound": -0.5, "confidence": 0.95}}"#);
+    let (status, parsed) = post_query(addr, &json);
     assert_eq!(status, 400, "{parsed}");
     assert_eq!(parsed["error"]["code"].as_str(), Some("invalid_targets"));
 

@@ -63,7 +63,9 @@ fn cache_miss_answers_are_identical_to_direct_batch_execution() {
     let queries = workload();
     let config = engine_config();
 
-    let direct = BatchEngine::new(config.clone()).execute(&d.graph, &queries, &d.oracle);
+    let direct = BatchEngine::new(config.clone())
+        .execute(&d.graph, &queries, &d.oracle)
+        .0;
 
     let svc = service(2, 64, &d);
     let pending: Vec<_> = queries

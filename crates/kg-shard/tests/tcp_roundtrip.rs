@@ -57,7 +57,7 @@ fn tcp_fleet_round_trips_and_matches_in_process_execution() {
         SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
         AggregateFunction::Count,
     );
-    let reference = engine.execute_sharded(&sharded, &query, &d.oracle).unwrap();
+    let reference = engine.execute(&*sharded, &query, &d.oracle).unwrap();
 
     let fleet = Arc::new(ShardFleet::new(
         Arc::new(TcpTransport),
@@ -70,8 +70,8 @@ fn tcp_fleet_round_trips_and_matches_in_process_execution() {
             config_fingerprint(engine.config()),
         )
         .unwrap();
-    let mut session = engine
-        .open_remote_session(&sharded, &query, &d.oracle, Arc::clone(&fleet))
+    let mut session = AqpEngine::remote(engine.config().clone(), Arc::clone(&fleet))
+        .open_session(&*sharded, &query, &d.oracle)
         .unwrap();
     let answer = session.refine_to(&sharded, &d.oracle, 0.05);
     assert!(!answer.is_degraded());
