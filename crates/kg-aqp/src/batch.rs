@@ -313,6 +313,7 @@ mod tests {
         let d = dataset();
         let config = EngineConfig {
             error_bound: 0.05,
+            enumerate: false,
             ..EngineConfig::default()
         };
         let queries = workload();
@@ -501,7 +502,10 @@ mod tests {
     fn batched_sessions_support_interactive_refinement() {
         let d = dataset();
         let queries = workload();
-        let batch = BatchEngine::new(EngineConfig::default());
+        let batch = BatchEngine::new(EngineConfig {
+            enumerate: false,
+            ..EngineConfig::default()
+        });
         let cache = batch.fresh_cache();
         let (sessions, _) = batch.open_sessions_cached(&d.graph, &queries, &d.oracle, &cache);
         assert_eq!(sessions.len(), queries.len());

@@ -107,6 +107,16 @@ pub(crate) struct QueryPlan {
     pub(crate) plan_ms: f64,
 }
 
+impl QueryPlan {
+    /// Whether every component is single-edge, so that one validation
+    /// table decides each candidate of each component: the plans
+    /// [`EngineConfig::enumerate`] answers exactly.
+    pub(crate) fn single_edge(&self) -> bool {
+        let simple = |c: &ComponentPlan| matches!(c.validator, ComponentValidator::Simple(_));
+        self.components.iter().all(simple)
+    }
+}
+
 /// The approximate aggregate query engine.
 #[derive(Clone)]
 pub struct AqpEngine {
@@ -429,6 +439,7 @@ mod tests {
         let d = dataset();
         let engine = AqpEngine::new(EngineConfig {
             error_bound: 0.05,
+            enumerate: false,
             ..EngineConfig::default()
         });
         let query = AggregateQuery::simple(

@@ -19,20 +19,30 @@
 //! allocation's draws happen (here, or on the shard server), and which graph
 //! a stratum reads attributes from (`GraphView`). Everything else —
 //! allocation, termination, tracing, timings, the answer — is shared.
+//!
+//! **The exact outcome.** When [`EngineConfig::enumerate`] is set and every
+//! component of the plan is single-edge, the session decides at
+//! construction, for every executor alike, not to sample: its one round
+//! evaluates the plan's estimand over every candidate (margin of error 0, no
+//! draws, no shard call — the coordinator plans on its own full copy of the
+//! graph), and every later round returns that round again.
 
 use crate::config::EngineConfig;
 use crate::engine::{AqpEngine, QueryPlan};
 use crate::remote::session::RemoteStrata;
 use crate::result::{QueryAnswer, RoundTrace, StepTimings};
 use crate::sharded::ShardedStats;
-use crate::stratum::{ms_since, shard_sampler, GraphHandle, GraphView, Stratum, StratumMass};
-use kg_core::{KgResult, KnowledgeGraph, ShardedGraph};
+use crate::stratum::{
+    ms_since, shard_sampler, validate_entity, validation_config, GraphHandle, GraphView, Stratum,
+    StratumMass,
+};
+use kg_core::{EntityId, KgResult, KnowledgeGraph, ShardedGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{
     additional_sample_size, allocate_proportional, blb_moe, combine_point_terms, estimate,
     merge_strata, neutral_point_terms, satisfies_error_bound, MergedEstimate, StratumEstimate,
 };
-use kg_query::{AggregateQuery, ResolvedAggregate};
+use kg_query::{group_values, matches_all, AggregateQuery, ResolvedAggregate};
 use kg_sampling::{BucketTerm, SamplerCache, StratumReport};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -154,6 +164,25 @@ fn next_allocation(
     Ok(allocation)
 }
 
+/// The answers the plan's estimand counts: every candidate of its
+/// distribution, in entity order, that validates — exactly as a sampled
+/// round validates its draws, so a chain goes through its hop tables — and
+/// passes the filters.
+pub(crate) fn estimand_answers<S: PredicateSimilarity + ?Sized>(
+    plan: &QueryPlan,
+    config: &EngineConfig,
+    graph: &KnowledgeGraph,
+    similarity: &S,
+) -> Vec<EntityId> {
+    let (validate, validation) = (config.validate, validation_config(config));
+    let counts = |entity: EntityId| {
+        let (correct, _) = validate_entity(plan, validate, &validation, graph, similarity, entity);
+        correct && matches_all(graph, entity, &plan.filters)
+    };
+    let candidates = plan.distribution.iter().map(|(entity, _)| *entity);
+    candidates.filter(|&entity| counts(entity)).collect()
+}
+
 fn joined(values: &[usize]) -> String {
     let strings: Vec<String> = values.iter().map(usize::to_string).collect();
     strings.join(",")
@@ -263,6 +292,11 @@ pub struct Session<G: ?Sized> {
     guarantee_met: bool,
     /// Milliseconds spent merging per-stratum estimates so far.
     merge_ms: f64,
+    /// Whether the plan is answered exactly instead of sampled (the exact
+    /// outcome of the [module docs](self)); fixed at construction.
+    enumerated: bool,
+    /// The exact answer's GROUP-BY buckets, once its round has run.
+    exact_groups: BTreeMap<i64, f64>,
     graph: PhantomData<fn(&G)>,
 }
 
@@ -283,6 +317,7 @@ impl<G: GraphHandle + ?Sized> Session<G> {
         };
         Self {
             masses: strata.masses(&plan),
+            enumerated: config.enumerate && plan.single_edge(),
             config,
             plan,
             strata,
@@ -290,8 +325,15 @@ impl<G: GraphHandle + ?Sized> Session<G> {
             rounds: Vec::new(),
             guarantee_met: false,
             merge_ms: 0.0,
+            exact_groups: BTreeMap::new(),
             graph: PhantomData,
         }
+    }
+
+    /// Whether this session answers exactly, by enumerating the plan's
+    /// candidates, instead of sampling ([`EngineConfig::enumerate`]).
+    pub fn is_exact(&self) -> bool {
+        self.enumerated
     }
 
     /// Number of candidate answers the plan found.
@@ -442,6 +484,52 @@ impl<G: GraphHandle + ?Sized> Session<G> {
         Some((merged, merge_ms))
     }
 
+    /// The exact outcome's one round: the aggregate (and any GROUP-BY,
+    /// bucketed as [`group_values`] buckets SSB's answers) applied exactly
+    /// over the plan's [`estimand_answers`].
+    fn exact_round<S: PredicateSimilarity + ?Sized>(
+        &mut self,
+        graph: &KnowledgeGraph,
+        similarity: &S,
+    ) -> RoundTrace {
+        let start = Instant::now();
+        let plan = &self.plan;
+        let answers = estimand_answers(plan, &self.config, graph, similarity);
+        if let Some((attr, width)) = plan.group_by {
+            self.exact_groups = group_values(graph, &plan.aggregate, &answers, attr, width);
+        }
+        let estimate = plan.aggregate.apply_exact(graph, &answers);
+        self.timings.estimation_ms += ms_since(start);
+        RoundTrace {
+            round: 1,
+            estimate,
+            moe: 0.0,
+            sample_size: 0,
+            correct_size: answers.len(),
+        }
+    }
+
+    /// Appends a finished round to the trace and emits its `aqp.round`
+    /// point.
+    fn record(&mut self, round: RoundTrace, merge_ms: f64) {
+        self.rounds.push(round);
+        if kg_telemetry::enabled() {
+            let mut fields = vec![
+                ("round", round.round.into()),
+                ("estimate", round.estimate.into()),
+                ("moe", round.moe.into()),
+                ("sample_size", round.sample_size.into()),
+                ("correct_size", round.correct_size.into()),
+                ("shards", self.strata.len().into()),
+                ("merge_ms", merge_ms.into()),
+            ];
+            if !self.strata.missing().is_empty() {
+                fields.push(("missing", joined(self.strata.missing()).into()));
+            }
+            kg_telemetry::point("aqp.round", &fields);
+        }
+    }
+
     /// Runs exactly one round of the sampling–estimation loop: allocate the
     /// initial sample if nothing has been drawn yet, validate, estimate,
     /// compute the interval, record a [`RoundTrace`], and (unless done)
@@ -451,7 +539,8 @@ impl<G: GraphHandle + ?Sized> Session<G> {
     /// iterations is operation-for-operation (and RNG draw for RNG draw)
     /// one [`Self::refine_with`] call, so a driver that stops early (a
     /// deadline scheduler) observes exactly the estimates a full refinement
-    /// would have produced at the same round boundary.
+    /// would have produced at the same round boundary. An exact session's
+    /// first call runs its one round; every call is `Satisfied`.
     pub fn step_with<S: PredicateSimilarity + ?Sized>(
         &mut self,
         graph: &G,
@@ -460,6 +549,14 @@ impl<G: GraphHandle + ?Sized> Session<G> {
         confidence: f64,
     ) -> RoundOutcome {
         self.config.confidence = confidence;
+        if self.enumerated {
+            if self.rounds.is_empty() {
+                let round = self.exact_round(graph.view().global(), similarity);
+                self.record(round, 0.0);
+            }
+            self.guarantee_met = true;
+            return RoundOutcome::Satisfied;
+        }
         if self.sample_size() == 0 {
             let initial = self.config.initial_sample_size(self.plan.candidate_count);
             let allocation = allocate_draws(initial, &self.masses, None);
@@ -475,22 +572,7 @@ impl<G: GraphHandle + ?Sized> Session<G> {
                     sample_size: interval.sample_size,
                     correct_size: interval.correct,
                 };
-                self.rounds.push(round);
-                if kg_telemetry::enabled() {
-                    let mut fields = vec![
-                        ("round", round.round.into()),
-                        ("estimate", round.estimate.into()),
-                        ("moe", round.moe.into()),
-                        ("sample_size", round.sample_size.into()),
-                        ("correct_size", round.correct_size.into()),
-                        ("shards", self.strata.len().into()),
-                        ("merge_ms", merge_ms.into()),
-                    ];
-                    if !self.strata.missing().is_empty() {
-                        fields.push(("missing", joined(self.strata.missing()).into()));
-                    }
-                    kg_telemetry::point("aqp.round", &fields);
-                }
+                self.record(round, merge_ms);
                 let next = next_allocation(
                     &self.config,
                     &round,
@@ -611,6 +693,7 @@ impl<G: GraphHandle + ?Sized> Session<G> {
         let (plan, aggregate) = (&self.plan, &self.plan.aggregate);
         let mut missing_shards = self.strata.missing().to_vec();
         let groups = match &self.strata {
+            _ if self.enumerated => self.exact_groups.clone(),
             // Per bucket as for the top-level answer: Eq. 7–9 over the one
             // stratum.
             Strata::Whole(stratum) => stratum
@@ -699,7 +782,10 @@ mod tests {
     #[test]
     fn interactive_refinement_reuses_the_sample() {
         let d = dataset();
-        let engine = AqpEngine::new(EngineConfig::default());
+        let engine = AqpEngine::new(EngineConfig {
+            enumerate: false,
+            ..EngineConfig::default()
+        });
         let query = AggregateQuery::simple(
             SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
             AggregateFunction::Count,
@@ -720,7 +806,10 @@ mod tests {
     #[test]
     fn refine_with_overrides_the_confidence_level() {
         let d = dataset();
-        let engine = AqpEngine::new(EngineConfig::default());
+        let engine = AqpEngine::new(EngineConfig {
+            enumerate: false,
+            ..EngineConfig::default()
+        });
         let query = AggregateQuery::simple(
             SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
             AggregateFunction::Count,
@@ -945,7 +1034,10 @@ mod tests {
             &DegreeBalancedPartitioner,
             1,
         ));
-        let config = EngineConfig::default();
+        let config = EngineConfig {
+            enumerate: false,
+            ..EngineConfig::default()
+        };
         let de = SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]);
         let queries = [
             AggregateQuery::simple(de.clone(), AggregateFunction::Count),
@@ -1011,7 +1103,10 @@ mod tests {
             AggregateFunction::Count,
         );
         let unreachable_bound = 1e-9;
-        let tiny = EngineConfig::default;
+        let tiny = || EngineConfig {
+            enumerate: false,
+            ..EngineConfig::default()
+        };
         let cases = [
             (
                 "empty distribution",
@@ -1074,5 +1169,72 @@ mod tests {
                 assert!(answer.sample_size <= config.max_sample_size, "{case}");
             }
         }
+    }
+
+    /// The plan's estimand, enumerated whatever its shape (a chain through
+    /// its hop tables): the value the sampled answer is an estimator of.
+    fn estimand(
+        engine: &AqpEngine,
+        graph: &KnowledgeGraph,
+        query: &AggregateQuery,
+        similarity: &kg_embed::PredicateVectorStore,
+    ) -> f64 {
+        let plan = engine
+            .plan_with_cache(graph, query, similarity, None)
+            .unwrap();
+        let answers = estimand_answers(&plan, engine.config(), graph, similarity);
+        plan.aggregate.apply_exact(graph, &answers)
+    }
+
+    /// Estimand against τ-GT for every query of the benchmark's workload:
+    /// `dbpedia_like` at `kg-ledger`'s scale and dataset seed 11, its
+    /// default workload, τ = 0.85, n = 3. Single-edge plans must match to
+    /// the bit; a chain or flower row shows its plan's bias (ROADMAP item
+    /// 1(a) holds the table). Run with
+    /// `cargo test --release -p kg-aqp --lib estimand_table -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "measurement over the benchmark's graph; prints a table"]
+    fn estimand_table() {
+        use kg_datagen::{build_workload, profiles, WorkloadConfig};
+        use kg_query::{GroundTruthConfig, QueryShape, SsbEngine};
+
+        let scale = DatasetScale {
+            targets_per_hub: 100,
+            intermediates_per_hub: 10,
+            noise_entities_per_domain: 150,
+            noise_edges_per_target: 1.0,
+            secondary_hub_probability: 0.35,
+            tertiary_hub_probability: 0.10,
+        };
+        let d = generate(&profiles::dbpedia_like(scale, 11));
+        let engine = AqpEngine::new(EngineConfig::default());
+        let ssb = SsbEngine::new(GroundTruthConfig {
+            tau: engine.config().tau,
+            n_bound: engine.config().n_bound,
+            ..GroundTruthConfig::default()
+        });
+        println!("query\tshape\tfunction\tcategory\testimand\ttau_gt\terror_pct");
+        let mut exact = 0;
+        for query in build_workload(&d, &WorkloadConfig::default()) {
+            let truth = ssb
+                .evaluate(&d.graph, &query.query, &d.oracle)
+                .unwrap()
+                .value;
+            let value = estimand(&engine, &d.graph, &query.query, &d.oracle);
+            let single_edge = !matches!(query.shape, QueryShape::Chain | QueryShape::Flower);
+            if single_edge {
+                assert_eq!(value.to_bits(), truth.to_bits(), "{}", query.id);
+                exact += 1;
+            }
+            println!(
+                "{}\t{}\t{}\t{}\t{value:.6e}\t{truth:.6e}\t{:+.1}",
+                query.id,
+                query.shape,
+                query.query.function.name(),
+                query.category.name(),
+                100.0 * (value - truth) / truth.abs(),
+            );
+        }
+        println!("# {exact} single-edge estimands equal τ-GT bit for bit");
     }
 }

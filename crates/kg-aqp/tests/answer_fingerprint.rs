@@ -72,6 +72,7 @@ const ERROR_BOUND: f64 = 0.05;
 fn config() -> EngineConfig {
     EngineConfig {
         error_bound: ERROR_BOUND,
+        enumerate: false,
         ..EngineConfig::default()
     }
 }

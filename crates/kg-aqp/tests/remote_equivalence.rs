@@ -64,6 +64,7 @@ fn workload() -> Vec<AggregateQuery> {
 fn config(error_bound: f64) -> EngineConfig {
     EngineConfig {
         error_bound,
+        enumerate: false,
         ..EngineConfig::default()
     }
 }

@@ -70,6 +70,7 @@ fn rig(k: usize, replica_count: usize, policy: FleetPolicy) -> Rig {
     ));
     let config = EngineConfig {
         error_bound: 0.05,
+        enumerate: false,
         ..EngineConfig::default()
     };
     let mut endpoints = HashMap::new();

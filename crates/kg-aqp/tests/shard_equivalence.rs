@@ -57,6 +57,7 @@ fn workload() -> Vec<AggregateQuery> {
 fn config(error_bound: f64) -> EngineConfig {
     EngineConfig {
         error_bound,
+        enumerate: false,
         ..EngineConfig::default()
     }
 }
@@ -187,7 +188,10 @@ fn sharded_sessions_support_interactive_refinement() {
     let d = dataset();
     let graph = Arc::new(d.graph.clone());
     let sharded = ShardedGraph::new(Arc::clone(&graph), &DegreeBalancedPartitioner, 3);
-    let engine = AqpEngine::new(EngineConfig::default());
+    let engine = AqpEngine::new(EngineConfig {
+        enumerate: false,
+        ..EngineConfig::default()
+    });
     let query = AggregateQuery::simple(
         SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
         AggregateFunction::Count,

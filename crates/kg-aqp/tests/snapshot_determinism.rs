@@ -98,6 +98,7 @@ fn snapshot_loaded_answers_are_bitwise_identical_across_k_and_threads() {
     let queries = workload();
     let batch = BatchEngine::new(EngineConfig {
         error_bound: 0.05,
+        enumerate: false,
         ..EngineConfig::default()
     });
 

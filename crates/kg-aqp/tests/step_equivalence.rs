@@ -38,6 +38,7 @@ const CONF: f64 = 0.95;
 fn config() -> EngineConfig {
     EngineConfig {
         error_bound: TIGHT_EB,
+        enumerate: false,
         ..EngineConfig::default()
     }
 }

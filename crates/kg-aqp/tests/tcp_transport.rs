@@ -153,6 +153,7 @@ fn rig(k: usize) -> Rig {
     ));
     let config = EngineConfig {
         error_bound: 0.05,
+        enumerate: false,
         ..EngineConfig::default()
     };
     let core = Arc::new(ShardServerCore::new(

@@ -63,6 +63,7 @@ fn workload() -> Vec<AggregateQuery> {
 fn engine_config() -> EngineConfig {
     EngineConfig {
         error_bound: 0.05,
+        enumerate: false,
         ..EngineConfig::default()
     }
 }

@@ -60,7 +60,10 @@ fn session_mid_refinement_is_unperturbed_by_an_unrelated_write() {
             (graph.predicate_id("product").unwrap(), 0, 1.0),
             (graph.predicate_id("builds").unwrap(), 1, 1.0),
         ]);
-        let engine = AqpEngine::new(EngineConfig::default());
+        let engine = AqpEngine::new(EngineConfig {
+            enumerate: false,
+            ..EngineConfig::default()
+        });
         let view = sharded(Arc::clone(&graph), k);
 
         let step =

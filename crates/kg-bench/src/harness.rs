@@ -150,7 +150,11 @@ impl BenchContext {
             .unwrap_or(2);
         Self {
             bundles,
-            engine_config: EngineConfig::default(),
+            // The tables reproduce Algorithm 2, so no plan is enumerated.
+            engine_config: EngineConfig {
+                enumerate: false,
+                ..EngineConfig::default()
+            },
             queries_per_cell,
         }
     }

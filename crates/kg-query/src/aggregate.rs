@@ -92,24 +92,22 @@ impl ResolvedAggregate {
     }
 
     /// Applies the aggregate exactly over a set of answers (used by SSB, the
-    /// baselines, and ground-truth computation). Returns 0.0 for an empty
-    /// input on COUNT/SUM and `None`-like 0.0 for AVG/MAX/MIN (the paper's
-    /// queries always have non-empty answers).
+    /// baselines, ground-truth computation and the engine's exact answers).
+    /// Returns 0.0 when no answer has a value, for every aggregate — the
+    /// estimators' convention for a sample nothing contributes to (the
+    /// paper's queries always have non-empty answers).
     pub fn apply_exact(&self, graph: &KnowledgeGraph, answers: &[EntityId]) -> f64 {
         let values: Vec<f64> = answers
             .iter()
             .filter_map(|&a| self.value_of(graph, a))
             .collect();
+        if values.is_empty() {
+            return 0.0;
+        }
         match self.function {
             AggregateFunction::Count => values.len() as f64,
             AggregateFunction::Sum(_) => values.iter().sum(),
-            AggregateFunction::Avg(_) => {
-                if values.is_empty() {
-                    0.0
-                } else {
-                    values.iter().sum::<f64>() / values.len() as f64
-                }
-            }
+            AggregateFunction::Avg(_) => values.iter().sum::<f64>() / values.len() as f64,
             AggregateFunction::Max(_) => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
             AggregateFunction::Min(_) => values.iter().copied().fold(f64::INFINITY, f64::min),
         }
@@ -353,6 +351,14 @@ mod tests {
         assert_eq!(max.apply_exact(&g, &answers), 80_000.0);
         let min = AggregateFunction::Min("price".into()).resolve(&g).unwrap();
         assert_eq!(min.apply_exact(&g, &answers), 40_000.0);
+        // Nothing to aggregate is 0 (not ±∞, not -0) for every function.
+        let germany = [g.entity_by_name("Germany").unwrap()];
+        for aggregate in [&sum, &avg, &max, &min] {
+            for empty in [&[][..], &germany[..]] {
+                assert_eq!(aggregate.apply_exact(&g, empty).to_bits(), 0);
+            }
+        }
+        assert_eq!(count.apply_exact(&g, &[]).to_bits(), 0);
     }
 
     #[test]

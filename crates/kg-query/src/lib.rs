@@ -68,5 +68,5 @@ pub use shapes::{
     ResolvedChainQuery, ResolvedComplexQuery, ResolvedComponent,
 };
 pub use similarity::{path_similarity, predicates_similarity, PathAggregation};
-pub use ssb::{SsbEngine, SsbResult};
+pub use ssb::{group_values, SsbEngine, SsbResult};
 pub use wire::WireError;

@@ -55,6 +55,17 @@ impl std::fmt::Display for QueryShape {
     }
 }
 
+/// Parses a display name, ignoring ASCII case (`chain` is `Chain`).
+impl std::str::FromStr for QueryShape {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        let named = |shape: &QueryShape| shape.name().eq_ignore_ascii_case(name);
+        let found = Self::all().into_iter().find(named);
+        found.ok_or_else(|| format!("unknown query shape {name:?}"))
+    }
+}
+
 /// One hop of a chain query: a predicate and the types of the node it leads
 /// to. Only the types of intermediate nodes are known (Definition of `AQ_C`).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -402,5 +413,10 @@ mod tests {
         assert_eq!(QueryShape::all().len(), 5);
         assert_eq!(QueryShape::Flower.to_string(), "Flower");
         assert_eq!(QueryShape::Simple.name(), "Simple");
+        for shape in QueryShape::all() {
+            assert_eq!(shape.name().parse(), Ok(shape));
+            assert_eq!(shape.name().to_lowercase().parse(), Ok(shape));
+        }
+        assert!("triangle".parse::<QueryShape>().is_err());
     }
 }

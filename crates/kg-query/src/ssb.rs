@@ -90,7 +90,10 @@ impl SsbEngine {
     }
 }
 
-fn group_values(
+/// GROUP-BY over exact answers: `answers` bucketed by `floor(attr / width)`
+/// (answers without the attribute fall in no bucket) and the aggregate
+/// applied exactly per bucket, members in `answers` order.
+pub fn group_values(
     graph: &KnowledgeGraph,
     aggregate: &ResolvedAggregate,
     answers: &[kg_core::EntityId],

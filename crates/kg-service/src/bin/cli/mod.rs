@@ -58,11 +58,15 @@ impl<'a> Flags<'a> {
     /// The first value given for `flag`, parsed, or `default` when the flag
     /// is absent. A value that does not parse exits 2.
     pub fn get<T: FromStr>(&self, flag: &str, default: T) -> T {
-        match self.values(flag).next() {
-            None => default,
-            Some(value) => value
-                .parse()
-                .unwrap_or_else(|_| self.usage_error(&format!("{flag}: cannot parse {value:?}"))),
-        }
+        self.get_opt(flag).unwrap_or(default)
+    }
+
+    /// [`Self::get`] for a flag with no default: `None` when it is absent.
+    pub fn get_opt<T: FromStr>(&self, flag: &str) -> Option<T> {
+        let value = self.values(flag).next()?;
+        let parsed = value.parse();
+        Some(
+            parsed.unwrap_or_else(|_| self.usage_error(&format!("{flag}: cannot parse {value:?}"))),
+        )
     }
 }

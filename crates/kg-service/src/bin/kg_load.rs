@@ -4,8 +4,13 @@
 //! kg-load [--addr 127.0.0.1:7878] [--queries 1] [--concurrency 1]
 //!         [--seed 42] [--error-bound 0.05] [--confidence 0.95]
 //!         [--deadline-ms D] [--tenants a,b,c] [--min-ok-rate R] [--trace]
-//!         [--max-degraded N] [--min-degraded N]
+//!         [--max-degraded N] [--min-degraded N] [--shape NAME]
 //! ```
+//!
+//! `--shape` keeps only the workload queries of one shape (`simple`,
+//! `chain`, `star`, `cycle` or `flower`, any case) before `--queries`
+//! cycles through them. The fault-injection smoke asks chains: single-edge
+//! queries are answered exactly on the coordinator and never reach a shard.
 //!
 //! `--max-degraded` / `--min-degraded` bound how many answers across the
 //! whole run (first query included) may / must come back flagged
@@ -21,7 +26,8 @@
 //! HTTP 200 (asserting the anytime-goodput contract in CI). `--trace` sends
 //! the first query with `"trace": true` and a client request ID, then
 //! asserts the response echoes the ID and embeds a well-formed refinement
-//! trajectory with at least one round.
+//! trajectory with at least one round, each of which drew a sample or is an
+//! exact round (no draws, margin of error 0).
 //!
 //! Multi-tenant runs print a per-tenant latency breakdown under the
 //! aggregate report line.
@@ -40,6 +46,7 @@ mod cli;
 
 use cli::Flags;
 use kg_datagen::{build_workload, generate, profiles, DatasetScale, WorkloadConfig};
+use kg_query::QueryShape;
 use kg_service::{http_query, run_http, QueryRequest};
 use serde_json::Value;
 use std::time::Duration;
@@ -57,6 +64,7 @@ const FLAGS: &[&str] = &[
     "--min-ok-rate",
     "--max-degraded",
     "--min-degraded",
+    "--shape",
 ];
 
 fn main() {
@@ -66,7 +74,7 @@ fn main() {
             "usage: kg-load [--addr HOST:PORT] [--queries N] [--concurrency N] \
              [--seed N] [--error-bound EB] [--confidence C] [--deadline-ms D] \
              [--tenants A,B,..] [--min-ok-rate R] [--trace] \
-             [--max-degraded N] [--min-degraded N]"
+             [--max-degraded N] [--min-degraded N] [--shape NAME]"
         );
         return;
     }
@@ -83,6 +91,7 @@ fn main() {
     let max_degraded: i64 = flags.get("--max-degraded", -1);
     let min_degraded: usize = flags.get("--min-degraded", 0);
     let trace: bool = flags.get("--trace", false);
+    let shape: Option<QueryShape> = flags.get_opt("--shape");
     let tenants: Vec<&str> = tenants.split(',').filter(|t| !t.is_empty()).collect();
     let timeout = Duration::from_secs(120);
 
@@ -90,6 +99,7 @@ fn main() {
     let dataset = generate(&profiles::dbpedia_like(DatasetScale::tiny(), seed));
     let workload: Vec<QueryRequest> = build_workload(&dataset, &WorkloadConfig::default())
         .into_iter()
+        .filter(|q| shape.map_or(true, |shape| q.shape == shape))
         .map(|q| QueryRequest::new(q.query, error_bound, confidence))
         .collect();
     if workload.is_empty() {
@@ -166,8 +176,12 @@ fn main() {
                 && rounds.iter().enumerate().all(|(i, r)| {
                     r["round"].as_f64() == Some((i + 1) as f64)
                         && r["estimate"].as_f64().is_some()
-                        && r["moe"].as_f64().is_some()
-                        && r["sample_size"].as_f64().is_some_and(|n| n > 0.0)
+                        // A sampled round drew something; an exact round
+                        // drew nothing and has margin of error 0.
+                        && match (r["sample_size"].as_f64(), r["moe"].as_f64()) {
+                            (Some(n), Some(moe)) => n > 0.0 || (n == 0.0 && moe == 0.0),
+                            _ => false,
+                        }
                 })
         });
         if !well_formed {

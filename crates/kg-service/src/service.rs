@@ -170,6 +170,9 @@ struct MetricsInner {
     /// Completed answers served degraded (one or more shards missing) in
     /// remote-coordinator mode. Always 0 in-process.
     degraded_answers: u64,
+    /// Answers the engine computed by enumerating the plan instead of
+    /// sampling ([`kg_aqp::Session::is_exact`]).
+    exact_answers: u64,
 }
 
 impl Default for MetricsInner {
@@ -199,6 +202,7 @@ impl Default for MetricsInner {
             component_epochs: BTreeMap::new(),
             snapshot_writes: 0,
             degraded_answers: 0,
+            exact_answers: 0,
         }
     }
 }
@@ -295,6 +299,10 @@ pub struct MetricsSnapshot {
     /// Completed answers served degraded (one or more shards unreachable
     /// past the retry budget). Always 0 outside remote-coordinator mode.
     pub degraded_answers: u64,
+    /// Answers computed exactly, by enumerating the plan's candidates
+    /// instead of sampling (fresh or resumed; cache hits count under
+    /// `cache.hits` only).
+    pub exact_answers: u64,
     /// Remote-fleet RPC counters (requests, retries, hedges, failovers,
     /// ejections, …); `None` outside remote-coordinator mode.
     pub remote: Option<RemoteMetricsSnapshot>,
@@ -433,6 +441,10 @@ impl MetricsSnapshot {
         map.insert(
             "degraded_answers".into(),
             Value::Number(self.degraded_answers as f64),
+        );
+        map.insert(
+            "exact_answers".into(),
+            Value::Number(self.exact_answers as f64),
         );
         if let Some(remote) = &self.remote {
             let mut row = Map::new();
@@ -624,6 +636,13 @@ impl MetricsSnapshot {
         );
         degraded.push("", &[], self.degraded_answers as f64);
         families.push(degraded);
+        let mut exact = MetricFamily::new(
+            "kg_exact_answers_total",
+            MetricKind::Counter,
+            "Answers computed exactly by enumerating the plan instead of sampling.",
+        );
+        exact.push("", &[], self.exact_answers as f64);
+        families.push(exact);
         if let Some(remote) = &self.remote {
             let mut rpcs = MetricFamily::new(
                 "kg_remote_shard_rpcs_total",
@@ -1274,6 +1293,7 @@ impl Service {
             component_epochs,
             snapshot_writes,
             degraded_answers,
+            exact_answers,
         ) = {
             let metrics = self.inner.metrics.lock().unwrap();
             (
@@ -1299,6 +1319,7 @@ impl Service {
                 metrics.component_epochs.clone(),
                 metrics.snapshot_writes,
                 metrics.degraded_answers,
+                metrics.exact_answers,
             )
         };
         // A scrape before the first completion still reports one (zeroed)
@@ -1341,6 +1362,7 @@ impl Service {
             snapshot_load: *self.inner.snapshot_load.lock().unwrap(),
             snapshot_writes,
             degraded_answers,
+            exact_answers,
             remote: self
                 .inner
                 .remote
@@ -1752,6 +1774,9 @@ fn finalize(
 ) {
     let answer = task.session.snapshot_answer(sharded);
     record_shard_stats(inner, &task.before, &task.session.sharded_stats());
+    if task.session.is_exact() {
+        inner.metrics.lock().unwrap().exact_answers += 1;
+    }
     if answer.is_degraded() {
         // A degraded answer (one or more shard strata unreachable past their
         // retry budget) is served to its requester — flagged, widened, never

@@ -49,6 +49,7 @@ fn service() -> Service {
         ServiceConfig {
             engine: EngineConfig {
                 error_bound: 0.05,
+                enumerate: false,
                 ..EngineConfig::default()
             },
             queue_capacity: 16,

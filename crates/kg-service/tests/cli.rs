@@ -85,6 +85,19 @@ fn load_refuses_a_trailing_flag_without_value() {
 }
 
 #[test]
+fn load_refuses_an_unknown_shape() {
+    assert_refused(load(&["--shape", "triangle"]), "--shape");
+}
+
+#[test]
+fn load_accepts_a_shape_in_any_case() {
+    let out = load(&["--shape", "CHAIN", "--addr", "127.0.0.1:1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr {stderr:?}");
+    assert!(stderr.contains("request failed"), "stderr {stderr:?}");
+}
+
+#[test]
 fn load_trace_takes_no_value() {
     let out = load(&["--trace", "--addr", "127.0.0.1:1"]);
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -33,6 +33,7 @@ fn count_query(country: &str) -> AggregateQuery {
 fn engine_config() -> EngineConfig {
     EngineConfig {
         error_bound: 0.05,
+        enumerate: false,
         ..EngineConfig::default()
     }
 }

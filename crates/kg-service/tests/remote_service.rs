@@ -36,6 +36,10 @@ fn query() -> AggregateQuery {
 
 fn service_config(remote: Option<RemoteTopology>) -> ServiceConfig {
     let mut builder = ServiceConfig::builder()
+        .engine(EngineConfig {
+            enumerate: false,
+            ..EngineConfig::default()
+        })
         .error_bound(0.05)
         .confidence(0.95)
         .workers(1)

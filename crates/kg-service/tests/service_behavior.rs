@@ -37,6 +37,7 @@ fn workload() -> Vec<AggregateQuery> {
 fn engine_config() -> EngineConfig {
     EngineConfig {
         error_bound: 0.05,
+        enumerate: false,
         ..EngineConfig::default()
     }
 }
@@ -427,5 +428,43 @@ fn sharded_service_answers_with_guarantees_and_reports_shard_metrics() {
         .execute(QueryRequest::new(queries[0].clone(), 0.05, 0.95))
         .unwrap();
     assert_eq!(after_swap.served_from, ServedFrom::Fresh);
+    svc.shutdown();
+}
+
+/// An exact answer (the default engine enumerates this simple COUNT) has a
+/// zero-width interval, so it dominates every later bound at its
+/// confidence: the ledger's refinement ladder is one miss, then hits.
+#[test]
+fn an_exact_answer_serves_the_refinement_ladder_from_the_cache() {
+    let d = dataset();
+    let svc = Service::new(
+        Arc::new(d.graph.clone()),
+        Arc::new(d.oracle.clone()),
+        ServiceConfig {
+            engine: EngineConfig::default(),
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let query = workload().remove(0);
+    let answers: Vec<_> = [0.10, 0.05, 0.03, 0.08]
+        .into_iter()
+        .map(|eb| {
+            svc.execute(QueryRequest::new(query.clone(), eb, 0.95))
+                .unwrap()
+        })
+        .collect();
+    let served: Vec<ServedFrom> = answers.iter().map(|a| a.served_from).collect();
+    use ServedFrom::{CacheHit, Fresh};
+    assert_eq!(served, [Fresh, CacheHit, CacheHit, CacheHit]);
+    for answer in &answers {
+        assert_eq!(answer.answer.moe, 0.0);
+        assert_eq!(answer.answer.sample_size, 0);
+        assert!(answer.answer.guarantee_met);
+        let first = answers[0].answer.estimate.to_bits();
+        assert_eq!(answer.answer.estimate.to_bits(), first);
+    }
+    let m = svc.metrics();
+    assert_eq!((m.cache.misses, m.cache.hits, m.exact_answers), (1, 3, 1));
     svc.shutdown();
 }

@@ -62,8 +62,10 @@ fn traced_request_echoes_its_id_and_carries_a_well_formed_trajectory() {
     for (i, round) in rounds.iter().enumerate() {
         assert_eq!(round["round"].as_f64(), Some((i + 1) as f64));
         assert!(round["estimate"].as_f64().is_some());
-        assert!(round["moe"].as_f64().is_some());
-        assert!(round["sample_size"].as_f64().unwrap() > 0.0);
+        // A sampled round drew something; an exact round (this simple
+        // COUNT, enumerated) drew nothing and has no interval to widen.
+        let moe = round["moe"].as_f64().unwrap();
+        assert!(round["sample_size"].as_f64().unwrap() > 0.0 || moe == 0.0);
         assert!(round["correct_size"].as_f64().is_some());
     }
     // The trajectory converges to the answer the client got.
@@ -151,9 +153,22 @@ fn prometheus_exposition_parses_and_covers_the_required_families() {
         "kg_shard_samples_total",
         "kg_writes_total",
         "kg_write_epoch",
+        "kg_exact_answers_total",
     ] {
         assert!(names.contains(&required), "missing {required} in:\n{text}");
     }
+    // Every query of the workload is single-edge, so each was enumerated;
+    // the JSON and Prometheus surfaces agree on the count.
+    assert_eq!(snapshot.exact_answers, workload().len() as u64);
+    assert_eq!(
+        snapshot.to_json()["exact_answers"].as_f64(),
+        Some(workload().len() as f64)
+    );
+    let exact = families
+        .iter()
+        .find(|f| f.name == "kg_exact_answers_total")
+        .unwrap();
+    assert_eq!(exact.samples[0].value, snapshot.exact_answers as f64);
     // Encoding the parsed families again must be a fixed point.
     assert_eq!(kg_telemetry::encode(&families), text);
 

@@ -7,6 +7,7 @@
 //! test (integration-test files are separate processes — no other test can
 //! race the flag).
 
+use kg_aqp::EngineConfig;
 use kg_datagen::{domains, generate, DatasetScale, GeneratedDataset, GeneratorConfig};
 use kg_query::{AggregateFunction, AggregateQuery, Filter, GroupBy, SimpleQuery};
 use kg_service::{QueryRequest, Service, ServiceAnswer, ServiceConfig};
@@ -43,6 +44,10 @@ fn run(d: &GeneratedDataset, traced: bool) -> Vec<ServiceAnswer> {
         Arc::new(d.graph.clone()),
         Arc::new(d.oracle.clone()),
         ServiceConfig::builder()
+            .engine(EngineConfig {
+                enumerate: false,
+                ..EngineConfig::default()
+            })
             .error_bound(0.05)
             .workers(0)
             .build()

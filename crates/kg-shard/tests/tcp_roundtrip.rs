@@ -40,6 +40,7 @@ fn tcp_fleet_round_trips_and_matches_in_process_execution() {
     ));
     let config = EngineConfig {
         error_bound: 0.05,
+        enumerate: false,
         ..EngineConfig::default()
     };
     let engine = AqpEngine::new(config.clone());

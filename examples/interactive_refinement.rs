@@ -7,8 +7,11 @@ use std::time::Instant;
 
 fn main() {
     let dataset = kg_aqp_suite::demo_dataset();
+    // By default this simple query would be answered exactly in one round;
+    // sampling is what there is to refine.
     let engine = AqpEngine::new(EngineConfig {
         error_bound: 0.05,
+        enumerate: false,
         ..EngineConfig::default()
     });
     let query = AggregateQuery::simple(

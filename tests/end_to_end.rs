@@ -14,6 +14,7 @@ fn engine_tracks_tau_ground_truth_on_simple_count() {
     let d = dataset();
     let engine = AqpEngine::new(EngineConfig {
         error_bound: 0.05,
+        enumerate: false,
         ..EngineConfig::default()
     });
     let ssb = SsbEngine::new(GroundTruthConfig::default());
