@@ -20,8 +20,8 @@
 use crate::config::EngineConfig;
 use crate::engine::{AqpEngine, QueryPlan};
 use crate::remote::protocol::{ShardRequest, ShardResponse};
-use crate::stratum::{shard_sampler, GraphView, Stratum};
-use kg_core::{Codec, ShardedGraph};
+use crate::stratum::{shard_sampler, Stratum};
+use kg_core::{Codec, EntityId, ShardedGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{StratumEstimate, ValidatedAnswer};
 use kg_query::AggregateQuery;
@@ -43,21 +43,34 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 }
 
 /// Digest of the graph + partitioning a process executes against. Two
-/// processes with equal fingerprints built the same shards from the same
-/// graph, so their per-shard plans and RNG streams line up.
+/// processes with equal fingerprints partitioned the same graph the same
+/// way, so their per-shard plans and RNG streams line up.
 ///
-/// Deliberately **content-based** — global and per-shard sizes plus the
-/// partitioner's name (partitioners are deterministic, so equal inputs and
-/// algorithm imply an equal assignment). The process-local
-/// [`ShardedGraph::partition_id`] must NOT be hashed here: it is an
-/// in-process cache-identity counter, so independently partitioned copies
-/// of the same graph — the normal coordinator/shard deployment — would
-/// never match.
+/// Deliberately **content-based** — global sizes, the partitioner's name
+/// (partitioners are deterministic, so equal inputs and algorithm imply an
+/// equal assignment) and, per shard, its owned-entity count and its
+/// incident-edge count (a cut edge counts on both sides) — so independently
+/// partitioned copies of the same graph, the normal coordinator/shard
+/// deployment, match.
 pub fn graph_fingerprint(sharded: &ShardedGraph) -> u64 {
+    let global = sharded.global();
+    let k = sharded.shard_count();
+    let mut owned = vec![0u64; k];
+    for i in 0..global.entity_count() {
+        owned[sharded.shard_of(EntityId::from(i))] += 1;
+    }
+    let mut edges = vec![0u64; k];
+    for t in global.live_triples().iter() {
+        let (s, o) = (sharded.shard_of(t.subject), sharded.shard_of(t.object));
+        edges[s] += 1;
+        if s != o {
+            edges[o] += 1;
+        }
+    }
     let mut words = vec![
-        sharded.global().entity_count() as u64,
-        sharded.global().edge_count() as u64,
-        sharded.shard_count() as u64,
+        global.entity_count() as u64,
+        global.edge_count() as u64,
+        k as u64,
     ];
     words.extend(
         sharded
@@ -66,9 +79,9 @@ pub fn graph_fingerprint(sharded: &ShardedGraph) -> u64 {
             .iter()
             .map(|&b| u64::from(b)),
     );
-    for shard in sharded.shards() {
-        words.push(shard.owned_count() as u64);
-        words.push(shard.edge_count() as u64);
+    for (owned, edges) in owned.into_iter().zip(edges) {
+        words.push(owned);
+        words.push(edges);
     }
     fnv1a(words)
 }
@@ -424,7 +437,7 @@ impl ShardServerCore {
             let report = state.stratum.round(
                 &state.plan,
                 self.engine.config(),
-                GraphView::Sharded(&self.sharded),
+                self.sharded.global(),
                 self.similarity.as_ref(),
                 task.resamples.max(2),
             );
@@ -451,8 +464,8 @@ impl ShardServerCore {
                 validated_upto,
             );
             // No terms unless the query groups.
-            let view = GraphView::Sharded(&self.sharded);
-            ShardResponse::Buckets(state.stratum.bucket_terms(&state.plan, view))
+            let graph = self.sharded.global();
+            ShardResponse::Buckets(state.stratum.bucket_terms(&state.plan, graph))
         })
     }
 }
@@ -517,6 +530,61 @@ mod tests {
             }
             other => panic!("expected an estimate, got {other:?}"),
         }
+    }
+
+    /// `graph_fingerprint` is the handshake a coordinator and a shard
+    /// server compare, so its value must not move when the sharding's
+    /// storage does. These constants were recorded on the tiny automotive
+    /// dataset while every shard still built its own CSR copy of the graph
+    /// and the fingerprint hashed each copy's owned-entity and stored-edge
+    /// counts; a process built from that code must keep handshaking with
+    /// one built from this.
+    #[test]
+    fn graph_fingerprint_is_pinned() {
+        let graph = Arc::new(
+            generate(&GeneratorConfig::new(
+                "fingerprint",
+                DatasetScale::tiny(),
+                vec![domains::automotive(&["Germany", "China"])],
+                31,
+            ))
+            .graph,
+        );
+        let partitioned = |k| ShardedGraph::new(Arc::clone(&graph), &DegreeBalancedPartitioner, k);
+        // Pending overlay writes: an appended entity, a cut-prone edge to
+        // it, an edge between existing entities and a delete.
+        let mut written = (*graph).clone();
+        let (a, b) = (EntityId::from(0usize), EntityId::from(1usize));
+        let name = written.entity(a).name.clone();
+        written.upsert_edge_by_name("fingerprint-new", "produces", &name);
+        written.upsert_edge(a, "produces", b);
+        let first = written.live_triples()[0];
+        let predicate = written.predicate_name(first.predicate).to_string();
+        assert_eq!(
+            written.delete_edge(first.subject, &predicate, first.object),
+            1
+        );
+        assert!(written.delta_ops() > 0);
+        let repartitioned = partitioned(2).repartition_preserving(Arc::new(written));
+        let cases = [
+            ("single", ShardedGraph::single(Arc::clone(&graph))),
+            ("k1", partitioned(1)),
+            ("k2", partitioned(2)),
+            ("k4", partitioned(4)),
+            ("k2+writes", repartitioned),
+        ];
+        let got: Vec<(&str, u64)> = cases
+            .iter()
+            .map(|(name, sharded)| (*name, graph_fingerprint(sharded)))
+            .collect();
+        let want = [
+            ("single", 0xe8b682d545980cfe),
+            ("k1", 0x2ded643628f4105f),
+            ("k2", 0xa33ba085024cdeb9),
+            ("k4", 0xf49b5d9e03a60539),
+            ("k2+writes", 0x65b60f8760f7e2c4),
+        ];
+        assert_eq!(got, want, "{got:#x?}");
     }
 
     /// One query text more than the table holds evicts the oldest text,

@@ -12,13 +12,13 @@
 //! * **remote** — the same strata executed by shard servers behind a
 //!   [`crate::ShardFleet`], tolerating unreachable shards.
 //!
-//! The paths differ in exactly three places, each a `match` below: how the
+//! The paths differ in exactly two places, each a `match` below: how the
 //! interval is computed (BLB over the whole stratum, or per-stratum bootstrap
 //! replicates merged by [`kg_estimate::merge_strata`] — the two are *not*
-//! interchangeable bit for bit, not even for a single stratum), where an
-//! allocation's draws happen (here, or on the shard server), and which graph
-//! a stratum reads attributes from (`GraphView`). Everything else —
-//! allocation, termination, tracing, timings, the answer — is shared.
+//! interchangeable bit for bit, not even for a single stratum), and where an
+//! allocation's draws happen (here, or on the shard server). Every stratum
+//! reads paths, attributes and filters from the one global graph. Everything
+//! else — allocation, termination, tracing, timings, the answer — is shared.
 //!
 //! **The exact outcome.** When [`EngineConfig::enumerate`] is set and every
 //! component of the plan is single-edge, the session decides at
@@ -408,19 +408,17 @@ impl<G: GraphHandle + ?Sized> Session<G> {
     /// stratum could report (every shard unreachable).
     fn interval<S: PredicateSimilarity + ?Sized>(
         &mut self,
-        view: GraphView<'_>,
+        graph: &KnowledgeGraph,
         similarity: &S,
     ) -> Option<(MergedEstimate, f64)> {
         let (plan, config, timings) = (&self.plan, &self.config, &mut self.timings);
         let resamples = config.bootstrap.resamples.max(2);
         let reports: Vec<Option<StratumReport>> = match &mut self.strata {
             Strata::Whole(stratum) => {
-                // Bag of Little Bootstraps over the one stratum, on its RNG,
-                // reading attributes from the whole graph.
-                let view = GraphView::Whole(view.global());
+                // Bag of Little Bootstraps over the one stratum, on its RNG.
                 let start = Instant::now();
-                stratum.validate(plan, config, view.global(), similarity, usize::MAX);
-                let validated = stratum.validated_sample(plan, view);
+                stratum.validate(plan, config, graph, similarity, usize::MAX);
+                let validated = stratum.validated_sample(plan, graph);
                 let estimate = estimate(&plan.aggregate, &validated);
                 timings.estimation_ms += ms_since(start);
                 let start = Instant::now();
@@ -444,7 +442,7 @@ impl<G: GraphHandle + ?Sized> Session<G> {
             // Strata are mutually disjoint: fan them out across the pool.
             Strata::Local(strata) => strata
                 .par_iter_mut()
-                .map(|s| Some(s.round(plan, config, view, similarity, resamples)))
+                .map(|s| Some(s.round(plan, config, graph, similarity, resamples)))
                 .collect(),
             Strata::Remote(remote) => {
                 remote.round(&plan.aggregate, resamples, self.rounds.len() + 1)
@@ -562,7 +560,7 @@ impl<G: GraphHandle + ?Sized> Session<G> {
             let allocation = allocate_draws(initial, &self.masses, None);
             self.allocate(&allocation);
         }
-        let outcome = match self.interval(graph.view(), similarity) {
+        let outcome = match self.interval(graph.view().global(), similarity) {
             None => RoundOutcome::Exhausted,
             Some((interval, merge_ms)) => {
                 let round = RoundTrace {
@@ -684,7 +682,7 @@ impl<G: GraphHandle + ?Sized> Session<G> {
     /// the last completed round; `elapsed_ms` is the accumulated stage time,
     /// since the session does not know its driver's wall-clock window.
     pub fn snapshot_answer(&self, graph: &G) -> QueryAnswer {
-        let view = graph.view();
+        let graph = graph.view().global();
         let (estimate_value, moe) = self
             .rounds
             .last()
@@ -697,13 +695,11 @@ impl<G: GraphHandle + ?Sized> Session<G> {
             // Per bucket as for the top-level answer: Eq. 7–9 over the one
             // stratum.
             Strata::Whole(stratum) => stratum
-                .per_bucket(plan, GraphView::Whole(view.global()), |bucket| {
-                    estimate(aggregate, bucket)
-                })
+                .per_bucket(plan, graph, |bucket| estimate(aggregate, bucket))
                 .into_iter()
                 .collect(),
             Strata::Local(strata) => {
-                let terms = strata.iter().map(|s| s.bucket_terms(plan, view));
+                let terms = strata.iter().map(|s| s.bucket_terms(plan, graph));
                 merge_buckets(aggregate, terms.collect())
             }
             Strata::Remote(_) if plan.group_by.is_none() || self.rounds.is_empty() => {

@@ -99,41 +99,30 @@ pub(crate) fn shard_sampler(
     ))
 }
 
-/// The graph as a session's strata read it.
+/// The graph a session runs on; a sharded one lets a session split its
+/// strata by owning shard.
 #[derive(Copy, Clone)]
 pub enum GraphView<'a> {
     /// The whole graph and nothing else.
     Whole(&'a KnowledgeGraph),
-    /// The graph with its shard-local CSRs.
+    /// The graph with its entity→shard assignment.
     Sharded(&'a ShardedGraph),
 }
 
 impl<'a> GraphView<'a> {
-    /// The full graph. Path validation always reads it: a matching path may
-    /// cross shards.
+    /// The full graph, which every stratum reads paths, attributes and
+    /// filters from: a matching path may cross shards.
     pub(crate) fn global(self) -> &'a KnowledgeGraph {
         match self {
             GraphView::Whole(graph) => graph,
             GraphView::Sharded(sharded) => sharded.global(),
         }
     }
-
-    /// Where `shard`'s stratum reads the attributes and filters of its
-    /// answer `entity`: through the shard-local CSR when there is one, the
-    /// whole graph (`local == global`) otherwise.
-    fn local(self, shard: usize, entity: EntityId) -> (&'a KnowledgeGraph, EntityId) {
-        match self {
-            GraphView::Whole(graph) => (graph, entity),
-            GraphView::Sharded(sharded) => {
-                (sharded.shard(shard).graph(), sharded.to_local(entity).1)
-            }
-        }
-    }
 }
 
 /// A graph handle a [`crate::session::Session`] can be driven with.
 pub trait GraphHandle {
-    /// What the session's strata read through it.
+    /// The graph, whole or sharded.
     fn view(&self) -> GraphView<'_>;
 }
 
@@ -170,7 +159,6 @@ impl StratumMass {
 
 /// One stratum's sampling state; see the [module docs](self).
 pub(crate) struct Stratum {
-    pub(crate) shard: usize,
     /// The shard restriction draws come from; `None` for the whole-graph
     /// stratum, which draws from the plan's own alias table.
     sampler: Option<Arc<ShardSampler>>,
@@ -186,7 +174,6 @@ impl Stratum {
     /// A fresh stratum for `shard`, RNG-anchored at the engine seed.
     pub(crate) fn new(shard: usize, sampler: Option<Arc<ShardSampler>>, engine_seed: u64) -> Self {
         Self {
-            shard,
             sampler,
             rng: SmallRng::seed_from_u64(shard_seed(engine_seed, shard)),
             sample: Vec::new(),
@@ -260,18 +247,17 @@ impl Stratum {
     pub(crate) fn validated_sample(
         &self,
         plan: &QueryPlan,
-        view: GraphView<'_>,
+        graph: &KnowledgeGraph,
     ) -> Vec<ValidatedAnswer> {
         self.sample
             .iter()
             .map(|(entity, probability)| {
                 let (valid, similarity) =
                     self.validation.get(entity).copied().unwrap_or((false, 0.0));
-                let (graph, local) = view.local(self.shard, *entity);
                 ValidatedAnswer {
                     probability: *probability,
-                    value: plan.aggregate.value_of(graph, local),
-                    correct: valid && matches_all(graph, local, &plan.filters),
+                    value: plan.aggregate.value_of(graph, *entity),
+                    correct: valid && matches_all(graph, *entity, &plan.filters),
                     similarity,
                 }
             })
@@ -287,13 +273,13 @@ impl Stratum {
         &mut self,
         plan: &QueryPlan,
         config: &EngineConfig,
-        view: GraphView<'_>,
+        graph: &KnowledgeGraph,
         similarity: &S,
         resamples: usize,
     ) -> StratumReport {
         let validate_start = Instant::now();
-        self.validate(plan, config, view.global(), similarity, usize::MAX);
-        let validated = self.validated_sample(plan, view);
+        self.validate(plan, config, graph, similarity, usize::MAX);
+        let validated = self.validated_sample(plan, graph);
         let validate_ms = ms_since(validate_start);
         let bootstrap_start = Instant::now();
         let estimate =
@@ -312,7 +298,7 @@ impl Stratum {
     pub(crate) fn per_bucket<T>(
         &self,
         plan: &QueryPlan,
-        view: GraphView<'_>,
+        graph: &KnowledgeGraph,
         reduce: impl Fn(&[ValidatedAnswer]) -> T,
     ) -> Vec<(i64, T)> {
         let Some((attr, width)) = plan.group_by else {
@@ -321,11 +307,10 @@ impl Stratum {
         let keyed: Vec<(Option<i64>, ValidatedAnswer)> = self
             .sample
             .iter()
-            .zip(self.validated_sample(plan, view))
+            .zip(self.validated_sample(plan, graph))
             .map(|((entity, _), answer)| {
-                let (graph, local) = view.local(self.shard, *entity);
                 let key = graph
-                    .attribute_value(local, attr)
+                    .attribute_value(*entity, attr)
                     .map(|v| (v / width).floor() as i64);
                 (key, answer)
             })
@@ -350,8 +335,8 @@ impl Stratum {
     }
 
     /// The stratum's point terms per bucket, for a stratified merge.
-    pub(crate) fn bucket_terms(&self, plan: &QueryPlan, view: GraphView<'_>) -> Vec<BucketTerm> {
-        self.per_bucket(plan, view, |b| stratum_point_terms(&plan.aggregate, b))
+    pub(crate) fn bucket_terms(&self, plan: &QueryPlan, graph: &KnowledgeGraph) -> Vec<BucketTerm> {
+        self.per_bucket(plan, graph, |b| stratum_point_terms(&plan.aggregate, b))
             .into_iter()
             .map(|(key, (primary, secondary))| BucketTerm {
                 key,

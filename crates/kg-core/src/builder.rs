@@ -170,8 +170,8 @@ impl GraphBuilder {
 
 /// Builds the CSR adjacency arrays (`edges`, `offsets`) for `entity_count`
 /// entities from a triple list, with the two-pass counting sort described on
-/// [`GraphBuilder::build`]. Shared by the builder and by per-shard graph
-/// construction ([`crate::shard`]), so the two representations cannot drift:
+/// [`GraphBuilder::build`]. Shared by the builder, compaction and snapshot
+/// verification, so the representations cannot drift:
 /// entries within an entity's slice keep triple order, and a self-loop
 /// contributes a single adjacency entry.
 pub(crate) fn build_csr(entity_count: usize, triples: &[Triple]) -> (Vec<EdgeRef>, Vec<u32>) {

@@ -69,7 +69,7 @@ pub use neighborhood::{
 };
 pub use partition::{DegreeBalancedPartitioner, HashPartitioner, Partitioner};
 pub use predicate::PredicateVocabulary;
-pub use shard::{GraphShard, ShardedGraph, ShardingStats};
+pub use shard::ShardedGraph;
 pub use snapshot::{SectionInfo, Snapshot, SnapshotOptions, SnapshotWriter, FORMAT_VERSION};
 pub use stats::GraphStats;
 pub use triple::Triple;

@@ -1,142 +1,28 @@
-//! Partitioned graph storage: K per-shard CSR graphs over one logical graph.
+//! Sharded execution's entity-ownership map over one logical graph.
 //!
-//! A [`ShardedGraph`] splits entity ownership across `K` shards with a
-//! pluggable [`Partitioner`] while keeping the full graph available for
-//! global operations (planning, cross-shard path validation). Each shard
-//! owns a self-contained [`KnowledgeGraph`] holding:
+//! A [`ShardedGraph`] assigns every entity of a graph to one of `K` shards
+//! with a pluggable [`Partitioner`]. It copies nothing: planning, path
+//! validation and attribute reads all go to the global graph it wraps (a
+//! matching path may cross shards freely), and a shard's stratum is the
+//! slice of the plan's answer distribution whose entities it owns.
 //!
-//! * the shard's **owned** entities (local ids `0..owned_count`, in global
-//!   id order),
-//! * **ghost** copies of every foreign endpoint of an owned entity's edges
-//!   (local ids `owned_count..`), and
-//! * every triple incident to an owned entity, with endpoints remapped to
-//!   local ids. A **cut edge** (endpoints owned by different shards) is
-//!   replicated into both shards, so `neighbors()` on an owned entity is the
-//!   same zero-cost CSR slice it is on the global graph — no shard ever
-//!   chases an edge list across a shard boundary.
-//!
-//! Vocabularies (predicates, types, attributes) are **shared**: every shard
-//! graph clones the global interners, so a `PredicateId`/`TypeId`/`AttrId`
-//! resolved against the global graph is valid against any shard graph.
-//! Only entity ids are remapped; [`ShardedGraph::to_local`] /
-//! [`ShardedGraph::to_global`] translate.
-//!
-//! `K = 1` is the identity: the single shard owns every entity with
-//! `local == global`, no ghosts, and a graph structurally identical to the
-//! global one (pinned by `tests/shard_properties.rs`).
+//! `K = 1` ([`ShardedGraph::single`]) owns every entity on shard 0.
 
 use crate::graph::KnowledgeGraph;
 use crate::ids::EntityId;
-use crate::index::{NameIndex, TypeIndex};
 use crate::partition::Partitioner;
-use crate::triple::Triple;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Process-unique id source for [`ShardedGraph::partition_id`].
-static NEXT_PARTITION_ID: AtomicU64 = AtomicU64::new(0);
-
-/// One shard: its local CSR graph plus the local↔global entity mapping.
-#[derive(Debug, Clone)]
-pub struct GraphShard {
-    /// The shard-local graph: owned entities first, then ghosts.
-    graph: KnowledgeGraph,
-    /// Number of owned entities (`local id < owned_count` ⇔ owned).
-    owned_count: usize,
-    /// Local id → global id, for owned entities and ghosts alike.
-    to_global: Vec<EntityId>,
-    /// Triples whose endpoints are owned by different shards (each such
-    /// triple is also replicated into the other endpoint's shard).
-    cut_edges: usize,
-}
-
-impl GraphShard {
-    /// The shard-local graph (shared vocabularies, local entity ids).
-    pub fn graph(&self) -> &KnowledgeGraph {
-        &self.graph
-    }
-
-    /// Number of entities this shard owns.
-    pub fn owned_count(&self) -> usize {
-        self.owned_count
-    }
-
-    /// Number of ghost entities replicated from other shards.
-    pub fn ghost_count(&self) -> usize {
-        self.graph.entity_count() - self.owned_count
-    }
-
-    /// Number of triples stored locally (owned-internal plus replicated cut
-    /// edges).
-    pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
-    }
-
-    /// Number of locally stored triples whose other endpoint lives on
-    /// another shard.
-    pub fn cut_edge_count(&self) -> usize {
-        self.cut_edges
-    }
-
-    /// True when `local` is owned by this shard (not a ghost).
-    pub fn is_owned(&self, local: EntityId) -> bool {
-        local.index() < self.owned_count
-    }
-
-    /// Global id of a local entity.
-    ///
-    /// # Panics
-    /// Panics when `local` is out of range for this shard.
-    pub fn global_id(&self, local: EntityId) -> EntityId {
-        self.to_global[local.index()]
-    }
-
-    /// Iterates the global ids of the entities this shard owns, in local-id
-    /// order (ascending global id).
-    pub fn owned_global_ids(&self) -> &[EntityId] {
-        &self.to_global[..self.owned_count]
-    }
-}
-
-/// Balance diagnostics of a [`ShardedGraph`], for metrics and tests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardingStats {
-    /// Partitioner that produced the assignment.
-    pub partitioner: &'static str,
-    /// Owned entity count per shard.
-    pub owned: Vec<usize>,
-    /// Ghost entity count per shard.
-    pub ghosts: Vec<usize>,
-    /// Locally stored triple count per shard.
-    pub edges: Vec<usize>,
-    /// Distinct cut triples (each stored on two shards).
-    pub cut_edges: usize,
-    /// Σ per-shard triples / global triples (1.0 when nothing is cut; 2.0
-    /// would mean every edge is replicated).
-    pub replication_factor: f64,
-}
-
-/// A knowledge graph partitioned into `K` per-shard CSR graphs.
+/// A knowledge graph with every entity assigned to one of `K` shards.
 ///
-/// See the [module docs](self) for the ownership / ghost / cut-edge model.
-/// The global graph stays reachable through [`Self::global`]: planning and
-/// n-hop path validation run against it, while per-shard work (sampling,
-/// attribute and filter reads of owned entities) runs against the shard
-/// graphs.
+/// See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ShardedGraph {
     global: Arc<KnowledgeGraph>,
-    shards: Vec<GraphShard>,
     /// Global entity id → owning shard.
     assignment: Vec<u32>,
-    /// Global entity id → local id within the owning shard.
-    local_ids: Vec<u32>,
+    shard_count: usize,
     partitioner: &'static str,
-    cut_edges: usize,
-    /// Process-unique identity of this partitioning (clones share it — they
-    /// share the assignment). Lets caches keyed on derived per-shard data
-    /// distinguish two partitionings of the same underlying graph.
-    partition_id: u64,
 }
 
 impl ShardedGraph {
@@ -159,91 +45,29 @@ impl ShardedGraph {
             assignment.iter().all(|&s| (s as usize) < k),
             "partitioner assigned a shard index >= {k}"
         );
-        Self::from_assignment(global, assignment, k, partitioner.name())
+        Self {
+            global,
+            assignment,
+            shard_count: k,
+            partitioner: partitioner.name(),
+        }
     }
 
     /// Wraps a graph as a single-shard [`ShardedGraph`] (the identity
     /// configuration every unsharded deployment corresponds to).
     pub fn single(global: Arc<KnowledgeGraph>) -> Self {
-        let n = global.entity_count();
-        Self::from_assignment(global, vec![0; n], 1, "single")
-    }
-
-    fn from_assignment(
-        global: Arc<KnowledgeGraph>,
-        assignment: Vec<u32>,
-        k: usize,
-        partitioner: &'static str,
-    ) -> Self {
-        let n = global.entity_count();
-        // Local ids of owned entities: position within the shard's owned
-        // list, which is ascending-global-id order by construction.
-        let mut local_ids = vec![0u32; n];
-        let mut owned_per_shard: Vec<Vec<EntityId>> = vec![Vec::new(); k];
-        for i in 0..n {
-            let shard = assignment[i] as usize;
-            local_ids[i] = owned_per_shard[shard].len() as u32;
-            owned_per_shard[shard].push(EntityId::from(i));
-        }
-
-        // One pass over the global triple list buckets each triple into the
-        // shard(s) owning an endpoint — a cut triple goes to both — keeping
-        // global order within each bucket. (Scanning the full list once per
-        // shard would be O(K·|E|).)
-        let mut triples_per_shard: Vec<Vec<Triple>> = vec![Vec::new(); k];
-        let mut cut_per_shard = vec![0usize; k];
-        let mut cut_edges = 0usize;
-        // Live triples, not the base list: a graph carrying a mutation
-        // overlay ([`crate::delta`]) shards its *logical* state, so shard
-        // graphs materialise pending writes.
-        let live = global.live_triples();
-        for t in live.iter() {
-            let s = assignment[t.subject.index()] as usize;
-            let o = assignment[t.object.index()] as usize;
-            triples_per_shard[s].push(*t);
-            if s != o {
-                triples_per_shard[o].push(*t);
-                cut_per_shard[s] += 1;
-                cut_per_shard[o] += 1;
-                cut_edges += 1;
-            }
-        }
-        drop(live);
-
-        let shards: Vec<GraphShard> = owned_per_shard
-            .into_iter()
-            .zip(triples_per_shard)
-            .zip(cut_per_shard)
-            .map(|((owned, triples), cut)| build_shard(&global, &local_ids, owned, triples, cut))
-            .collect();
-
+        let assignment = vec![0; global.entity_count()];
         Self {
             global,
-            shards,
             assignment,
-            local_ids,
-            partitioner,
-            cut_edges,
-            partition_id: NEXT_PARTITION_ID.fetch_add(1, Ordering::Relaxed),
+            shard_count: 1,
+            partitioner: "single",
         }
     }
 
     /// Number of shards `K`.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shards, indexed by shard id.
-    pub fn shards(&self) -> &[GraphShard] {
-        &self.shards
-    }
-
-    /// One shard.
-    ///
-    /// # Panics
-    /// Panics when `shard` is out of range.
-    pub fn shard(&self, shard: usize) -> &GraphShard {
-        &self.shards[shard]
+        self.shard_count
     }
 
     /// The full (unsharded) graph.
@@ -259,47 +83,17 @@ impl ShardedGraph {
         self.assignment[global.index()] as usize
     }
 
-    /// Translates a global entity id to `(owning shard, local id)`.
-    ///
-    /// # Panics
-    /// Panics when `global` is out of range.
-    pub fn to_local(&self, global: EntityId) -> (usize, EntityId) {
-        let shard = self.assignment[global.index()] as usize;
-        (shard, EntityId::new(self.local_ids[global.index()]))
-    }
-
-    /// Translates a shard-local entity id back to the global id.
-    ///
-    /// # Panics
-    /// Panics when `shard` or `local` is out of range.
-    pub fn to_global(&self, shard: usize, local: EntityId) -> EntityId {
-        self.shards[shard].global_id(local)
-    }
-
     /// Name of the partitioning strategy that built this sharding.
     pub fn partitioner(&self) -> &'static str {
         self.partitioner
     }
 
-    /// Process-unique identity of this partitioning. Two `ShardedGraph`s
-    /// never share an id unless one is a clone of the other (clones share
-    /// the assignment, so sharing the id is sound). Caches holding data
-    /// derived from shard membership key on this to avoid serving strata
-    /// from a different partitioning of the same graph.
-    pub fn partition_id(&self) -> u64 {
-        self.partition_id
-    }
-
-    /// Re-shards an updated snapshot of the same logical graph while
-    /// **preserving the existing entity→shard assignment**: every entity
-    /// this sharding knows keeps its shard, and — because per-shard owned
-    /// lists are ascending-global-id order and entity ids are append-only —
-    /// its local id too. Entities appended after this sharding was built
-    /// (higher global ids) are assigned to the shard with the fewest owned
-    /// entities (ties to the lowest shard id, deterministically), landing at
-    /// the tail of that shard's owned list. In-flight per-stratum state
-    /// therefore stays valid across a write: stratum candidates are owned
-    /// entities, and their local ids do not move.
+    /// Wraps an updated snapshot of the same logical graph, **keeping the
+    /// existing entity→shard assignment**: every entity this sharding knows
+    /// keeps its shard, so in-flight per-stratum state stays valid across a
+    /// write. Entities appended after this sharding was built (higher global
+    /// ids) each go to the shard owning the fewest entities so far (ties to
+    /// the lowest shard id, deterministically).
     ///
     /// # Panics
     /// Panics when `global` has fewer entities than this sharding covers —
@@ -311,185 +105,47 @@ impl ShardedGraph {
             global.entity_count(),
             self.assignment.len()
         );
-        let k = self.shards.len();
+        let k = self.shard_count;
         let mut assignment = self.assignment.clone();
-        let mut owned_counts: Vec<usize> =
-            self.shards.iter().map(GraphShard::owned_count).collect();
+        let mut owned_counts = vec![0usize; k];
+        for &s in &assignment {
+            owned_counts[s as usize] += 1;
+        }
         for _ in assignment.len()..global.entity_count() {
             let target = (0..k).min_by_key(|&s| owned_counts[s]).unwrap_or(0);
             assignment.push(target as u32);
             owned_counts[target] += 1;
         }
-        Self::from_assignment(global, assignment, k, self.partitioner)
-    }
-
-    /// Balance and replication diagnostics.
-    pub fn stats(&self) -> ShardingStats {
-        let total_local: usize = self.shards.iter().map(GraphShard::edge_count).sum();
-        let global_edges = self.global.edge_count();
-        ShardingStats {
+        Self {
+            global,
+            assignment,
+            shard_count: k,
             partitioner: self.partitioner,
-            owned: self.shards.iter().map(GraphShard::owned_count).collect(),
-            ghosts: self.shards.iter().map(GraphShard::ghost_count).collect(),
-            edges: self.shards.iter().map(GraphShard::edge_count).collect(),
-            cut_edges: self.cut_edges,
-            replication_factor: if global_edges == 0 {
-                1.0
-            } else {
-                total_local as f64 / global_edges as f64
-            },
         }
-    }
-}
-
-/// Builds one shard's local graph from its owned entities and its bucket of
-/// incident triples (global ids, global order): ghost endpoints, triples
-/// remapped to local ids, CSR via the same counting sort as
-/// [`crate::GraphBuilder::build`].
-fn build_shard(
-    global: &KnowledgeGraph,
-    owned_local_ids: &[u32],
-    owned: Vec<EntityId>,
-    triples: Vec<Triple>,
-    cut_edges: usize,
-) -> GraphShard {
-    let owned_count = owned.len();
-    let mut to_global: Vec<EntityId> = owned;
-    // Global id → local id for entities present in this shard; ghosts are
-    // discovered in deterministic order (owned entities ascending, each
-    // entity's adjacency in CSR order).
-    let mut local_of = vec![u32::MAX; global.entity_count()];
-    for (local, &g) in to_global.iter().enumerate() {
-        debug_assert_eq!(owned_local_ids[g.index()] as usize, local);
-        local_of[g.index()] = local as u32;
-    }
-    for local in 0..owned_count {
-        let g = to_global[local];
-        for edge in global.neighbors(g) {
-            let nbr = edge.neighbor;
-            if local_of[nbr.index()] == u32::MAX {
-                local_of[nbr.index()] = to_global.len() as u32;
-                to_global.push(nbr);
-            }
-        }
-    }
-
-    // Remap the bucketed triples to local endpoint ids.
-    let triples: Vec<Triple> = triples
-        .into_iter()
-        .map(|t| {
-            Triple::new(
-                EntityId::new(local_of[t.subject.index()]),
-                t.predicate,
-                EntityId::new(local_of[t.object.index()]),
-            )
-        })
-        .collect();
-
-    let entities: Vec<crate::Entity> = to_global
-        .iter()
-        .map(|&g| global.entity(g).clone())
-        .collect();
-    let (edges, offsets) = crate::builder::build_csr(entities.len(), &triples);
-    let name_index = NameIndex::build(&entities);
-    let type_index = TypeIndex::build(&entities);
-    let graph = KnowledgeGraph {
-        entities,
-        edges,
-        offsets,
-        triples,
-        predicates: global.predicates.clone(),
-        types: global.types.clone(),
-        attrs: global.attrs.clone(),
-        name_index,
-        type_index,
-        delta: None,
-    };
-    GraphShard {
-        graph,
-        owned_count,
-        to_global,
-        cut_edges,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::DegreeBalancedPartitioner;
     use crate::GraphBuilder;
 
-    fn chain(n: usize) -> Arc<KnowledgeGraph> {
+    #[test]
+    fn single_is_the_identity() {
         let mut b = GraphBuilder::new();
         let mut prev = b.add_entity("n0", &["T"]);
-        for i in 1..n {
+        for i in 1..6 {
             let next = b.add_entity(&format!("n{i}"), &["T"]);
             b.add_edge(prev, "next", next);
             prev = next;
         }
-        Arc::new(b.build())
-    }
-
-    #[test]
-    fn id_map_round_trips() {
-        let sharded = ShardedGraph::new(chain(10), &DegreeBalancedPartitioner, 3);
-        for i in 0..10usize {
-            let g = EntityId::from(i);
-            let (shard, local) = sharded.to_local(g);
-            assert_eq!(sharded.shard_of(g), shard);
-            assert!(sharded.shard(shard).is_owned(local));
-            assert_eq!(sharded.to_global(shard, local), g);
-        }
-        let owned_total: usize = sharded.shards().iter().map(GraphShard::owned_count).sum();
-        assert_eq!(owned_total, 10);
-    }
-
-    #[test]
-    fn cut_edges_are_replicated_on_both_sides() {
-        let sharded = ShardedGraph::new(chain(12), &DegreeBalancedPartitioner, 4);
-        let stats = sharded.stats();
-        let local_total: usize = stats.edges.iter().sum();
-        // Every global triple is stored once per shard owning an endpoint.
-        assert_eq!(local_total, sharded.global().edge_count() + stats.cut_edges);
-        assert!(stats.replication_factor >= 1.0);
-        assert_eq!(stats.partitioner, "degree-balanced");
-    }
-
-    #[test]
-    fn repartition_preserving_keeps_ids_and_materialises_writes() {
-        let sharded = ShardedGraph::new(chain(10), &DegreeBalancedPartitioner, 3);
-        let mut updated = (**sharded.global()).clone();
-        updated.upsert_edge_by_name("n11", "next", "n0");
-        let updated = Arc::new(updated);
-        let re = sharded.repartition_preserving(Arc::clone(&updated));
-        assert_eq!(re.shard_count(), 3);
-        assert_ne!(re.partition_id(), sharded.partition_id());
-        // Pre-existing entities keep both shard and local id.
-        for i in 0..10usize {
-            let g = EntityId::from(i);
-            assert_eq!(re.to_local(g), sharded.to_local(g));
-        }
-        // The new entity is owned somewhere and its delta edge is sharded.
-        let new_id = updated.entity_by_name("n11").unwrap();
-        let (shard, local) = re.to_local(new_id);
-        assert!(re.shard(shard).is_owned(local));
-        let owned_total: usize = re.shards().iter().map(GraphShard::owned_count).sum();
-        assert_eq!(owned_total, 11);
-        let local_total: usize = re.shards().iter().map(GraphShard::edge_count).sum();
-        assert_eq!(local_total, updated.edge_count() + re.stats().cut_edges);
-    }
-
-    #[test]
-    fn single_is_the_identity() {
-        let g = chain(6);
+        let g = Arc::new(b.build());
         let sharded = ShardedGraph::single(Arc::clone(&g));
         assert_eq!(sharded.shard_count(), 1);
-        let shard = sharded.shard(0);
-        assert_eq!(shard.ghost_count(), 0);
-        assert_eq!(shard.graph().entity_count(), g.entity_count());
-        assert_eq!(shard.graph().edge_count(), g.edge_count());
+        assert_eq!(sharded.partitioner(), "single");
+        assert!(Arc::ptr_eq(sharded.global(), &g));
         for i in 0..g.entity_count() {
-            assert_eq!(sharded.to_local(EntityId::from(i)), (0, EntityId::from(i)));
+            assert_eq!(sharded.shard_of(EntityId::from(i)), 0);
         }
     }
 }

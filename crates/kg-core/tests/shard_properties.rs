@@ -1,5 +1,5 @@
-//! Property tests for partitioned storage: partitioner determinism, the
-//! global↔local id map, cut-edge replication, and the K=1 identity.
+//! Property tests for sharding: partitioner determinism, entity ownership,
+//! and how `repartition_preserving` extends an assignment.
 
 use kg_core::{
     DegreeBalancedPartitioner, EntityId, GraphBuilder, HashPartitioner, KnowledgeGraph,
@@ -73,11 +73,18 @@ fn partitioners_are_deterministic_on_irregular_graphs() {
     }
 }
 
+/// Every entity's shard, in entity id order.
+fn assignment(sharded: &ShardedGraph) -> Vec<usize> {
+    (0..sharded.global().entity_count())
+        .map(|i| sharded.shard_of(EntityId::from(i)))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Structural invariants of the sharded view, for arbitrary graph shapes
-    /// and shard counts.
+    /// The sharded view wraps the graph itself and owns every entity on
+    /// exactly one shard: the one the partitioner assigned it to.
     #[test]
     fn sharded_view_preserves_the_graph(
         n in 1usize..40,
@@ -86,75 +93,64 @@ proptest! {
         k in 1usize..6,
     ) {
         let global = Arc::new(synthetic_graph(n, edges, seed));
-        let sharded = ShardedGraph::new(Arc::clone(&global), &DegreeBalancedPartitioner, k);
-        prop_assert_eq!(sharded.shard_count(), k);
-
-        // Every entity is owned by exactly one shard, and the id map
-        // round-trips.
-        let mut owned_seen = vec![0usize; global.entity_count()];
-        for (s, shard) in sharded.shards().iter().enumerate() {
-            for (local_idx, &g) in shard.owned_global_ids().iter().enumerate() {
-                owned_seen[g.index()] += 1;
-                prop_assert_eq!(sharded.to_local(g), (s, EntityId::from(local_idx)));
-            }
+        for p in [
+            &HashPartitioner as &dyn Partitioner,
+            &DegreeBalancedPartitioner,
+        ] {
+            let sharded = ShardedGraph::new(Arc::clone(&global), p, k);
+            prop_assert_eq!(sharded.shard_count(), k);
+            prop_assert_eq!(sharded.partitioner(), p.name());
+            prop_assert!(Arc::ptr_eq(sharded.global(), &global));
+            let expected: Vec<usize> =
+                p.partition(&global, k).into_iter().map(|s| s as usize).collect();
+            let owned = assignment(&sharded);
+            prop_assert!(owned.iter().all(|&s| s < k));
+            prop_assert_eq!(owned, expected);
         }
-        prop_assert!(owned_seen.iter().all(|&c| c == 1));
-
-        // Within a shard, an owned entity's adjacency is the same slice of
-        // edges (predicates, directions, neighbors-as-global-ids, order) it
-        // has in the global graph — the cut-edge replication invariant.
-        for shard in sharded.shards() {
-            for (local_idx, &g) in shard.owned_global_ids().iter().enumerate() {
-                let local = EntityId::from(local_idx);
-                let local_edges = shard.graph().neighbors(local);
-                let global_edges = global.neighbors(g);
-                prop_assert_eq!(local_edges.len(), global_edges.len());
-                for (le, ge) in local_edges.iter().zip(global_edges) {
-                    prop_assert_eq!(le.predicate, ge.predicate);
-                    prop_assert_eq!(le.direction, ge.direction);
-                    prop_assert_eq!(shard.global_id(le.neighbor), ge.neighbor);
-                }
-                // Entity payload (name, types, attributes) is replicated.
-                prop_assert_eq!(
-                    &shard.graph().entity(local).name,
-                    &global.entity(g).name
-                );
-            }
-        }
-
-        // Vocabularies are shared: ids line up across shards.
-        for shard in sharded.shards() {
-            prop_assert_eq!(shard.graph().predicate_count(), global.predicate_count());
-            prop_assert_eq!(shard.graph().type_count(), global.type_count());
-            prop_assert_eq!(shard.graph().attribute_count(), global.attribute_count());
-        }
-
-        // Edge accounting: Σ local triples = global triples + cut triples.
-        let stats = sharded.stats();
-        let local_total: usize = stats.edges.iter().sum();
-        prop_assert_eq!(local_total, global.edge_count() + stats.cut_edges);
     }
 
-    /// K = 1 is the identity refactor: the single shard's graph is
-    /// structurally identical to the global graph.
+    /// A forward snapshot keeps every existing entity on its shard and
+    /// gives each appended entity, in id order, to the shard owning the
+    /// fewest entities so far (ties to the lowest shard id) —
+    /// deterministically.
     #[test]
-    fn single_shard_is_structurally_identical(
-        n in 1usize..30,
-        edges in 0usize..80,
+    fn repartition_preserving_extends_the_assignment_to_the_lightest_shard(
+        n in 1usize..40,
+        edges in 0usize..120,
         seed in 0u64..u64::MAX,
+        k in 1usize..6,
+        appended in 0usize..12,
     ) {
         let global = Arc::new(synthetic_graph(n, edges, seed));
-        let sharded = ShardedGraph::new(Arc::clone(&global), &DegreeBalancedPartitioner, 1);
-        let shard = sharded.shard(0);
-        prop_assert_eq!(shard.ghost_count(), 0);
-        prop_assert_eq!(shard.cut_edge_count(), 0);
-        prop_assert_eq!(shard.graph().entity_count(), global.entity_count());
-        prop_assert_eq!(shard.graph().edge_count(), global.edge_count());
-        for i in 0..global.entity_count() {
-            let id = EntityId::from(i);
-            prop_assert_eq!(shard.global_id(id), id);
-            prop_assert_eq!(shard.graph().neighbors(id), global.neighbors(id));
+        let sharded = ShardedGraph::new(Arc::clone(&global), &DegreeBalancedPartitioner, k);
+        let mut written = (*global).clone();
+        for i in 0..appended {
+            // New entities, some with a pending edge to an existing one.
+            let new = written.upsert_entity(&format!("new{i}"), &["Car"]);
+            if i % 2 == 0 {
+                written.upsert_edge(new, "product", EntityId::from(i % n));
+            }
         }
-        prop_assert_eq!(shard.graph().triples(), global.triples());
+        let written = Arc::new(written);
+        let re = sharded.repartition_preserving(Arc::clone(&written));
+        prop_assert_eq!(re.shard_count(), k);
+        prop_assert_eq!(re.partitioner(), sharded.partitioner());
+        prop_assert!(Arc::ptr_eq(re.global(), &written));
+
+        let before = assignment(&sharded);
+        let after = assignment(&re);
+        prop_assert_eq!(after.len(), n + appended);
+        prop_assert_eq!(&after[..n], &before[..]);
+        let mut owned = vec![0usize; k];
+        for &s in &before {
+            owned[s] += 1;
+        }
+        for &s in &after[n..] {
+            let fewest = *owned.iter().min().unwrap();
+            prop_assert_eq!(owned[s], fewest);
+            prop_assert!(owned[..s].iter().all(|&c| c > fewest), "tie not to lowest id");
+            owned[s] += 1;
+        }
+        prop_assert_eq!(assignment(&sharded.repartition_preserving(written)), after);
     }
 }

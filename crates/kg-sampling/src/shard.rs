@@ -25,9 +25,8 @@ use rand::Rng;
 #[derive(Clone, Debug)]
 pub struct ShardSampler {
     shard: usize,
-    /// Candidates owned by the shard; probabilities sum to 1 within the
-    /// stratum (global entity ids — translation to shard-local ids is the
-    /// caller's concern).
+    /// Candidates owned by the shard, by global entity id; probabilities
+    /// sum to 1 within the stratum.
     answers: Vec<SampledAnswer>,
     /// O(1) draw table over the within-stratum probabilities; `None` when
     /// the shard owns no candidates.

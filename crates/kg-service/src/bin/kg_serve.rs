@@ -20,8 +20,8 @@
 //! Repeatable `--shard-endpoint SHARD=HOST:PORT[,HOST:PORT]` flags switch
 //! the process into **coordinator mode**: refinement rounds scatter to the
 //! named `kg-shard` processes (comma-separated addresses are replicas of
-//! the same shard, tried in order on failure) instead of in-process shard
-//! CSRs. One flag per shard in `0..K` is required, with `--shards K`
+//! the same shard, tried in order on failure) instead of in-process strata.
+//! One flag per shard in `0..K` is required, with `--shards K`
 //! matching. Boot handshakes every endpoint — retrying while the fleet
 //! comes up — and verifies graph and config fingerprints before the
 //! readiness line prints. `POST /v2/write` answers `501` in this mode.
@@ -134,7 +134,7 @@ fn main() {
     let drain_batch: usize = flags.get("--drain-batch", 16);
     let error_bound: f64 = flags.get("--error-bound", 0.01);
     let confidence: f64 = flags.get("--confidence", 0.95);
-    let shards: usize = flags.get("--shards", 1).max(1);
+    let shards: usize = flags.get("--shards", 1);
     let tenant_weight: f64 = flags.get("--tenant-weight", 1.0);
     let tenant_quota: usize = flags.get("--tenant-quota", 256);
     let compact_threshold: usize = flags.get("--compact-threshold", 4096);

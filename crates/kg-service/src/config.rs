@@ -83,11 +83,12 @@ pub struct ServiceConfig {
     /// Maximum jobs one worker checks out per drain; jobs drained together
     /// share batch planning and interleave their refinement rounds.
     pub drain_batch: usize,
-    /// Number of graph shards K. The graph is partitioned with the
-    /// degree-balanced partitioner on startup and on every
-    /// [`crate::Service::swap_graph`]; queries then run shard-parallel with
-    /// stratified estimate merging. `1` (the default) is the identity:
-    /// answers are bitwise those of the unsharded engine.
+    /// Number of graph shards K, at least 1. The graph's entities are
+    /// assigned to shards by the degree-balanced partitioner on startup and
+    /// on every [`crate::Service::swap_graph`] (no shard copies the graph);
+    /// queries then run shard-parallel with stratified estimate merging.
+    /// `1` (the default) is the identity: answers are bitwise those of the
+    /// unsharded engine.
     pub shards: usize,
     /// Per-tenant weights and quotas for the weighted-fair scheduler.
     pub tenants: TenantPolicy,

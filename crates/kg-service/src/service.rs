@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 
 /// Graph-dependent state, swapped atomically on [`Service::swap_graph`].
 struct EngineState {
-    /// The sharded view: the global graph plus K per-shard CSR graphs
-    /// (`K = config.shards`; K = 1 wraps the graph unchanged).
+    /// The sharded view: the global graph plus its entity→shard assignment
+    /// (`K = config.shards`; K = 1 owns every entity on shard 0).
     sharded: Arc<ShardedGraph>,
     similarity: Arc<dyn PredicateSimilarity>,
     /// Prepared samplers shared across the service lifetime (one entry per
@@ -711,7 +711,7 @@ struct Inner {
     snapshot_load: Mutex<Option<SnapshotLoadInfo>>,
     /// Coordinator mode (present iff `config.remote` is): the fleet of
     /// remote `kg-shard` processes refinement rounds are scattered to,
-    /// instead of the in-process shard CSRs.
+    /// instead of in-process strata.
     remote: Option<Arc<ShardFleet>>,
     /// Readiness gate for `/readyz`: false until boot (snapshot load,
     /// partitioning, sampler prewarm, remote handshake) completes.
@@ -1084,8 +1084,7 @@ impl Service {
     /// untouched components survive, and the cache generation does not move
     /// — in-flight queries on unrelated components complete and cache
     /// normally. Sharded deployments re-partition preservingly: existing
-    /// entities keep their shard and local ids, new entities join the
-    /// least-loaded shard.
+    /// entities keep their shard, new entities join the least-loaded shard.
     pub fn apply_write(&self, write: WriteRequest) -> Result<WriteOutcome, ServiceError> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(ServiceError::ShuttingDown);
@@ -1154,13 +1153,9 @@ impl Service {
             let delta_ops = graph.delta_ops();
             let footprint = QueryFootprint::new(entities, predicates, types);
             let new_global = Arc::new(graph);
-            let sharded = if state.sharded.shard_count() <= 1 {
-                ShardedGraph::single(Arc::clone(&new_global))
-            } else {
-                state
-                    .sharded
-                    .repartition_preserving(Arc::clone(&new_global))
-            };
+            let sharded = state
+                .sharded
+                .repartition_preserving(Arc::clone(&new_global));
             // Resolve the footprint names against the post-write graph (new
             // names intern during application) and evict only the prepared
             // samplers whose key touches them.
@@ -1372,7 +1367,7 @@ impl Service {
     }
 
     /// Whether this service runs in coordinator mode (scattering refinement
-    /// rounds to remote `kg-shard` processes instead of in-process CSRs).
+    /// rounds to remote `kg-shard` processes instead of in-process strata).
     pub fn is_remote(&self) -> bool {
         self.inner.remote.is_some()
     }

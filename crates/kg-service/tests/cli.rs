@@ -68,6 +68,11 @@ fn flag_without_value_is_refused() {
 }
 
 #[test]
+fn zero_shards_is_refused() {
+    assert_refused(run(&["--shards", "0"]), "shards");
+}
+
+#[test]
 fn help_still_exits_0() {
     let out = run(&["--help"]);
     assert_eq!(out.status.code(), Some(0));

@@ -1,4 +1,4 @@
-//! `kg-shard`: host shard CSRs behind the framed shard protocol.
+//! `kg-shard`: serve shard stratum work behind the framed shard protocol.
 //!
 //! ```text
 //! kg-shard [--listen 127.0.0.1:7979] [--admin 127.0.0.1:7980]
