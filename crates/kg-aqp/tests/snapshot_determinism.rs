@@ -1,12 +1,12 @@
 //! Snapshot-loaded answers are bitwise-identical to built-graph answers.
 //!
-//! The snapshot format's whole promise is that skipping the parse, the CSR
-//! build, and the alias-table construction changes *nothing observable*:
+//! The snapshot format's whole promise is that skipping generation and the
+//! alias-table construction, and rebuilding the CSR from the stored triple
+//! log, changes *nothing observable*:
 //! an engine running over a snapshot-reloaded graph (and the similarity
 //! store reloaded from the same file) must produce the same estimate bits,
 //! interval bits, sample sizes, and per-round traces as one running over
-//! the freshly built graph — at every K and at every thread count. Both
-//! the plain and the delta-varint compressed CSR encodings are pinned.
+//! the freshly built graph — at every K and at every thread count.
 
 use kg_aqp::{BatchEngine, EngineConfig, QueryAnswer};
 use kg_core::{DegreeBalancedPartitioner, KgResult, KnowledgeGraph, ShardedGraph};
@@ -78,20 +78,15 @@ fn assert_bitwise_identical(label: &str, a: &[KgResult<QueryAnswer>], b: &[KgRes
 fn reload(
     graph: &KnowledgeGraph,
     oracle: &PredicateVectorStore,
-    compress: bool,
 ) -> (KnowledgeGraph, PredicateVectorStore) {
-    let options = kg_core::snapshot::SnapshotOptions {
-        compress_csr: compress,
-    };
-    let bytes = bundle_bytes(graph, &options, Some(oracle), None).expect("snapshot");
+    let bytes = bundle_bytes(graph, Some(oracle), None).expect("snapshot");
     let snap = kg_core::snapshot::Snapshot::from_bytes(bytes).expect("parse");
     let bundle = bundle_from_snapshot(&snap).expect("reload");
     (bundle.graph, bundle.similarity.expect("similarity stored"))
 }
 
 /// The acceptance matrix: snapshot-loaded answers bitwise-identical to
-/// built-graph answers across K ∈ {1,4} shards and {1,4}-thread pools,
-/// at both CSR encodings.
+/// built-graph answers across K ∈ {1,4} shards and {1,4}-thread pools.
 #[test]
 fn snapshot_loaded_answers_are_bitwise_identical_across_k_and_threads() {
     let d = dataset();
@@ -102,36 +97,34 @@ fn snapshot_loaded_answers_are_bitwise_identical_across_k_and_threads() {
         ..EngineConfig::default()
     });
 
-    for compress in [false, true] {
-        let (snap_graph, snap_oracle) = reload(&d.graph, &d.oracle, compress);
-        let snap_graph = Arc::new(snap_graph);
-        let built_graph = Arc::new(d.graph.clone());
+    let (snap_graph, snap_oracle) = reload(&d.graph, &d.oracle);
+    let snap_graph = Arc::new(snap_graph);
+    let built_graph = Arc::new(d.graph.clone());
 
-        for k in SHARD_COUNTS {
-            let built_sharded =
-                ShardedGraph::new(Arc::clone(&built_graph), &DegreeBalancedPartitioner, k);
-            let snap_sharded =
-                ShardedGraph::new(Arc::clone(&snap_graph), &DegreeBalancedPartitioner, k);
-            for threads in THREAD_COUNTS {
-                let label = format!("compress={compress} K={k} threads={threads}");
-                let built = at_threads(threads, || {
-                    batch.execute(&built_sharded, &queries, &d.oracle).0
-                });
-                let snapped = at_threads(threads, || {
-                    batch.execute(&snap_sharded, &queries, &snap_oracle).0
-                });
-                assert_bitwise_identical(&label, &built, &snapped);
-            }
-        }
-
-        // Unsharded engine too, for completeness of the matrix.
+    for k in SHARD_COUNTS {
+        let built_sharded =
+            ShardedGraph::new(Arc::clone(&built_graph), &DegreeBalancedPartitioner, k);
+        let snap_sharded =
+            ShardedGraph::new(Arc::clone(&snap_graph), &DegreeBalancedPartitioner, k);
         for threads in THREAD_COUNTS {
-            let label = format!("compress={compress} unsharded threads={threads}");
-            let built = at_threads(threads, || batch.execute(&d.graph, &queries, &d.oracle).0);
+            let label = format!("K={k} threads={threads}");
+            let built = at_threads(threads, || {
+                batch.execute(&built_sharded, &queries, &d.oracle).0
+            });
             let snapped = at_threads(threads, || {
-                batch.execute(&*snap_graph, &queries, &snap_oracle).0
+                batch.execute(&snap_sharded, &queries, &snap_oracle).0
             });
             assert_bitwise_identical(&label, &built, &snapped);
         }
+    }
+
+    // Unsharded engine too, for completeness of the matrix.
+    for threads in THREAD_COUNTS {
+        let label = format!("unsharded threads={threads}");
+        let built = at_threads(threads, || batch.execute(&d.graph, &queries, &d.oracle).0);
+        let snapped = at_threads(threads, || {
+            batch.execute(&*snap_graph, &queries, &snap_oracle).0
+        });
+        assert_bitwise_identical(&label, &built, &snapped);
     }
 }

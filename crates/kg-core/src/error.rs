@@ -45,7 +45,7 @@ pub enum KgError {
     /// and never produces a partially-initialised graph.
     Snapshot {
         /// The failing section (`"header"`, `"toc"`, or a section name such
-        /// as `"csr_edges"` — see `snapshot::section_kind::name`).
+        /// as `"triples"` — see `snapshot::section_kind::name`).
         section: String,
         /// What failed, with stored-vs-computed detail where applicable.
         message: String,

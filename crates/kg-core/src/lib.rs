@@ -70,6 +70,6 @@ pub use neighborhood::{
 pub use partition::{DegreeBalancedPartitioner, HashPartitioner, Partitioner};
 pub use predicate::PredicateVocabulary;
 pub use shard::ShardedGraph;
-pub use snapshot::{SectionInfo, Snapshot, SnapshotOptions, SnapshotWriter, FORMAT_VERSION};
+pub use snapshot::{SectionInfo, Snapshot, SnapshotWriter, FORMAT_VERSION};
 pub use stats::GraphStats;
 pub use triple::Triple;

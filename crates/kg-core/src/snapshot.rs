@@ -1,25 +1,27 @@
-//! Zero-copy graph snapshots: a versioned, checksummed on-disk format for
+//! Graph snapshots: a versioned, checksummed on-disk format for
 //! millisecond cold starts.
 //!
 //! Every `kg-serve` replica used to redo the whole build pipeline on boot:
 //! re-parse triples, re-intern four vocabularies, re-run the counting sort
-//! into CSR, re-prepare samplers. A snapshot freezes the *results* of that
-//! work instead: the CSR arrays (`Vec<EdgeRef>` + offsets), the interned
-//! string pools in id order, the attribute stores, the triple log, and —
-//! via extension sections owned by downstream crates — the similarity
-//! oracle and prebuilt per-component alias tables. Loading is a bounds /
-//! checksum / layout validation followed by a straight reinterpretation of
-//! little-endian records (`mmap` behind the off-by-default `mmap` feature;
-//! a std-only aligned-read path otherwise). Either way there is no
-//! re-parse, no re-sort, and no alias rebuild.
+//! into CSR, re-prepare samplers. A snapshot stores the graph once — the
+//! interned string pools in id order, the attribute stores and the triple
+//! log — plus, via extension sections owned by downstream crates, the
+//! similarity oracle and prebuilt per-component alias tables. Loading is a
+//! bounds / checksum / layout validation, a linear decode of little-endian
+//! records, and the counting sort [`GraphBuilder::build`] runs, over the
+//! triple log, to rebuild the CSR adjacency. No re-parse and no alias
+//! rebuild; the adjacency is not stored, so it cannot disagree with the
+//! triples it is derived from.
 //!
-//! # File layout (format version 1)
+//! [`GraphBuilder::build`]: crate::GraphBuilder::build
+//!
+//! # File layout (format version 2)
 //!
 //! ```text
 //! offset 0    ┌──────────────────────────────────────────────┐
 //!             │ header (64 B): magic "KGSNAP\r\n", version,  │
-//!             │ flags, section count, TOC offset, file       │
-//!             │ length, TOC crc64, header crc64              │
+//!             │ flags (reserved, 0), section count, TOC      │
+//!             │ offset, file length, TOC crc64, header crc64 │
 //! offset 64   ├──────────────────────────────────────────────┤
 //!             │ TOC: one 32 B entry per section              │
 //!             │   (kind, payload offset, length, crc64)      │
@@ -30,22 +32,20 @@
 //! ```
 //!
 //! All integers are little-endian. Section payloads are individually
-//! checksummed (CRC-64/XZ) and start on 64-byte boundaries so an mmap'd
-//! file presents every array cache-line aligned. The CSR edge array is
-//! stored either raw (12 B per [`EdgeRef`], flag bit 0 clear) or
-//! delta-varint compressed (flag bit 0 set): per adjacency row, neighbour
-//! ids are zigzag-deltas from the previous neighbour (seeded with the
-//! owning entity id) and `(predicate << 1) | direction` is a plain varint —
-//! smaller cache footprint traded against a decode pass (benchmarked both
-//! ways by the `cold_start` bench).
+//! checksummed (CRC-64/XZ) and start on 64-byte boundaries. The core
+//! sections are meta, the four string pools, the per-entity type and
+//! attribute lists, and the triple log (12 B per triple, insertion order).
+//! The header `flags` word is reserved: writers write 0 and readers reject
+//! anything else.
 //!
 //! # Fail-closed validation
 //!
 //! A truncated, corrupted or version-skewed file is rejected with a
 //! structured [`KgError::Snapshot`] naming the failing section — never UB,
 //! never a panic. Validation layers: magic → header checksum → version →
-//! file length → TOC checksum → per-section bounds/alignment/checksum →
-//! per-section structural decode (ids in range, offsets monotonic, string
+//! flags → file length → TOC checksum → per-section bounds/alignment/
+//! checksum → per-section structural decode (ids in range, every declared
+//! count backed by the bytes present before it sizes an allocation, string
 //! pools well-formed). Only the sections a reader touches are decoded, but
 //! [`Snapshot::open`] always verifies every checksum up front.
 //!
@@ -60,7 +60,7 @@
 use crate::builder::build_csr;
 use crate::entity::Entity;
 use crate::error::{KgError, KgResult};
-use crate::graph::{Direction, EdgeRef, KnowledgeGraph};
+use crate::graph::KnowledgeGraph;
 use crate::ids::{AttrId, EntityId, PredicateId, TypeId};
 use crate::index::{NameIndex, TypeIndex};
 use crate::interner::StringInterner;
@@ -70,20 +70,15 @@ use std::io::Write;
 use std::path::Path;
 
 /// The snapshot format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Section payloads (and the first payload after the TOC) start on
-/// multiples of this, so mmap'd arrays are cache-line aligned.
+/// multiples of this, so every section begins on a cache-line boundary.
 pub const SECTION_ALIGN: usize = 64;
 
 /// Magic bytes at offset 0. The `\r\n` catches text-mode mangling the same
 /// way the PNG magic does.
 pub const MAGIC: [u8; 8] = *b"KGSNAP\r\n";
-
-/// Header flag bit 0: the CSR edge section is delta-varint compressed
-/// ([`section_kind::CSR_EDGES_VARINT`] present instead of
-/// [`section_kind::CSR_EDGES`]).
-pub const FLAG_COMPRESSED_CSR: u32 = 1;
 
 const HEADER_LEN: usize = 64;
 const TOC_ENTRY_LEN: usize = 32;
@@ -106,14 +101,9 @@ pub mod section_kind {
     pub const ENTITY_TYPES: u32 = 6;
     /// Per-entity attribute sets (count array + flat `(id, f64 bits)`).
     pub const ENTITY_ATTRS: u32 = 7;
-    /// The triple log, 12 B per triple, insertion order.
+    /// The triple log, 12 B per triple, insertion order. The CSR
+    /// adjacency is rebuilt from it on load.
     pub const TRIPLES: u32 = 8;
-    /// CSR offsets, `u32 × (entity_count + 1)`.
-    pub const CSR_OFFSETS: u32 = 9;
-    /// CSR adjacency entries, raw 12 B records.
-    pub const CSR_EDGES: u32 = 10;
-    /// CSR adjacency entries, delta-varint compressed.
-    pub const CSR_EDGES_VARINT: u32 = 11;
     /// Predicate similarity store (written by `kg-embed`).
     pub const SIMILARITY: u32 = 100;
     /// Prebuilt per-component samplers with alias tables (written by
@@ -132,9 +122,6 @@ pub mod section_kind {
             ENTITY_TYPES => "entity_types",
             ENTITY_ATTRS => "entity_attrs",
             TRIPLES => "triples",
-            CSR_OFFSETS => "csr_offsets",
-            CSR_EDGES => "csr_edges",
-            CSR_EDGES_VARINT => "csr_edges_varint",
             SIMILARITY => "similarity",
             SAMPLERS => "samplers",
             _ => "unknown",
@@ -284,21 +271,25 @@ impl<'a> SectionReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads a LEB128 varint (≤ 64 bits).
-    pub fn varint(&mut self) -> KgResult<u64> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.take(1)?[0];
-            if shift >= 64 {
-                return Err(err(self.section, "varint longer than 64 bits"));
-            }
-            value |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
+    /// Checks a file-declared element count against the bytes not yet
+    /// consumed — `count` elements of at least `min_elem_bytes` each must
+    /// fit — and returns it as a `usize`. Every count that sizes an
+    /// allocation goes through here first, so a hostile count is a
+    /// structured error, never an allocation of the declared size.
+    pub fn count(&self, count: u64, min_elem_bytes: usize) -> KgResult<usize> {
+        let remaining = self.bytes.len() - self.pos;
+        let need = count.saturating_mul(min_elem_bytes.max(1) as u64);
+        if need > remaining as u64 {
+            return Err(err(
+                self.section,
+                format!(
+                    "declared {count} elements (≥ {need} bytes) at offset {}, \
+                     but only {remaining} bytes remain",
+                    self.pos
+                ),
+            ));
         }
+        Ok(count as usize)
     }
 
     /// True when the cursor has consumed the whole payload.
@@ -322,26 +313,6 @@ impl<'a> SectionReader<'a> {
     }
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------
@@ -351,19 +322,13 @@ fn unzigzag(v: u64) -> i64 {
 /// the header + TOC and computes every checksum.
 #[derive(Debug, Default)]
 pub struct SnapshotWriter {
-    flags: u32,
     sections: Vec<(u32, Vec<u8>)>,
 }
 
 impl SnapshotWriter {
-    /// An empty writer (no sections, no flags).
+    /// An empty writer (no sections).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets a header flag bit (e.g. [`FLAG_COMPRESSED_CSR`]).
-    pub fn set_flag(&mut self, flag: u32) {
-        self.flags |= flag;
     }
 
     /// Appends a section. Kinds must be unique within one snapshot.
@@ -401,7 +366,7 @@ impl SnapshotWriter {
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(&MAGIC);
         put_u32(&mut header, FORMAT_VERSION);
-        put_u32(&mut header, self.flags);
+        put_u32(&mut header, 0); // flags: reserved
         put_u32(&mut header, self.sections.len() as u32);
         put_u32(&mut header, 0); // reserved
         put_u64(&mut header, toc_offset as u64);
@@ -425,112 +390,6 @@ impl SnapshotWriter {
 
 fn align_up(v: usize, align: usize) -> usize {
     v.div_ceil(align) * align
-}
-
-// ---------------------------------------------------------------------
-// Backing storage: owned bytes or an mmap'd region.
-// ---------------------------------------------------------------------
-
-#[cfg(feature = "mmap")]
-mod mapping {
-    //! A minimal read-only `mmap` wrapper over raw syscalls (the offline
-    //! build has no `memmap2`; libc is already linked by std).
-    use std::fs::File;
-    use std::io;
-    use std::os::raw::{c_int, c_void};
-    use std::os::unix::io::AsRawFd;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-
-    const PROT_READ: c_int = 1;
-    const MAP_PRIVATE: c_int = 2;
-    const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
-
-    /// A read-only private mapping of a whole file.
-    pub struct Mapped {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    // The mapping is read-only and owned exclusively by `Mapped`.
-    unsafe impl Send for Mapped {}
-    unsafe impl Sync for Mapped {}
-
-    impl Mapped {
-        pub fn of(file: &File, len: usize) -> io::Result<Self> {
-            if len == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "cannot mmap an empty file",
-                ));
-            }
-            // SAFETY: len > 0, fd is a valid open file, and we request a
-            // fresh private read-only mapping chosen by the kernel.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr == MAP_FAILED {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Self { ptr, len })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            // SAFETY: the mapping covers `len` readable bytes for the
-            // lifetime of `self`; the file is opened read-only by the
-            // loader so the kernel keeps the pages stable.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Mapped {
-        fn drop(&mut self) {
-            // SAFETY: `ptr`/`len` came from a successful mmap call.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-
-    impl std::fmt::Debug for Mapped {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "Mapped({} bytes)", self.len)
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Storage {
-    Owned(Vec<u8>),
-    #[cfg(feature = "mmap")]
-    Mapped(mapping::Mapped),
-}
-
-impl Storage {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Storage::Owned(v) => v,
-            #[cfg(feature = "mmap")]
-            Storage::Mapped(m) => m.bytes(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -558,201 +417,157 @@ impl SectionInfo {
 }
 
 /// A validated snapshot image: header, TOC and every section checksum have
-/// been verified. Section payloads are borrowed straight out of the backing
-/// buffer (owned bytes, or the mapped region under the `mmap` feature).
+/// been verified. Section payloads are borrowed straight out of the image.
 #[derive(Debug)]
 pub struct Snapshot {
-    storage: Storage,
-    version: u32,
-    flags: u32,
+    bytes: Vec<u8>,
     sections: Vec<SectionInfo>,
 }
 
 impl Snapshot {
-    /// Opens and fully validates a snapshot file.
-    ///
-    /// With the `mmap` feature enabled the file is mapped instead of read;
-    /// validation still walks every section once (which also pre-faults
-    /// the pages the loader is about to reinterpret).
+    /// Reads and fully validates a snapshot file.
     pub fn open(path: impl AsRef<Path>) -> KgResult<Self> {
-        Self::open_impl(path.as_ref())
-    }
-
-    #[cfg(feature = "mmap")]
-    fn open_impl(path: &Path) -> KgResult<Self> {
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len() as usize;
-        if len == 0 {
-            return Err(err("header", "file is empty"));
-        }
-        let mapped = mapping::Mapped::of(&file, len).map_err(KgError::Io)?;
-        Self::from_storage(Storage::Mapped(mapped))
-    }
-
-    #[cfg(not(feature = "mmap"))]
-    fn open_impl(path: &Path) -> KgResult<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(bytes)
+        Self::from_bytes(std::fs::read(path)?)
     }
 
     /// Validates a snapshot image held in memory.
     pub fn from_bytes(bytes: Vec<u8>) -> KgResult<Self> {
-        Self::from_storage(Storage::Owned(bytes))
-    }
+        if bytes.len() < HEADER_LEN {
+            return Err(err(
+                "header",
+                format!(
+                    "file is {} bytes, shorter than the 64-byte header",
+                    bytes.len()
+                ),
+            ));
+        }
+        if bytes[..8] != MAGIC {
+            return Err(err("header", "bad magic: not a kg snapshot file"));
+        }
+        let stored_header_crc = u64::from_le_bytes(bytes[48..56].try_into().unwrap());
+        let computed_header_crc = crc64(&bytes[..48]);
+        if stored_header_crc != computed_header_crc {
+            return Err(err(
+                "header",
+                format!(
+                    "header checksum mismatch: stored {stored_header_crc:#018x}, \
+                     computed {computed_header_crc:#018x}"
+                ),
+            ));
+        }
+        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        if version != FORMAT_VERSION {
+            return Err(err(
+                "header",
+                format!(
+                    "format version skew: file is v{version}, this build reads v{FORMAT_VERSION}; \
+                     rebuild the snapshot with the matching kg-snap"
+                ),
+            ));
+        }
+        let flags = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+        if flags != 0 {
+            return Err(err(
+                "header",
+                format!("reserved flags word is {flags:#x}, must be 0"),
+            ));
+        }
+        let section_count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+        let toc_offset = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+        let file_len = u64::from_le_bytes(bytes[32..40].try_into().unwrap()) as usize;
+        let toc_crc = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
 
-    fn from_storage(storage: Storage) -> KgResult<Self> {
-        let sections;
-        let version;
-        let flags;
-        {
-            let bytes = storage.bytes();
-            if bytes.len() < HEADER_LEN {
-                return Err(err(
-                    "header",
-                    format!(
-                        "file is {} bytes, shorter than the 64-byte header",
-                        bytes.len()
-                    ),
-                ));
-            }
-            if bytes[..8] != MAGIC {
-                return Err(err("header", "bad magic: not a kg snapshot file"));
-            }
-            let stored_header_crc = u64::from_le_bytes(bytes[48..56].try_into().unwrap());
-            let computed_header_crc = crc64(&bytes[..48]);
-            if stored_header_crc != computed_header_crc {
-                return Err(err(
-                    "header",
-                    format!(
-                        "header checksum mismatch: stored {stored_header_crc:#018x}, \
-                         computed {computed_header_crc:#018x}"
-                    ),
-                ));
-            }
-            version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-            if version != FORMAT_VERSION {
-                return Err(err(
-                    "header",
-                    format!(
-                        "format version skew: file is v{version}, this build reads v{FORMAT_VERSION}; \
-                         rebuild the snapshot with the matching kg-snap"
-                    ),
-                ));
-            }
-            flags = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-            let section_count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
-            let toc_offset = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-            let file_len = u64::from_le_bytes(bytes[32..40].try_into().unwrap()) as usize;
-            let toc_crc = u64::from_le_bytes(bytes[40..48].try_into().unwrap());
+        if file_len != bytes.len() {
+            return Err(err(
+                "header",
+                format!(
+                    "file length mismatch: header says {file_len} bytes, file is {} \
+                     (truncated or padded)",
+                    bytes.len()
+                ),
+            ));
+        }
+        let toc_len = section_count
+            .checked_mul(TOC_ENTRY_LEN)
+            .ok_or_else(|| err("toc", "section count overflows"))?;
+        let toc_end = toc_offset
+            .checked_add(toc_len)
+            .filter(|&e| e <= bytes.len())
+            .ok_or_else(|| {
+                err(
+                    "toc",
+                    format!("table of contents ({section_count} entries) exceeds the file"),
+                )
+            })?;
+        let toc = &bytes[toc_offset..toc_end];
+        let computed_toc_crc = crc64(toc);
+        if toc_crc != computed_toc_crc {
+            return Err(err(
+                "toc",
+                format!(
+                    "toc checksum mismatch: stored {toc_crc:#018x}, \
+                     computed {computed_toc_crc:#018x}"
+                ),
+            ));
+        }
 
-            if file_len != bytes.len() {
+        let mut sections = Vec::with_capacity(section_count);
+        for i in 0..section_count {
+            let e = &toc[i * TOC_ENTRY_LEN..(i + 1) * TOC_ENTRY_LEN];
+            let info = SectionInfo {
+                kind: u32::from_le_bytes(e[0..4].try_into().unwrap()),
+                offset: u64::from_le_bytes(e[8..16].try_into().unwrap()),
+                len: u64::from_le_bytes(e[16..24].try_into().unwrap()),
+                checksum: u64::from_le_bytes(e[24..32].try_into().unwrap()),
+            };
+            let name = info.name();
+            if sections.iter().any(|s: &SectionInfo| s.kind == info.kind) {
+                return Err(err("toc", format!("duplicate section kind {name:?}")));
+            }
+            if info.offset as usize % SECTION_ALIGN != 0 {
                 return Err(err(
-                    "header",
+                    name,
                     format!(
-                        "file length mismatch: header says {file_len} bytes, file is {} \
-                         (truncated or padded)",
-                        bytes.len()
+                        "misaligned payload: offset {} is not a multiple of {SECTION_ALIGN}",
+                        info.offset
                     ),
                 ));
             }
-            let toc_len = section_count
-                .checked_mul(TOC_ENTRY_LEN)
-                .ok_or_else(|| err("toc", "section count overflows"))?;
-            let toc_end = toc_offset
-                .checked_add(toc_len)
-                .filter(|&e| e <= bytes.len())
+            let end = info
+                .offset
+                .checked_add(info.len)
+                .filter(|&e| e as usize <= bytes.len())
                 .ok_or_else(|| {
                     err(
-                        "toc",
-                        format!("table of contents ({section_count} entries) exceeds the file"),
+                        name,
+                        format!(
+                            "payload out of bounds: offset {} + len {} exceeds file of {} bytes",
+                            info.offset,
+                            info.len,
+                            bytes.len()
+                        ),
                     )
                 })?;
-            let toc = &bytes[toc_offset..toc_end];
-            let computed_toc_crc = crc64(toc);
-            if toc_crc != computed_toc_crc {
+            let payload = &bytes[info.offset as usize..end as usize];
+            let computed = crc64(payload);
+            if computed != info.checksum {
                 return Err(err(
-                    "toc",
+                    name,
                     format!(
-                        "toc checksum mismatch: stored {toc_crc:#018x}, \
-                         computed {computed_toc_crc:#018x}"
+                        "checksum mismatch: stored {:#018x}, computed {computed:#018x}",
+                        info.checksum
                     ),
                 ));
             }
-
-            let mut parsed = Vec::with_capacity(section_count);
-            for i in 0..section_count {
-                let e = &toc[i * TOC_ENTRY_LEN..(i + 1) * TOC_ENTRY_LEN];
-                let info = SectionInfo {
-                    kind: u32::from_le_bytes(e[0..4].try_into().unwrap()),
-                    offset: u64::from_le_bytes(e[8..16].try_into().unwrap()),
-                    len: u64::from_le_bytes(e[16..24].try_into().unwrap()),
-                    checksum: u64::from_le_bytes(e[24..32].try_into().unwrap()),
-                };
-                let name = info.name();
-                if parsed.iter().any(|s: &SectionInfo| s.kind == info.kind) {
-                    return Err(err("toc", format!("duplicate section kind {name:?}")));
-                }
-                if info.offset as usize % SECTION_ALIGN != 0 {
-                    return Err(err(
-                        name,
-                        format!(
-                            "misaligned payload: offset {} is not a multiple of {SECTION_ALIGN}",
-                            info.offset
-                        ),
-                    ));
-                }
-                let end = info
-                    .offset
-                    .checked_add(info.len)
-                    .filter(|&e| e as usize <= bytes.len())
-                    .ok_or_else(|| {
-                        err(
-                            name,
-                            format!(
-                                "payload out of bounds: offset {} + len {} exceeds file of {} bytes",
-                                info.offset,
-                                info.len,
-                                bytes.len()
-                            ),
-                        )
-                    })?;
-                let payload = &bytes[info.offset as usize..end as usize];
-                let computed = crc64(payload);
-                if computed != info.checksum {
-                    return Err(err(
-                        name,
-                        format!(
-                            "checksum mismatch: stored {:#018x}, computed {computed:#018x}",
-                            info.checksum
-                        ),
-                    ));
-                }
-                parsed.push(info);
-            }
-            sections = parsed;
+            sections.push(info);
         }
-        Ok(Self {
-            storage,
-            version,
-            flags,
-            sections,
-        })
+        Ok(Self { bytes, sections })
     }
 
     /// The format version of the file (always [`FORMAT_VERSION`] after a
     /// successful open).
     pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// The header flag bits.
-    pub fn flags(&self) -> u32 {
-        self.flags
-    }
-
-    /// True when the CSR edge section is delta-varint compressed.
-    pub fn compressed_csr(&self) -> bool {
-        self.flags & FLAG_COMPRESSED_CSR != 0
+        FORMAT_VERSION
     }
 
     /// The table of contents, in file order.
@@ -763,8 +578,7 @@ impl Snapshot {
     /// The payload of a section, if present.
     pub fn section(&self, kind: u32) -> Option<&[u8]> {
         let info = self.sections.iter().find(|s| s.kind == kind)?;
-        let bytes = self.storage.bytes();
-        Some(&bytes[info.offset as usize..(info.offset + info.len) as usize])
+        Some(&self.bytes[info.offset as usize..(info.offset + info.len) as usize])
     }
 
     /// The payload of a section that must be present.
@@ -781,13 +595,6 @@ impl Snapshot {
 // ---------------------------------------------------------------------
 // Graph section codecs
 // ---------------------------------------------------------------------
-
-/// Options controlling how a snapshot is written.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SnapshotOptions {
-    /// Store the CSR edge array delta-varint compressed instead of raw.
-    pub compress_csr: bool,
-}
 
 fn encode_string_pool<'a>(count: usize, strings: impl Iterator<Item = &'a str>) -> Vec<u8> {
     let mut out = Vec::new();
@@ -811,7 +618,8 @@ fn decode_string_pool(bytes: &[u8], section: &'static str, expected: u64) -> KgR
             format!("count mismatch: section holds {count} strings, meta says {expected}"),
         ));
     }
-    let mut out = Vec::with_capacity(count as usize);
+    // Each string carries at least its 4-byte length prefix.
+    let mut out = Vec::with_capacity(c.count(count, 4)?);
     for _ in 0..count {
         let len = c.u32()? as usize;
         let raw = c.take(len)?;
@@ -829,7 +637,6 @@ fn decode_string_pool(bytes: &[u8], section: &'static str, expected: u64) -> KgR
 struct Meta {
     entities: u64,
     triples: u64,
-    edge_entries: u64,
     types: u64,
     predicates: u64,
     attrs: u64,
@@ -837,11 +644,10 @@ struct Meta {
 
 impl Meta {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48);
+        let mut out = Vec::with_capacity(40);
         for v in [
             self.entities,
             self.triples,
-            self.edge_entries,
             self.types,
             self.predicates,
             self.attrs,
@@ -856,14 +662,12 @@ impl Meta {
         let meta = Self {
             entities: c.u64()?,
             triples: c.u64()?,
-            edge_entries: c.u64()?,
             types: c.u64()?,
             predicates: c.u64()?,
             attrs: c.u64()?,
         };
         c.expect_done()?;
-        // The CSR capacity assert of `build_csr`, as a structured error.
-        if meta.entities > u32::MAX as u64 || meta.edge_entries > u32::MAX as u64 {
+        if meta.entities > u32::MAX as u64 {
             return Err(err("meta", "graph exceeds u32 id capacity"));
         }
         Ok(meta)
@@ -907,141 +711,6 @@ fn encode_triples(triples: &[Triple]) -> Vec<u8> {
     out
 }
 
-fn encode_offsets(offsets: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(offsets.len() * 4);
-    for &o in offsets {
-        put_u32(&mut out, o);
-    }
-    out
-}
-
-fn encode_edges_raw(edges: &[EdgeRef]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(edges.len() * 12);
-    for e in edges {
-        put_u32(&mut out, e.neighbor.raw());
-        put_u32(&mut out, e.predicate.raw());
-        put_u32(&mut out, (e.direction == Direction::Incoming) as u32);
-    }
-    out
-}
-
-/// Delta-varint CSR edge encoding: per adjacency row, the neighbour id is
-/// a zigzag delta from the previous neighbour in the row (seeded with the
-/// owning entity id — neighbours cluster near their owner in generated
-/// graphs), and `(predicate << 1) | incoming` is a plain varint.
-fn encode_edges_varint(edges: &[EdgeRef], offsets: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(edges.len() * 3);
-    for entity in 0..offsets.len().saturating_sub(1) {
-        let row = &edges[offsets[entity] as usize..offsets[entity + 1] as usize];
-        let mut prev = entity as i64;
-        for e in row {
-            let n = e.neighbor.raw() as i64;
-            put_varint(&mut out, zigzag(n - prev));
-            prev = n;
-            let tag =
-                (u64::from(e.predicate.raw()) << 1) | u64::from(e.direction == Direction::Incoming);
-            put_varint(&mut out, tag);
-        }
-    }
-    out
-}
-
-fn decode_edges_varint(bytes: &[u8], offsets: &[u32], meta: &Meta) -> KgResult<Vec<EdgeRef>> {
-    let section = "csr_edges_varint";
-    let mut c = SectionReader::new(bytes, section);
-    let mut edges = Vec::with_capacity(meta.edge_entries as usize);
-    for entity in 0..offsets.len().saturating_sub(1) {
-        let degree = (offsets[entity + 1] - offsets[entity]) as usize;
-        let mut prev = entity as i64;
-        for _ in 0..degree {
-            let n = prev + unzigzag(c.varint()?);
-            if n < 0 || n as u64 >= meta.entities {
-                return Err(err(
-                    section,
-                    format!(
-                        "neighbour id {n} out of range for {} entities",
-                        meta.entities
-                    ),
-                ));
-            }
-            prev = n;
-            let tag = c.varint()?;
-            let predicate = tag >> 1;
-            if predicate >= meta.predicates {
-                return Err(err(
-                    section,
-                    format!(
-                        "predicate id {predicate} out of range for {} predicates",
-                        meta.predicates
-                    ),
-                ));
-            }
-            edges.push(EdgeRef {
-                neighbor: EntityId::new(n as u32),
-                predicate: PredicateId::new(predicate as u32),
-                direction: if tag & 1 == 1 {
-                    Direction::Incoming
-                } else {
-                    Direction::Outgoing
-                },
-            });
-        }
-    }
-    c.expect_done()?;
-    Ok(edges)
-}
-
-fn decode_edges_raw(bytes: &[u8], meta: &Meta) -> KgResult<Vec<EdgeRef>> {
-    let section = "csr_edges";
-    if bytes.len() != meta.edge_entries as usize * 12 {
-        return Err(err(
-            section,
-            format!(
-                "length mismatch: {} bytes for {} adjacency entries (12 bytes each)",
-                bytes.len(),
-                meta.edge_entries
-            ),
-        ));
-    }
-    let mut edges = Vec::with_capacity(meta.edge_entries as usize);
-    for rec in bytes.chunks_exact(12) {
-        let neighbor = u32::from_le_bytes(rec[0..4].try_into().unwrap());
-        let predicate = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-        let dir = u32::from_le_bytes(rec[8..12].try_into().unwrap());
-        if u64::from(neighbor) >= meta.entities {
-            return Err(err(
-                section,
-                format!(
-                    "neighbour id {neighbor} out of range for {} entities",
-                    meta.entities
-                ),
-            ));
-        }
-        if u64::from(predicate) >= meta.predicates {
-            return Err(err(
-                section,
-                format!(
-                    "predicate id {predicate} out of range for {} predicates",
-                    meta.predicates
-                ),
-            ));
-        }
-        let direction = match dir {
-            0 => Direction::Outgoing,
-            1 => Direction::Incoming,
-            other => {
-                return Err(err(section, format!("invalid direction tag {other}")));
-            }
-        };
-        edges.push(EdgeRef {
-            neighbor: EntityId::new(neighbor),
-            predicate: PredicateId::new(predicate),
-            direction,
-        });
-    }
-    Ok(edges)
-}
-
 fn interner_from_strings(strings: Vec<String>) -> StringInterner {
     let mut interner = StringInterner::with_capacity(strings.len());
     for s in &strings {
@@ -1058,7 +727,7 @@ impl KnowledgeGraph {
     /// # Errors
     /// Fails when the graph carries a pending delta overlay — snapshots
     /// capture frozen CSR state, so call [`KnowledgeGraph::compact`] first.
-    pub fn snapshot_writer(&self, options: &SnapshotOptions) -> KgResult<SnapshotWriter> {
+    pub fn snapshot_writer(&self) -> KgResult<SnapshotWriter> {
         if self.delta.is_some() {
             return Err(err(
                 "meta",
@@ -1068,7 +737,6 @@ impl KnowledgeGraph {
         let meta = Meta {
             entities: self.entities.len() as u64,
             triples: self.triples.len() as u64,
-            edge_entries: self.edges.len() as u64,
             types: self.types.len() as u64,
             predicates: self.predicates.len() as u64,
             attrs: self.attrs.len() as u64,
@@ -1106,47 +774,29 @@ impl KnowledgeGraph {
             encode_entity_attrs(&self.entities),
         );
         w.add_section(section_kind::TRIPLES, encode_triples(&self.triples));
-        w.add_section(section_kind::CSR_OFFSETS, encode_offsets(&self.offsets));
-        if options.compress_csr {
-            w.set_flag(FLAG_COMPRESSED_CSR);
-            w.add_section(
-                section_kind::CSR_EDGES_VARINT,
-                encode_edges_varint(&self.edges, &self.offsets),
-            );
-        } else {
-            w.add_section(section_kind::CSR_EDGES, encode_edges_raw(&self.edges));
-        }
         Ok(w)
     }
 
     /// The snapshot image of this graph as bytes (no extension sections).
-    pub fn snapshot_bytes(&self, options: &SnapshotOptions) -> KgResult<Vec<u8>> {
-        Ok(self.snapshot_writer(options)?.finish())
+    pub fn snapshot_bytes(&self) -> KgResult<Vec<u8>> {
+        Ok(self.snapshot_writer()?.finish())
     }
 
-    /// Writes a snapshot of this graph to `path` (default options, no
-    /// extension sections). The file is written to a temporary sibling and
-    /// atomically renamed into place so a crashed writer never leaves a
-    /// half-written snapshot behind.
+    /// Writes a snapshot of this graph to `path` (no extension sections).
+    /// The file is written to a temporary sibling and atomically renamed
+    /// into place so a crashed writer never leaves a half-written snapshot
+    /// behind.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> KgResult<()> {
-        self.write_snapshot_with(path, &SnapshotOptions::default())
-    }
-
-    /// [`KnowledgeGraph::write_snapshot`] with explicit options.
-    pub fn write_snapshot_with(
-        &self,
-        path: impl AsRef<Path>,
-        options: &SnapshotOptions,
-    ) -> KgResult<()> {
-        write_snapshot_file(path.as_ref(), &self.snapshot_bytes(options)?)
+        write_snapshot_file(path.as_ref(), &self.snapshot_bytes()?)
     }
 
     /// Opens a snapshot file and reconstructs the graph: checksum/layout
-    /// validation plus a linear reinterpretation of the stored arrays — no
-    /// re-parse, no re-sort. The two hash indexes (name → entity,
-    /// type → entities) are rebuilt from the decoded arrays; both builds
-    /// are deterministic functions of the entity table, so the result is
-    /// bitwise-identical to the freshly built graph.
+    /// validation, a linear decode of the stored sections, and the
+    /// builder's counting sort over the triple log for the CSR. The two
+    /// hash indexes (name → entity, type → entities) are rebuilt from the
+    /// decoded arrays; every rebuild is a deterministic function of the
+    /// stored sections, so the result is bitwise-identical to the freshly
+    /// built graph.
     pub fn open_snapshot(path: impl AsRef<Path>) -> KgResult<Self> {
         Self::from_snapshot(&Snapshot::open(path)?)
     }
@@ -1178,13 +828,13 @@ impl KnowledgeGraph {
 
         // Per-entity types.
         let mut c = SectionReader::new(snap.require(section_kind::ENTITY_TYPES)?, "entity_types");
-        let mut type_counts = Vec::with_capacity(meta.entities as usize);
+        let mut type_counts = Vec::with_capacity(c.count(meta.entities, 4)?);
         for _ in 0..meta.entities {
-            type_counts.push(c.u32()? as usize);
+            type_counts.push(u64::from(c.u32()?));
         }
-        let mut entity_types = Vec::with_capacity(meta.entities as usize);
+        let mut entity_types = Vec::with_capacity(type_counts.len());
         for &n in &type_counts {
-            let mut types = Vec::with_capacity(n);
+            let mut types = Vec::with_capacity(c.count(n, 4)?);
             let mut prev: Option<u32> = None;
             for _ in 0..n {
                 let t = c.u32()?;
@@ -1210,13 +860,13 @@ impl KnowledgeGraph {
 
         // Per-entity attributes.
         let mut c = SectionReader::new(snap.require(section_kind::ENTITY_ATTRS)?, "entity_attrs");
-        let mut attr_counts = Vec::with_capacity(meta.entities as usize);
+        let mut attr_counts = Vec::with_capacity(c.count(meta.entities, 4)?);
         for _ in 0..meta.entities {
-            attr_counts.push(c.u32()? as usize);
+            attr_counts.push(u64::from(c.u32()?));
         }
-        let mut entity_attrs: Vec<Vec<(AttrId, f64)>> = Vec::with_capacity(meta.entities as usize);
+        let mut entity_attrs: Vec<Vec<(AttrId, f64)>> = Vec::with_capacity(attr_counts.len());
         for &n in &attr_counts {
-            let mut attrs = Vec::with_capacity(n);
+            let mut attrs = Vec::with_capacity(c.count(n, 12)?);
             let mut prev: Option<u32> = None;
             for _ in 0..n {
                 let a = c.u32()?;
@@ -1245,7 +895,7 @@ impl KnowledgeGraph {
 
         // Triples.
         let triple_bytes = snap.require(section_kind::TRIPLES)?;
-        if triple_bytes.len() != meta.triples as usize * 12 {
+        if meta.triples.checked_mul(12) != Some(triple_bytes.len() as u64) {
             return Err(err(
                 "triples",
                 format!(
@@ -1255,7 +905,7 @@ impl KnowledgeGraph {
                 ),
             ));
         }
-        let mut triples = Vec::with_capacity(meta.triples as usize);
+        let mut triples = Vec::with_capacity(triple_bytes.len() / 12);
         for rec in triple_bytes.chunks_exact(12) {
             let s = u32::from_le_bytes(rec[0..4].try_into().unwrap());
             let p = u32::from_le_bytes(rec[4..8].try_into().unwrap());
@@ -1282,54 +932,24 @@ impl KnowledgeGraph {
             ));
         }
 
-        // CSR offsets.
-        let offset_bytes = snap.require(section_kind::CSR_OFFSETS)?;
-        if offset_bytes.len() != (meta.entities as usize + 1) * 4 {
+        // The CSR is derived, not stored: rebuild it with the builder's own
+        // counting sort, after turning its capacity assert into an error.
+        if meta.triples > u64::from(u32::MAX / 2) {
             return Err(err(
-                "csr_offsets",
+                "triples",
                 format!(
-                    "length mismatch: {} bytes for {} entities (+1 sentinel, 4 bytes each)",
-                    offset_bytes.len(),
-                    meta.entities
+                    "{} triples exceed the CSR capacity of {} (u32 adjacency offsets)",
+                    meta.triples,
+                    u32::MAX / 2
                 ),
             ));
         }
-        let mut offsets = Vec::with_capacity(meta.entities as usize + 1);
-        for rec in offset_bytes.chunks_exact(4) {
-            offsets.push(u32::from_le_bytes(rec.try_into().unwrap()));
-        }
-        if offsets.first() != Some(&0) {
-            return Err(err("csr_offsets", "first offset must be 0"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(err("csr_offsets", "offsets must be non-decreasing"));
-        }
-        if u64::from(*offsets.last().unwrap()) != meta.edge_entries {
-            return Err(err(
-                "csr_offsets",
-                format!(
-                    "last offset {} disagrees with meta edge count {}",
-                    offsets.last().unwrap(),
-                    meta.edge_entries
-                ),
-            ));
-        }
-
-        // CSR edges: raw or delta-varint, selected by the header flag.
-        let edges = if snap.compressed_csr() {
-            decode_edges_varint(
-                snap.require(section_kind::CSR_EDGES_VARINT)?,
-                &offsets,
-                &meta,
-            )?
-        } else {
-            decode_edges_raw(snap.require(section_kind::CSR_EDGES)?, &meta)?
-        };
+        let (edges, offsets) = build_csr(entity_names.len(), &triples);
 
         // Assemble entities and rebuild the two hash indexes (deterministic
         // functions of the entity table — hash iteration order is never
         // observable through the graph API).
-        let mut entities = Vec::with_capacity(meta.entities as usize);
+        let mut entities = Vec::with_capacity(entity_names.len());
         for ((name, types), attrs) in entity_names.into_iter().zip(entity_types).zip(entity_attrs) {
             let mut e = Entity::new(name, types);
             for (a, v) in attrs {
@@ -1380,33 +1000,6 @@ pub fn write_snapshot_file(path: &Path, bytes: &[u8]) -> KgResult<()> {
     Ok(())
 }
 
-/// Consistency check used by `kg-snap verify` beyond the checksum walk of
-/// [`Snapshot::open`]: structurally decodes the graph sections and — the
-/// deep invariant — re-runs the counting sort over the stored triples and
-/// compares it against the stored CSR arrays, proving `neighbors()` will
-/// serve exactly what a from-scratch build would.
-pub fn verify_graph_sections(snap: &Snapshot) -> KgResult<()> {
-    let graph = KnowledgeGraph::from_snapshot(snap)?;
-    let (edges, offsets) = build_csr(graph.entities.len(), &graph.triples);
-    if offsets != graph.offsets {
-        return Err(err(
-            "csr_offsets",
-            "stored offsets disagree with a counting-sort rebuild of the stored triples",
-        ));
-    }
-    if edges != graph.edges {
-        return Err(err(
-            if snap.compressed_csr() {
-                "csr_edges_varint"
-            } else {
-                "csr_edges"
-            },
-            "stored adjacency disagrees with a counting-sort rebuild of the stored triples",
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1454,34 +1047,54 @@ mod tests {
         assert_eq!(names(a), names(b));
     }
 
-    #[test]
-    fn round_trip_is_bitwise_identical_raw_and_compressed() {
-        let g = sample_graph();
-        for compress in [false, true] {
-            let bytes = g
-                .snapshot_bytes(&SnapshotOptions {
-                    compress_csr: compress,
-                })
-                .unwrap();
-            let snap = Snapshot::from_bytes(bytes).unwrap();
-            assert_eq!(snap.version(), FORMAT_VERSION);
-            assert_eq!(snap.compressed_csr(), compress);
-            let loaded = KnowledgeGraph::from_snapshot(&snap).unwrap();
-            assert_graphs_bitwise_equal(&g, &loaded);
-            verify_graph_sections(&snap).unwrap();
-            // The snapshot of the loaded graph is byte-identical too.
-            let rebytes = loaded
-                .snapshot_bytes(&SnapshotOptions {
-                    compress_csr: compress,
-                })
-                .unwrap();
-            let original = g
-                .snapshot_bytes(&SnapshotOptions {
-                    compress_csr: compress,
-                })
-                .unwrap();
-            assert_eq!(rebytes, original);
+    /// The snapshot of `g` with the payload of section `kind` replaced
+    /// (and every checksum recomputed), so only the content is hostile.
+    fn with_section(g: &KnowledgeGraph, kind: u32, payload: Vec<u8>) -> Snapshot {
+        let mut w = g.snapshot_writer().unwrap();
+        for (k, p) in &mut w.sections {
+            if *k == kind {
+                *p = payload.clone();
+            }
         }
+        Snapshot::from_bytes(w.finish()).unwrap()
+    }
+
+    /// Rewrites header bytes `range` with `value` and re-checksums the
+    /// header, so only that field is wrong.
+    fn with_header_field(mut bytes: Vec<u8>, at: usize, value: u32) -> Vec<u8> {
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let crc = crc64(&bytes[..48]);
+        bytes[48..56].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn round_trip_is_bitwise_identical() {
+        let g = sample_graph();
+        let bytes = g.snapshot_bytes().unwrap();
+        let snap = Snapshot::from_bytes(bytes).unwrap();
+        assert_eq!(snap.version(), FORMAT_VERSION);
+        // The graph is stored once: no adjacency section.
+        let names: Vec<&str> = snap.sections().iter().map(SectionInfo::name).collect();
+        assert_eq!(
+            names,
+            [
+                "meta",
+                "entity_names",
+                "type_names",
+                "predicate_names",
+                "attr_names",
+                "entity_types",
+                "entity_attrs",
+                "triples"
+            ]
+        );
+        let loaded = KnowledgeGraph::from_snapshot(&snap).unwrap();
+        assert_graphs_bitwise_equal(&g, &loaded);
+        // The snapshot of the loaded graph is byte-identical too.
+        let rebytes = loaded.snapshot_bytes().unwrap();
+        let original = g.snapshot_bytes().unwrap();
+        assert_eq!(rebytes, original);
     }
 
     #[test]
@@ -1499,7 +1112,7 @@ mod tests {
     #[test]
     fn empty_graph_round_trips() {
         let g = GraphBuilder::new().build();
-        let bytes = g.snapshot_bytes(&SnapshotOptions::default()).unwrap();
+        let bytes = g.snapshot_bytes().unwrap();
         let loaded = KnowledgeGraph::from_snapshot(&Snapshot::from_bytes(bytes).unwrap()).unwrap();
         assert_eq!(loaded.entity_count(), 0);
         assert_eq!(loaded.edge_count(), 0);
@@ -1508,7 +1121,7 @@ mod tests {
     #[test]
     fn sections_are_aligned() {
         let g = sample_graph();
-        let bytes = g.snapshot_bytes(&SnapshotOptions::default()).unwrap();
+        let bytes = g.snapshot_bytes().unwrap();
         let snap = Snapshot::from_bytes(bytes).unwrap();
         for s in snap.sections() {
             assert_eq!(s.offset as usize % SECTION_ALIGN, 0, "{}", s.name());
@@ -1518,7 +1131,7 @@ mod tests {
     #[test]
     fn truncated_file_fails_closed() {
         let g = sample_graph();
-        let bytes = g.snapshot_bytes(&SnapshotOptions::default()).unwrap();
+        let bytes = g.snapshot_bytes().unwrap();
         for cut in [0, 7, HEADER_LEN - 1, HEADER_LEN + 10, bytes.len() - 1] {
             let e = Snapshot::from_bytes(bytes[..cut].to_vec()).unwrap_err();
             match e {
@@ -1531,7 +1144,7 @@ mod tests {
     #[test]
     fn bad_magic_and_version_skew_fail_closed() {
         let g = sample_graph();
-        let mut bytes = g.snapshot_bytes(&SnapshotOptions::default()).unwrap();
+        let mut bytes = g.snapshot_bytes().unwrap();
         let mut mangled = bytes.clone();
         mangled[0] ^= 0xFF;
         let e = Snapshot::from_bytes(mangled).unwrap_err();
@@ -1545,31 +1158,54 @@ mod tests {
         assert!(e.to_string().contains("version skew"), "{e}");
     }
 
+    /// A v1 file (the format that stored the CSR twice) is not read: it
+    /// gets the version-skew error telling the operator to rebuild it.
+    #[test]
+    fn v1_header_gets_the_version_skew_message() {
+        let bytes = with_header_field(sample_graph().snapshot_bytes().unwrap(), 8, 1);
+        let e = Snapshot::from_bytes(bytes).unwrap_err();
+        let KgError::Snapshot { section, message } = e else {
+            panic!("expected a structured snapshot error");
+        };
+        assert_eq!(section, "header");
+        assert!(message.contains("version skew: file is v1"), "{message}");
+        assert!(message.contains("rebuild"), "{message}");
+    }
+
+    /// The header flags word is reserved: anything but 0 is refused.
+    #[test]
+    fn nonzero_flags_word_is_a_header_error() {
+        let bytes = sample_graph().snapshot_bytes().unwrap();
+        assert_eq!(bytes[12..16], [0, 0, 0, 0], "writers write 0");
+        for flags in [1, 0x8000_0000] {
+            let e = Snapshot::from_bytes(with_header_field(bytes.clone(), 12, flags)).unwrap_err();
+            let KgError::Snapshot { section, message } = e else {
+                panic!("expected a structured snapshot error");
+            };
+            assert_eq!(section, "header");
+            assert!(message.contains("flags"), "{message}");
+        }
+    }
+
     #[test]
     fn every_section_flip_is_detected_and_named() {
         let g = sample_graph();
-        for compress in [false, true] {
-            let bytes = g
-                .snapshot_bytes(&SnapshotOptions {
-                    compress_csr: compress,
-                })
-                .unwrap();
-            let snap = Snapshot::from_bytes(bytes.clone()).unwrap();
-            let sections: Vec<SectionInfo> = snap.sections().to_vec();
-            for s in sections {
-                if s.len == 0 {
-                    continue;
-                }
-                let mut corrupt = bytes.clone();
-                corrupt[s.offset as usize] ^= 0x01;
-                let e = Snapshot::from_bytes(corrupt).unwrap_err();
-                let msg = e.to_string();
-                assert!(
-                    msg.contains(s.name()),
-                    "flip in {} reported as: {msg}",
-                    s.name()
-                );
+        let bytes = g.snapshot_bytes().unwrap();
+        let snap = Snapshot::from_bytes(bytes.clone()).unwrap();
+        let sections: Vec<SectionInfo> = snap.sections().to_vec();
+        for s in sections {
+            if s.len == 0 {
+                continue;
             }
+            let mut corrupt = bytes.clone();
+            corrupt[s.offset as usize] ^= 0x01;
+            let e = Snapshot::from_bytes(corrupt).unwrap_err();
+            let msg = e.to_string();
+            assert!(
+                msg.contains(s.name()),
+                "flip in {} reported as: {msg}",
+                s.name()
+            );
         }
     }
 
@@ -1577,10 +1213,10 @@ mod tests {
     fn pending_delta_refuses_to_snapshot() {
         let mut g = sample_graph();
         g.upsert_edge_by_name("Germany", "product", "Audi_TT");
-        let e = g.snapshot_bytes(&SnapshotOptions::default()).unwrap_err();
+        let e = g.snapshot_bytes().unwrap_err();
         assert!(e.to_string().contains("delta"), "{e}");
         g.compact();
-        g.snapshot_bytes(&SnapshotOptions::default()).unwrap();
+        g.snapshot_bytes().unwrap();
     }
 
     #[test]
@@ -1588,7 +1224,7 @@ mod tests {
         // Hand-build a snapshot whose triple section references an entity
         // that does not exist: checksums pass, structural decode must not.
         let g = sample_graph();
-        let mut w = g.snapshot_writer(&SnapshotOptions::default()).unwrap();
+        let mut w = g.snapshot_writer().unwrap();
         let bad_triple = {
             let mut out = Vec::new();
             put_u32(&mut out, 999); // subject out of range
@@ -1611,15 +1247,75 @@ mod tests {
         assert!(msg.contains("triples"), "{msg}");
     }
 
+    /// Checksummed sections whose declared counts far exceed their bytes
+    /// are structured errors naming the section — never an allocation of
+    /// the declared size (which would abort the process).
     #[test]
-    fn varint_zigzag_round_trip() {
-        for v in [0i64, 1, -1, 63, -64, 300, -300, i64::MAX / 2, i64::MIN / 2] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, zigzag(v));
-            let mut c = SectionReader::new(&buf, "test");
-            assert_eq!(unzigzag(c.varint().unwrap()), v);
-            assert!(c.done());
+    fn hostile_counts_fail_closed_naming_the_section() {
+        let g = sample_graph();
+        let n = g.entity_count() as u64;
+        let mut huge_meta = Vec::new();
+        for v in [u64::from(u32::MAX), 0, 0, 0, 0] {
+            put_u64(&mut huge_meta, v);
         }
+        let mut count_only = Vec::new();
+        put_u64(&mut count_only, u64::from(u32::MAX));
+        let mut w = g.snapshot_writer().unwrap();
+        w.sections[0].1 = huge_meta;
+        w.sections[1].1 = count_only;
+        let snap = Snapshot::from_bytes(w.finish()).unwrap();
+        let e = KnowledgeGraph::from_snapshot(&snap).unwrap_err();
+        match e {
+            KgError::Snapshot { section, .. } => assert_eq!(section, "entity_names"),
+            other => panic!("expected a structured snapshot error, got {other:?}"),
+        }
+
+        // A per-entity list count larger than the section.
+        let per_entity = |first: u32| {
+            let mut out = Vec::new();
+            put_u32(&mut out, first);
+            for _ in 1..n {
+                put_u32(&mut out, 0);
+            }
+            out
+        };
+        for (kind, name) in [
+            (section_kind::ENTITY_TYPES, "entity_types"),
+            (section_kind::ENTITY_ATTRS, "entity_attrs"),
+        ] {
+            let snap = with_section(&g, kind, per_entity(u32::MAX));
+            let e = KnowledgeGraph::from_snapshot(&snap).unwrap_err();
+            let msg = e.to_string();
+            assert!(msg.contains(name), "{msg}");
+            assert!(msg.contains("declared 4294967295 elements"), "{msg}");
+            // The count array itself shorter than META's entity count.
+            let snap = with_section(&g, kind, vec![0; 4]);
+            let msg = KnowledgeGraph::from_snapshot(&snap)
+                .unwrap_err()
+                .to_string();
+            assert!(msg.contains(name), "{msg}");
+        }
+
+        // A triple count whose byte size overflows is a length mismatch.
+        let mut meta = g.snapshot_writer().unwrap().sections[0].1.clone();
+        meta[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let snap = with_section(&g, section_kind::META, meta);
+        let msg = KnowledgeGraph::from_snapshot(&snap)
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("triples"), "{msg}");
+    }
+
+    #[test]
+    fn section_reader_count_is_checked_against_remaining_bytes() {
+        let bytes = [0u8; 16];
+        let mut c = SectionReader::new(&bytes, "test");
+        assert_eq!(c.count(4, 4).unwrap(), 4);
+        assert_eq!(c.count(16, 0).unwrap(), 16);
+        c.take(8).unwrap();
+        assert_eq!(c.count(2, 4).unwrap(), 2);
+        assert!(c.count(3, 4).is_err());
+        assert!(c.count(u64::MAX, 8).is_err());
     }
 
     #[test]
@@ -1627,32 +1323,5 @@ mod tests {
         // CRC-64/XZ check value for "123456789".
         assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
         assert_eq!(crc64(b""), 0);
-    }
-
-    #[test]
-    fn compressed_snapshot_is_smaller() {
-        // Build a chain graph with local neighbours so deltas stay small.
-        let mut b = GraphBuilder::new();
-        let ids: Vec<_> = (0..200)
-            .map(|i| b.add_entity(&format!("n{i}"), &["T"]))
-            .collect();
-        for w in ids.windows(2) {
-            b.add_edge(w[0], "next", w[1]);
-        }
-        let g = b.build();
-        let raw = g
-            .snapshot_bytes(&SnapshotOptions {
-                compress_csr: false,
-            })
-            .unwrap();
-        let compressed = g
-            .snapshot_bytes(&SnapshotOptions { compress_csr: true })
-            .unwrap();
-        assert!(
-            compressed.len() < raw.len(),
-            "compressed {} !< raw {}",
-            compressed.len(),
-            raw.len()
-        );
     }
 }

@@ -6,13 +6,12 @@
 //! adjacency (entry order included), triple list, ids, name/type/attribute
 //! indexes, and derived statistics — and re-snapshotting the reloaded
 //! graph must reproduce the original bytes exactly (the fixed point that
-//! makes snapshot files content-addressable). Both the plain and the
-//! delta-varint compressed CSR encodings are exercised; mixing them
-//! changes the bytes but never the reloaded graph. The overlay contract
-//! rides on top: snapshot → overlay writes → compact → re-snapshot equals
+//! makes snapshot files content-addressable). The adjacency is not stored:
+//! the reload rebuilds it from the triple log. The overlay contract rides
+//! on top: snapshot → overlay writes → compact → re-snapshot equals
 //! the chronological rebuild's snapshot, byte for byte.
 
-use kg_core::snapshot::{Snapshot, SnapshotOptions, FORMAT_VERSION};
+use kg_core::snapshot::{Snapshot, FORMAT_VERSION};
 use kg_core::{GraphBuilder, KnowledgeGraph};
 use proptest::prelude::*;
 
@@ -130,14 +129,10 @@ fn assert_equivalent(reloaded: &KnowledgeGraph, original: &KnowledgeGraph) {
     }
 }
 
-fn roundtrip(graph: &KnowledgeGraph, compress: bool) -> (Vec<u8>, KnowledgeGraph) {
-    let options = SnapshotOptions {
-        compress_csr: compress,
-    };
-    let bytes = graph.snapshot_bytes(&options).expect("snapshot");
+fn roundtrip(graph: &KnowledgeGraph) -> (Vec<u8>, KnowledgeGraph) {
+    let bytes = graph.snapshot_bytes().expect("snapshot");
     let snap = Snapshot::from_bytes(bytes.clone()).expect("parse");
     assert_eq!(snap.version(), FORMAT_VERSION);
-    assert_eq!(snap.compressed_csr(), compress);
     let reloaded = KnowledgeGraph::from_snapshot(&snap).expect("reload");
     (bytes, reloaded)
 }
@@ -145,33 +140,17 @@ fn roundtrip(graph: &KnowledgeGraph, compress: bool) -> (Vec<u8>, KnowledgeGraph
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Round trip at both CSR encodings: reload is bitwise-equivalent, and
-    /// re-snapshotting the reload reproduces the original bytes (fixed
-    /// point). Compression changes the bytes, never the graph.
+    /// Round trip: reload is bitwise-equivalent, and re-snapshotting the
+    /// reload reproduces the original bytes (fixed point).
     #[test]
     fn snapshot_round_trip_is_a_bitwise_fixed_point(
         steps in proptest::collection::vec((0u8..=9, 0u8..=255, 0u8..=255, 0u8..=255), 1..60)
     ) {
         let graph = build(&decode(&steps));
-        for compress in [false, true] {
-            let (bytes, reloaded) = roundtrip(&graph, compress);
-            assert_equivalent(&reloaded, &graph);
-            let again = reloaded
-                .snapshot_bytes(&SnapshotOptions { compress_csr: compress })
-                .expect("re-snapshot");
-            prop_assert_eq!(
-                &bytes, &again,
-                "re-snapshot of the reload diverged (compress={})", compress
-            );
-        }
-        // Cross-encoding: a compressed snapshot reloads to the same graph
-        // as the plain one, so its plain re-snapshot matches plain bytes.
-        let (plain_bytes, _) = roundtrip(&graph, false);
-        let (_, from_compressed) = roundtrip(&graph, true);
-        let replain = from_compressed
-            .snapshot_bytes(&SnapshotOptions { compress_csr: false })
-            .expect("re-snapshot");
-        prop_assert_eq!(plain_bytes, replain);
+        let (bytes, reloaded) = roundtrip(&graph);
+        assert_equivalent(&reloaded, &graph);
+        let again = reloaded.snapshot_bytes().expect("re-snapshot");
+        prop_assert_eq!(&bytes, &again, "re-snapshot of the reload diverged");
     }
 
     /// Overlay writes on a snapshot-reloaded graph, compacted and
@@ -182,7 +161,7 @@ proptest! {
         writes in proptest::collection::vec((0u8..=9, 0u8..=255, 0u8..=255, 0u8..=255), 1..20),
     ) {
         let seed = build(&decode(&base));
-        let (bytes, mut reloaded) = roundtrip(&seed, false);
+        let (bytes, mut reloaded) = roundtrip(&seed);
         drop(bytes);
 
         // Chronological rebuild: a fresh graph that saw the same writes
@@ -208,10 +187,9 @@ proptest! {
         }
         reloaded.compact();
         chronological.compact();
-        let options = SnapshotOptions::default();
         prop_assert_eq!(
-            reloaded.snapshot_bytes(&options).expect("snapshot"),
-            chronological.snapshot_bytes(&options).expect("snapshot"),
+            reloaded.snapshot_bytes().expect("snapshot"),
+            chronological.snapshot_bytes().expect("snapshot"),
             "snapshot after overlay writes diverged from chronological rebuild"
         );
     }
@@ -225,19 +203,16 @@ fn pending_overlay_fails_closed() {
     b.add_edge_by_name("a", "p", "b");
     let mut g = b.build();
     g.upsert_edge_by_name("a", "p", "c");
-    let err = g.snapshot_bytes(&SnapshotOptions::default()).unwrap_err();
+    let err = g.snapshot_bytes().unwrap_err();
     assert!(err.to_string().contains("meta"), "{err}");
     g.compact();
-    g.snapshot_bytes(&SnapshotOptions::default())
-        .expect("compacted graph snapshots");
+    g.snapshot_bytes().expect("compacted graph snapshots");
 }
 
 /// The empty graph round-trips (degenerate CSR: one offset, no edges).
 #[test]
 fn empty_graph_round_trips() {
     let graph = GraphBuilder::new().build();
-    for compress in [false, true] {
-        let (_, reloaded) = roundtrip(&graph, compress);
-        assert_equivalent(&reloaded, &graph);
-    }
+    let (_, reloaded) = roundtrip(&graph);
+    assert_equivalent(&reloaded, &graph);
 }

@@ -114,11 +114,11 @@ impl PredicateVectorStore {
         let mut c = SectionReader::new(bytes, SECTION);
         let count = c.u64()? as usize;
         let dim = c.u64()? as usize;
-        let floats = count
+        let expected = count
             .checked_mul(dim)
-            .and_then(|v| count.checked_mul(count).map(|t| (v, t)))
+            .zip(count.checked_mul(count))
+            .and_then(|(v, t)| v.checked_add(t)?.checked_mul(8)?.checked_add(16))
             .ok_or_else(|| snapshot_error(SECTION, "geometry overflows"))?;
-        let expected = 16 + 8 * (floats.0 + floats.1);
         if bytes.len() != expected {
             return Err(snapshot_error(
                 SECTION,
@@ -229,6 +229,18 @@ mod tests {
         // Truncation fails closed.
         let err = PredicateVectorStore::from_snapshot_section(&bytes[..bytes.len() - 1]);
         assert!(err.unwrap_err().to_string().contains("similarity"));
+    }
+
+    /// A geometry whose byte size wraps `usize` (2³¹ predicates of
+    /// dimension 0: 8 × 2⁶² table bytes) is refused, not matched against a
+    /// 16-byte section and then allocated.
+    #[test]
+    fn wrapping_geometry_fails_closed() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&(1u64 << 31).to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        let err = PredicateVectorStore::from_snapshot_section(&bytes).unwrap_err();
+        assert!(err.to_string().contains("similarity"), "{err}");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::strategies::SamplingStrategy;
 use crate::SamplerCache;
 use kg_core::snapshot::{
     put_u32, put_u64, section_kind, snapshot_error, write_snapshot_file, SectionReader, Snapshot,
-    SnapshotOptions, SnapshotWriter,
+    SnapshotWriter,
 };
 use kg_core::{BoundedSubgraph, EntityId, KgResult, KnowledgeGraph, PredicateId, TypeId};
 use kg_embed::PredicateVectorStore;
@@ -192,8 +192,8 @@ pub fn decode_samplers(bytes: &[u8], graph: &KnowledgeGraph) -> KgResult<Sampler
                 format!("predicate id {predicate} out of range ({n_predicates} predicates)"),
             ));
         }
-        let type_count = c.u32()? as usize;
-        let mut target_types = Vec::with_capacity(type_count);
+        let type_count = c.u32()?;
+        let mut target_types = Vec::with_capacity(c.count(type_count.into(), 4)?);
         for _ in 0..type_count {
             let t = c.u32()?;
             if t as usize >= n_types {
@@ -212,8 +212,8 @@ pub fn decode_samplers(bytes: &[u8], graph: &KnowledgeGraph) -> KgResult<Sampler
 
         let start = entity(c.u32()?)?;
         let radius = c.u32()?;
-        let scope_len = c.u64()? as usize;
-        let mut scope_nodes = Vec::with_capacity(scope_len);
+        let scope_len = c.u64()?;
+        let mut scope_nodes = Vec::with_capacity(c.count(scope_len, 8)?);
         let mut prev: Option<EntityId> = None;
         for _ in 0..scope_len {
             let node = entity(c.u32()?)?;
@@ -235,8 +235,9 @@ pub fn decode_samplers(bytes: &[u8], graph: &KnowledgeGraph) -> KgResult<Sampler
         }
         let scope = BoundedSubgraph::from_parts(start, radius, scope_nodes);
 
-        let stationary_len = c.u64()? as usize;
-        let mut stationary: HashMap<EntityId, f64> = HashMap::with_capacity(stationary_len);
+        let stationary_len = c.u64()?;
+        let mut stationary: HashMap<EntityId, f64> =
+            HashMap::with_capacity(c.count(stationary_len, 12)?);
         let mut prev: Option<EntityId> = None;
         for _ in 0..stationary_len {
             let node = entity(c.u32()?)?;
@@ -257,8 +258,8 @@ pub fn decode_samplers(bytes: &[u8], graph: &KnowledgeGraph) -> KgResult<Sampler
             stationary.insert(node, pi);
         }
 
-        let answer_len = c.u64()? as usize;
-        let mut answers = Vec::with_capacity(answer_len);
+        let answer_len = c.u64()?;
+        let mut answers = Vec::with_capacity(c.count(answer_len, 12)?);
         for _ in 0..answer_len {
             let e = entity(c.u32()?)?;
             let probability = f64::from_bits(c.u64()?);
@@ -277,8 +278,8 @@ pub fn decode_samplers(bytes: &[u8], graph: &KnowledgeGraph) -> KgResult<Sampler
         let table = match c.u32()? {
             0 => None,
             1 => {
-                let len = c.u64()? as usize;
-                if len != answers.len() {
+                let len = c.u64()?;
+                if len != answers.len() as u64 {
                     return Err(snapshot_error(
                         SECTION,
                         format!(
@@ -287,6 +288,7 @@ pub fn decode_samplers(bytes: &[u8], graph: &KnowledgeGraph) -> KgResult<Sampler
                         ),
                     ));
                 }
+                let len = c.count(len, 12)?;
                 let mut cumulative = Vec::with_capacity(len);
                 for _ in 0..len {
                     cumulative.push(f64::from_bits(c.u64()?));
@@ -352,21 +354,19 @@ pub struct SnapshotBundle {
     pub similarity: Option<PredicateVectorStore>,
     /// The warm sampler cache, when the writer included one.
     pub samplers: Option<SamplerCache>,
-    /// Format version of the file (currently always 1).
+    /// Format version of the file (always
+    /// [`kg_core::snapshot::FORMAT_VERSION`] once decoded).
     pub version: u32,
-    /// Whether the CSR edges were stored delta-varint compressed.
-    pub compressed_csr: bool,
 }
 
 /// Builds the full snapshot writer: graph sections plus the optional
 /// similarity and sampler sections.
 pub fn bundle_writer(
     graph: &KnowledgeGraph,
-    options: &SnapshotOptions,
     similarity: Option<&PredicateVectorStore>,
     samplers: Option<&SamplerCache>,
 ) -> KgResult<SnapshotWriter> {
-    let mut writer = graph.snapshot_writer(options)?;
+    let mut writer = graph.snapshot_writer()?;
     if let Some(store) = similarity {
         writer.add_section(section_kind::SIMILARITY, store.to_snapshot_section());
     }
@@ -379,22 +379,20 @@ pub fn bundle_writer(
 /// Serializes a full bundle to bytes.
 pub fn bundle_bytes(
     graph: &KnowledgeGraph,
-    options: &SnapshotOptions,
     similarity: Option<&PredicateVectorStore>,
     samplers: Option<&SamplerCache>,
 ) -> KgResult<Vec<u8>> {
-    Ok(bundle_writer(graph, options, similarity, samplers)?.finish())
+    Ok(bundle_writer(graph, similarity, samplers)?.finish())
 }
 
 /// Writes a full bundle to `path` (atomic: tmp sibling + rename).
 pub fn write_bundle(
     path: impl AsRef<Path>,
     graph: &KnowledgeGraph,
-    options: &SnapshotOptions,
     similarity: Option<&PredicateVectorStore>,
     samplers: Option<&SamplerCache>,
 ) -> KgResult<()> {
-    let bytes = bundle_bytes(graph, options, similarity, samplers)?;
+    let bytes = bundle_bytes(graph, similarity, samplers)?;
     write_snapshot_file(path.as_ref(), &bytes)
 }
 
@@ -415,7 +413,6 @@ pub fn bundle_from_snapshot(snap: &Snapshot) -> KgResult<SnapshotBundle> {
         similarity,
         samplers,
         version: snap.version(),
-        compressed_csr: snap.compressed_csr(),
     })
 }
 
@@ -550,17 +547,14 @@ mod tests {
     #[test]
     fn bundle_round_trips_samplers_bitwise() {
         let (g, store, cache) = setup();
-        let bytes =
-            bundle_bytes(&g, &SnapshotOptions::default(), Some(&store), Some(&cache)).unwrap();
+        let bytes = bundle_bytes(&g, Some(&store), Some(&cache)).unwrap();
         let snap = Snapshot::from_bytes(bytes.clone()).unwrap();
         let bundle = bundle_from_snapshot(&snap).unwrap();
         assert_eq!(bundle.version, kg_core::snapshot::FORMAT_VERSION);
-        assert!(!bundle.compressed_csr);
 
         // The graph re-snapshots to identical bytes (bitwise identity).
         let again = bundle_bytes(
             &bundle.graph,
-            &SnapshotOptions::default(),
             bundle.similarity.as_ref(),
             bundle.samplers.as_ref(),
         )
@@ -589,17 +583,9 @@ mod tests {
         let (g, store, cache) = setup();
         let path =
             std::env::temp_dir().join(format!("kg-sampling-bundle-{}.kgsnap", std::process::id()));
-        write_bundle(
-            &path,
-            &g,
-            &SnapshotOptions { compress_csr: true },
-            Some(&store),
-            Some(&cache),
-        )
-        .unwrap();
+        write_bundle(&path, &g, Some(&store), Some(&cache)).unwrap();
         let bundle = open_bundle(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert!(bundle.compressed_csr);
         assert_eq!(bundle.graph.entity_count(), g.entity_count());
         assert_eq!(bundle.samplers.unwrap().len(), cache.len());
         assert_eq!(
@@ -608,7 +594,7 @@ mod tests {
         );
 
         // A graph-only snapshot decodes with both extras absent.
-        let plain = g.snapshot_bytes(&SnapshotOptions::default()).unwrap();
+        let plain = g.snapshot_bytes().unwrap();
         let bundle = bundle_from_snapshot(&Snapshot::from_bytes(plain).unwrap()).unwrap();
         assert!(bundle.similarity.is_none());
         assert!(bundle.samplers.is_none());
@@ -617,8 +603,7 @@ mod tests {
     #[test]
     fn corrupt_sampler_section_fails_closed_with_section_name() {
         let (g, store, cache) = setup();
-        let bytes =
-            bundle_bytes(&g, &SnapshotOptions::default(), Some(&store), Some(&cache)).unwrap();
+        let bytes = bundle_bytes(&g, Some(&store), Some(&cache)).unwrap();
         let snap = Snapshot::from_bytes(bytes).unwrap();
         let payload = snap.section(section_kind::SAMPLERS).unwrap();
 
@@ -638,6 +623,43 @@ mod tests {
         bad[0] = 9;
         let err = decode_samplers(&bad, &g).unwrap_err();
         assert!(err.to_string().contains("strategy"), "{err}");
+    }
+
+    /// A checksummed `samplers` section whose first scope declares 2⁴⁰
+    /// nodes is a structured error naming the section, not an attempt to
+    /// allocate 8 TiB.
+    #[test]
+    fn hostile_scope_length_fails_closed() {
+        let (g, store, cache) = setup();
+        let writer = bundle_writer(&g, Some(&store), Some(&cache)).unwrap();
+        let snap = Snapshot::from_bytes(writer.finish()).unwrap();
+        let mut payload = snap.section(section_kind::SAMPLERS).unwrap().to_vec();
+        // Header through entry count, then the key's specific, predicate
+        // and type count, its type ids, and the scope's start and radius.
+        let key = 4 + 8 + 8 + 4 + 8 + 8 + 8 + 8;
+        let types = u32::from_le_bytes(payload[key + 8..key + 12].try_into().unwrap()) as usize;
+        let scope_len = key + 12 + 4 * types + 8;
+        payload[scope_len..scope_len + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+
+        let mut hostile = SnapshotWriter::new();
+        for info in snap.sections() {
+            let bytes = match info.kind {
+                section_kind::SAMPLERS => payload.clone(),
+                kind => snap.section(kind).unwrap().to_vec(),
+            };
+            hostile.add_section(info.kind, bytes);
+        }
+        let snap = Snapshot::from_bytes(hostile.finish()).unwrap();
+        match bundle_from_snapshot(&snap).unwrap_err() {
+            kg_core::KgError::Snapshot { section, message } => {
+                assert_eq!(section, "samplers");
+                assert!(
+                    message.contains("declared 1099511627776 elements"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a structured snapshot error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! The strict command-line parser `kg-serve` and `kg-load` share. An
-//! unknown flag, a value that does not parse, or a flag with no value exits
-//! with status 2 and one stderr line naming the flag, before the binary does
-//! any work: a typo that fell back to a default would let a CI gate such as
-//! `kg-load --min-ok-rate` pass without checking anything.
+//! The strict command-line parser every binary shares: `kg-serve` and
+//! `kg-load` declare it as a module, `kg-shard` and `kg-snap` include this
+//! file by `#[path]`. An unknown flag, a value that does not parse, or a
+//! flag with no value exits with status 2 and one stderr line naming the
+//! flag, before the binary does any work: a typo that fell back to a
+//! default would let a CI gate such as `kg-load --min-ok-rate` pass without
+//! checking anything.
 
 use std::str::FromStr;
 
@@ -13,9 +15,10 @@ pub struct Flags<'a> {
 }
 
 impl<'a> Flags<'a> {
-    /// Splits `args` (program name first): each flag in `valued` takes the
-    /// next argument as its value, each flag in `switches` takes none and
-    /// reads as `true`. Anything else exits 2.
+    /// Splits `args` (the command line after the program name and any
+    /// positional operands): each flag in `valued` takes the next argument
+    /// as its value, each flag in `switches` takes none and reads as
+    /// `true`. Anything else exits 2.
     pub fn parse(
         program: &'static str,
         args: &'a [String],
@@ -26,7 +29,7 @@ impl<'a> Flags<'a> {
             program,
             pairs: Vec::new(),
         };
-        let mut rest = args.iter().skip(1).map(String::as_str);
+        let mut rest = args.iter().map(String::as_str);
         while let Some(flag) = rest.next() {
             let value = if switches.contains(&flag) {
                 "true"

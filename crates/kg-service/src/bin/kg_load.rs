@@ -68,7 +68,7 @@ const FLAGS: &[&str] = &[
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: kg-load [--addr HOST:PORT] [--queries N] [--concurrency N] \

@@ -28,10 +28,11 @@
 //!
 //! `--snapshot PATH` boots from a snapshot written by `kg-snap build` (or a
 //! previous `--write-snapshot` run) instead of generating the dataset:
-//! checksum-validated zero-copy load of the graph, the predicate-similarity
-//! store and any prepared alias tables — no parse, no CSR rebuild, no
-//! random walks. The served answers are bitwise identical to a generate
-//! boot of the same data. `--write-snapshot PATH` writes a snapshot at boot
+//! checksum-validated load of the graph (its CSR rebuilt from the stored
+//! triples by one counting sort), the predicate-similarity store and any
+//! prepared alias tables — no generation, no parse, no random walks. The
+//! served answers are bitwise identical to a generate boot of the same
+//! data. `--write-snapshot PATH` writes a snapshot at boot
 //! and re-writes it on every compacting delta write, so the next cold start
 //! can use `--snapshot`. Snapshot provenance (format version, load ms) and
 //! the write counter appear in `/metrics` and `/metrics.prom`.
@@ -111,7 +112,7 @@ fn parse_shard_endpoint(spec: &str) -> Option<(usize, Vec<String>)> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: kg-serve [--addr HOST:PORT] [--seed N] [--workers N] \
@@ -299,7 +300,6 @@ fn main() {
         service.enable_snapshot_writes(
             write_snapshot_path.as_str(),
             Arc::<PredicateVectorStore>::clone(&oracle),
-            false,
         );
         match service.write_snapshot_now() {
             Ok(()) => eprintln!("kg-serve: wrote boot snapshot to {write_snapshot_path}"),

@@ -13,7 +13,6 @@ use kg_aqp::{
     config_fingerprint, graph_fingerprint, BatchEngine, FleetPolicy, QueryAnswer,
     RemoteMetricsSnapshot, RoundOutcome, ShardFleet, ShardedSession, ShardedStats, TcpTransport,
 };
-use kg_core::snapshot::SnapshotOptions;
 use kg_core::{
     DegreeBalancedPartitioner, EntityId, KnowledgeGraph, PredicateId, ShardedGraph, TypeId,
 };
@@ -42,7 +41,7 @@ struct EngineState {
     samplers: Arc<SamplerCache>,
 }
 
-/// Where and how compaction writes snapshots once
+/// Where compaction writes snapshots once
 /// [`Service::enable_snapshot_writes`] arms the sink.
 struct SnapshotSink {
     path: PathBuf,
@@ -50,7 +49,6 @@ struct SnapshotSink {
     /// service itself only holds a `dyn PredicateSimilarity`, which cannot
     /// be serialized).
     similarity: Arc<PredicateVectorStore>,
-    options: SnapshotOptions,
 }
 
 /// How this service process obtained its graph at boot, when it came from a
@@ -979,12 +977,10 @@ impl Service {
         &self,
         path: impl Into<PathBuf>,
         similarity: Arc<PredicateVectorStore>,
-        compress_csr: bool,
     ) {
         *self.inner.snapshot_sink.lock().unwrap() = Some(SnapshotSink {
             path: path.into(),
             similarity,
-            options: SnapshotOptions { compress_csr },
         });
     }
 
@@ -1008,13 +1004,7 @@ impl Service {
                 Arc::clone(&state.samplers),
             )
         };
-        write_bundle(
-            &sink.path,
-            &graph,
-            &sink.options,
-            Some(&sink.similarity),
-            Some(&samplers),
-        )?;
+        write_bundle(&sink.path, &graph, Some(&sink.similarity), Some(&samplers))?;
         self.inner.metrics.lock().unwrap().snapshot_writes += 1;
         kg_telemetry::point("snapshot.write", &[("boot", 1u64.into())]);
         Ok(())
@@ -1202,13 +1192,7 @@ impl Service {
         if let Some((graph, samplers)) = to_persist {
             let sink = self.inner.snapshot_sink.lock().unwrap();
             if let Some(sink) = &*sink {
-                match write_bundle(
-                    &sink.path,
-                    &graph,
-                    &sink.options,
-                    Some(&sink.similarity),
-                    Some(&samplers),
-                ) {
+                match write_bundle(&sink.path, &graph, Some(&sink.similarity), Some(&samplers)) {
                     Ok(()) => {
                         self.inner.metrics.lock().unwrap().snapshot_writes += 1;
                         kg_telemetry::point("snapshot.write", &[("compaction", 1u64.into())]);

@@ -5,7 +5,7 @@
 //! rebuild (seed graph → same writes → compact → snapshot); and snapshot
 //! provenance shows up in both `/metrics` encodings.
 
-use kg_core::{GraphBuilder, KnowledgeGraph};
+use kg_core::{GraphBuilder, KnowledgeGraph, FORMAT_VERSION};
 use kg_embed::oracle::oracle_store;
 use kg_embed::PredicateVectorStore;
 use kg_query::{AggregateFunction, AggregateQuery, SimpleQuery};
@@ -76,7 +76,7 @@ fn temp_path(tag: &str) -> PathBuf {
 fn snapshot_booted_service_answers_bitwise_identically() {
     let graph = seed_graph();
     let oracle = oracle_for(&graph);
-    let bytes = bundle_bytes(&graph, &Default::default(), Some(&oracle), None).unwrap();
+    let bytes = bundle_bytes(&graph, Some(&oracle), None).unwrap();
     let path = temp_path("boot");
     std::fs::write(&path, &bytes).unwrap();
     let bundle = open_bundle(&path).unwrap();
@@ -101,10 +101,14 @@ fn snapshot_booted_service_answers_bitwise_identically() {
     // Provenance is visible in both metrics encodings.
     let metrics = booted.metrics();
     let json = metrics.to_json();
-    assert_eq!(json["snapshot"]["format_version"].as_f64(), Some(1.0));
+    assert_eq!(
+        json["snapshot"]["format_version"].as_f64(),
+        Some(f64::from(FORMAT_VERSION))
+    );
     assert_eq!(json["snapshot"]["load_ms"].as_f64(), Some(0.25));
     let prom = metrics.to_prometheus();
-    assert!(prom.contains("kg_snapshot_format_version 1"), "{prom}");
+    let version_line = format!("kg_snapshot_format_version {FORMAT_VERSION}");
+    assert!(prom.contains(&version_line), "{prom}");
     assert!(prom.contains("kg_snapshot_load_ms"), "{prom}");
     // A non-snapshot boot reports only the write counter.
     let fresh_json = fresh.metrics().to_json();
@@ -141,7 +145,7 @@ fn compaction_sink_snapshot_equals_chronological_rebuild() {
     // Path A: boot from a snapshot of the seed graph, then write + compact.
     let graph = seed_graph();
     let oracle = oracle_for(&graph);
-    let bytes = bundle_bytes(&graph, &Default::default(), Some(&oracle), None).unwrap();
+    let bytes = bundle_bytes(&graph, Some(&oracle), None).unwrap();
     let boot_path = temp_path("chrono-boot");
     std::fs::write(&boot_path, &bytes).unwrap();
     let bundle = open_bundle(&boot_path).unwrap();
@@ -156,7 +160,7 @@ fn compaction_sink_snapshot_equals_chronological_rebuild() {
         },
     );
     let sink_a = temp_path("sink-a");
-    booted.enable_snapshot_writes(&sink_a, Arc::clone(&similarity), false);
+    booted.enable_snapshot_writes(&sink_a, Arc::clone(&similarity));
     let outcome = booted.apply_write(writes()).expect("write applies");
     assert!(outcome.compacted);
     assert_eq!(booted.metrics().snapshot_writes, 1);
@@ -173,7 +177,7 @@ fn compaction_sink_snapshot_equals_chronological_rebuild() {
         },
     );
     let sink_b = temp_path("sink-b");
-    rebuilt.enable_snapshot_writes(&sink_b, oracle, false);
+    rebuilt.enable_snapshot_writes(&sink_b, oracle);
     rebuilt.apply_write(writes()).expect("write applies");
 
     let a = std::fs::read(&sink_a).unwrap();
@@ -219,11 +223,10 @@ fn boot_time_snapshot_write_round_trips() {
     assert!(svc.write_snapshot_now().is_err(), "sink not armed yet");
 
     let path = temp_path("boot-write");
-    svc.enable_snapshot_writes(&path, oracle, true);
+    svc.enable_snapshot_writes(&path, oracle);
     svc.write_snapshot_now().expect("boot write");
     let bundle = open_bundle(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
-    assert!(bundle.compressed_csr);
     assert_eq!(bundle.samplers.expect("samplers stored").len(), 0);
     assert_eq!(svc.metrics().snapshot_writes, 1);
     let prom = svc.metrics().to_prometheus();

@@ -21,8 +21,14 @@
 //!
 //! Prints one `kg-shard listening on …` line once ready, then serves until
 //! killed. A bad `--snapshot` path exits 1 with one structured JSON line
-//! on stderr naming the path and the failing section.
+//! on stderr naming the path and the failing section. Flags are parsed
+//! strictly (the parser `kg-serve` uses): an unknown flag, a value that
+//! does not parse, a flag with no value or `--shards 0` exits 2.
 
+#[path = "../../../kg-service/src/bin/cli/mod.rs"]
+mod cli;
+
+use cli::Flags;
 use kg_aqp::{config_fingerprint, graph_fingerprint, EngineConfig, ShardServerCore};
 use kg_core::{DegreeBalancedPartitioner, ShardedGraph};
 use kg_datagen::{generate, profiles, DatasetScale};
@@ -31,16 +37,19 @@ use kg_shard::{serve_admin, serve_protocol};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Every flag `kg-shard` understands; each takes one value.
+const FLAGS: &[&str] = &[
+    "--listen",
+    "--admin",
+    "--shards",
+    "--seed",
+    "--snapshot",
+    "--error-bound",
+    "--confidence",
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: kg-shard [--listen HOST:PORT] [--admin HOST:PORT] \
@@ -49,13 +58,17 @@ fn main() {
         );
         return;
     }
-    let listen: String = parse_flag(&args, "--listen", "127.0.0.1:7979".to_string());
-    let admin: String = parse_flag(&args, "--admin", String::new());
-    let shards: usize = parse_flag(&args, "--shards", 1).max(1);
-    let seed: u64 = parse_flag(&args, "--seed", 42);
-    let snapshot_path: String = parse_flag(&args, "--snapshot", String::new());
-    let error_bound: f64 = parse_flag(&args, "--error-bound", 0.01);
-    let confidence: f64 = parse_flag(&args, "--confidence", 0.95);
+    let flags = Flags::parse("kg-shard", &args, FLAGS, &[]);
+    let listen: String = flags.get("--listen", "127.0.0.1:7979".to_string());
+    let admin: String = flags.get("--admin", String::new());
+    let shards: usize = flags.get("--shards", 1);
+    if shards == 0 {
+        flags.usage_error("--shards must be at least 1");
+    }
+    let seed: u64 = flags.get("--seed", 42);
+    let snapshot_path: String = flags.get("--snapshot", String::new());
+    let error_bound: f64 = flags.get("--error-bound", 0.01);
+    let confidence: f64 = flags.get("--confidence", 0.95);
 
     kg_telemetry::enable();
 
@@ -115,7 +128,7 @@ fn main() {
     // Partition exactly as the coordinator's service does: the graph
     // fingerprint exchanged at handshake covers the per-shard entity and
     // edge counts, so any divergence here is caught before the first round.
-    let sharded = Arc::new(if shards <= 1 {
+    let sharded = Arc::new(if shards == 1 {
         ShardedGraph::single(Arc::clone(&graph))
     } else {
         ShardedGraph::new(Arc::clone(&graph), &DegreeBalancedPartitioner, shards)

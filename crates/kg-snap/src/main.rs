@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! kg-snap build OUT.kgsnap [--profile dbpedia|freebase|yago] [--seed 42]
-//!                          [--compress] [--warm N]
+//!                          [--warm N]
 //! kg-snap inspect PATH
 //! kg-snap verify PATH
 //! ```
@@ -18,30 +18,30 @@
 //! reported, not inspected).
 //!
 //! `verify` runs the full validation chain — container (magic, header CRC,
-//! version, table of contents, per-section CRCs), structural decode of every
-//! section, a deep CSR recheck (the stored adjacency must equal a fresh
-//! rebuild from the stored triples), and the similarity/sampler sections if
-//! present. Exit code 0 means every check passed; any failure exits
-//! non-zero with the failing section named on stderr.
+//! version, reserved flags, table of contents, per-section CRCs), then a
+//! full bundle decode: every graph section structurally, the CSR rebuilt
+//! from the triple log, and the similarity/sampler sections if present.
+//! Exit code 0 means every check passed; any failure exits 1 with the
+//! failing section named on stderr.
+//!
+//! Flags are parsed strictly (the parser `kg-serve` uses): an unknown flag,
+//! a value that does not parse, a flag with no value or a stray argument
+//! exits 2.
 
-use kg_core::snapshot::{verify_graph_sections, Snapshot, SnapshotOptions};
+#[path = "../../kg-service/src/bin/cli/mod.rs"]
+mod cli;
+
+use cli::Flags;
+use kg_core::snapshot::Snapshot;
 use kg_core::KgError;
 use kg_datagen::{build_workload, generate, profiles, DatasetScale, WorkloadConfig};
 use kg_query::QuerySpec;
 use kg_sampling::{bundle_from_snapshot, write_bundle, SamplerCache, SamplerConfig};
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: kg-snap build OUT.kgsnap [--profile dbpedia|freebase|yago] \
-         [--seed N] [--compress] [--warm N]\n       kg-snap inspect PATH\n       \
+         [--seed N] [--warm N]\n       kg-snap inspect PATH\n       \
          kg-snap verify PATH"
     );
     std::process::exit(2);
@@ -63,10 +63,15 @@ fn cmd_build(args: &[String]) {
     let Some(out) = args.first().filter(|a| !a.starts_with("--")) else {
         usage();
     };
-    let profile: String = parse_flag(args, "--profile", "dbpedia".to_string());
-    let seed: u64 = parse_flag(args, "--seed", 42);
-    let compress = args.iter().any(|a| a == "--compress");
-    let warm: usize = parse_flag(args, "--warm", 0);
+    let flags = Flags::parse(
+        "kg-snap build",
+        &args[1..],
+        &["--profile", "--seed", "--warm"],
+        &[],
+    );
+    let profile: String = flags.get("--profile", "dbpedia".to_string());
+    let seed: u64 = flags.get("--seed", 42);
+    let warm: usize = flags.get("--warm", 0);
 
     let config = match profile.as_str() {
         "dbpedia" => profiles::dbpedia_like(DatasetScale::tiny(), seed),
@@ -106,22 +111,13 @@ fn cmd_build(args: &[String]) {
         eprintln!("kg-snap build: warmed {} sampler(s)", samplers.len());
     }
 
-    let options = SnapshotOptions {
-        compress_csr: compress,
-    };
-    if let Err(e) = write_bundle(
-        out,
-        &dataset.graph,
-        &options,
-        Some(&dataset.oracle),
-        Some(&samplers),
-    ) {
+    if let Err(e) = write_bundle(out, &dataset.graph, Some(&dataset.oracle), Some(&samplers)) {
         report("build", &e);
     }
     let len = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     println!(
         "kg-snap build: wrote {out} ({len} bytes, {} entities, {} triples, \
-         {} sampler(s), compressed_csr={compress})",
+         {} sampler(s))",
         dataset.graph.entity_count(),
         dataset.graph.triples().len(),
         samplers.len(),
@@ -133,12 +129,7 @@ fn cmd_inspect(path: &str) {
         Ok(snap) => snap,
         Err(e) => report("inspect", &e),
     };
-    println!(
-        "{path}: format v{} flags {:#x} compressed_csr={}",
-        snap.version(),
-        snap.flags(),
-        snap.compressed_csr()
-    );
+    println!("{path}: format v{}", snap.version());
     println!(
         "{:<16} {:>10} {:>10} {:>18}",
         "section", "offset", "len", "crc64"
@@ -155,16 +146,12 @@ fn cmd_inspect(path: &str) {
 }
 
 fn cmd_verify(path: &str) {
-    // Container validation (magic, header CRC, version, TOC, section CRCs)
-    // happens in `open`; the rest is structural.
+    // Container validation (magic, header CRC, version, flags, TOC, section
+    // CRCs) happens in `open`; the full bundle decode checks the rest.
     let snap = match Snapshot::open(path) {
         Ok(snap) => snap,
         Err(e) => report("verify", &e),
     };
-    if let Err(e) = verify_graph_sections(&snap) {
-        report("verify", &e);
-    }
-    // Full bundle decode: similarity and sampler sections included.
     if let Err(e) = bundle_from_snapshot(&snap) {
         report("verify", &e);
     }
@@ -176,20 +163,14 @@ fn cmd_verify(path: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    match args.get(1).map(String::as_str) {
-        Some("build") => cmd_build(&args[2..]),
-        Some("inspect") => match args.get(2) {
-            Some(path) => cmd_inspect(path),
-            None => usage(),
-        },
-        Some("verify") => match args.get(2) {
-            Some(path) => cmd_verify(path),
-            None => usage(),
-        },
+    match args.as_slice() {
+        [cmd, rest @ ..] if cmd == "build" => cmd_build(rest),
+        [cmd, path] if cmd == "inspect" => cmd_inspect(path),
+        [cmd, path] if cmd == "verify" => cmd_verify(path),
         _ => usage(),
     }
 }
