@@ -2,8 +2,8 @@
 //! single call, amortising planning work across the batch.
 //!
 //! Much of the per-query cost of [`AqpEngine::execute`] is per-component,
-//! not per-query: preparing a sampler (building the n-bounded scope and
-//! iterating the random walk of Eq. 6 to convergence). Realistic workloads
+//! not per-query: preparing a sampler (building the n-bounded scope, its
+//! stationary distribution (Eq. 6) and alias table). Realistic workloads
 //! repeat components — a plain query and its filtered / GROUP-BY /
 //! aggregate variants all share one underlying simple query, chain planning
 //! re-anchors the same hop queries, and dashboards re-issue the same shapes

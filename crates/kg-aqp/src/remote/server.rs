@@ -87,8 +87,9 @@ pub fn graph_fingerprint(sharded: &ShardedGraph) -> u64 {
 }
 
 /// Digest of every [`EngineConfig`] field that influences planning,
-/// sampling, validation or estimation — a coordinator refuses to use a
-/// shard server whose config fingerprint differs.
+/// sampling, validation or estimation, and of
+/// [`kg_sampling::SAMPLER_REVISION`] — a coordinator refuses to use a shard
+/// server whose config fingerprint differs.
 pub fn config_fingerprint(config: &EngineConfig) -> u64 {
     let (strategy_tag, strategy_p, strategy_q) = match config.strategy {
         kg_sampling::SamplingStrategy::SemanticAware => (0u64, 0, 0),
@@ -115,6 +116,7 @@ pub fn config_fingerprint(config: &EngineConfig) -> u64 {
         config.aggregation as u64,
         config.chain_anchor_limit as u64,
         config.seed,
+        kg_sampling::SAMPLER_REVISION,
     ])
 }
 
@@ -585,6 +587,15 @@ mod tests {
             ("k2+writes", 0x65b60f8760f7e2c4),
         ];
         assert_eq!(got, want, "{got:#x?}");
+    }
+
+    /// The default config's handshake value. It moves with
+    /// [`kg_sampling::SAMPLER_REVISION`], so a change to π has to re-pin it
+    /// on purpose, and coordinator and shards then move together.
+    #[test]
+    fn default_config_fingerprint_is_pinned() {
+        let got = config_fingerprint(&EngineConfig::default());
+        assert_eq!(got, 0x09d4_c224_4066_f1aa, "{got:#x}");
     }
 
     /// One query text more than the table holds evicts the oldest text,

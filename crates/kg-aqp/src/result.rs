@@ -24,7 +24,7 @@ pub struct RoundTrace {
 /// (including correctness validation), S3 accuracy guarantee.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StepTimings {
-    /// Sampling time in milliseconds (transition matrix + convergence + draws).
+    /// Sampling time in milliseconds (sampler preparation + draws).
     pub sampling_ms: f64,
     /// Estimation time in milliseconds (validation + estimators).
     pub estimation_ms: f64,

@@ -4,7 +4,7 @@
 //!
 //! * **Plan once, globally.** Decomposition, sampler preparation and the
 //!   assembled answer distribution are exactly the unsharded plan — the
-//!   random walk converges once against the full graph.
+//!   stationary distribution is computed once against the full graph.
 //! * **Sample per shard.** The answer distribution is split by shard
 //!   ownership into strata ([`kg_sampling::ShardSampler`]); each stratum
 //!   draws from its re-normalised distribution with its **own RNG stream**

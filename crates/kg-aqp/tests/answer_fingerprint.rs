@@ -24,13 +24,13 @@ use kg_query::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const WHOLE: u64 = 0x81d5_6e5e_47cb_da18;
-const LOCAL_K1: u64 = 0x81d5_6e5e_47cb_da18;
-const LOCAL_K2: u64 = 0x8860_5056_4b59_ab32;
-const LOCAL_K4: u64 = 0xd025_4a8b_a117_361a;
-const REMOTE_K2: u64 = 0x8860_5056_4b59_ab32;
-const RESUMED: u64 = 0x95fd_37e2_65e4_e144;
-const STEPPED: u64 = 0x49ae_b451_60cc_fd4d;
+const WHOLE: u64 = 0x76b7_7456_d3ec_a561;
+const LOCAL_K1: u64 = 0x76b7_7456_d3ec_a561;
+const LOCAL_K2: u64 = 0x82dc_bb3d_2d9f_5087;
+const LOCAL_K4: u64 = 0xbb31_3e29_e971_e8e8;
+const REMOTE_K2: u64 = 0x82dc_bb3d_2d9f_5087;
+const RESUMED: u64 = 0x3b54_d53e_60a5_c489;
+const STEPPED: u64 = 0xdf6b_5579_e137_9d1a;
 
 fn dataset() -> kg_datagen::GeneratedDataset {
     generate(&GeneratorConfig::new(

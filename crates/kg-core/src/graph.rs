@@ -52,8 +52,8 @@ pub struct EdgeRef {
 /// Adjacency is stored in compressed-sparse-row (CSR) form: one flat edge
 /// array plus a per-entity offset array, so [`Self::neighbors`] is a
 /// zero-cost slice into a single allocation and a full-graph traversal is a
-/// linear scan — the access pattern the random-walk convergence loop
-/// (Eq. 6) is bound by.
+/// linear scan — the access pattern sampler preparation (Eq. 5–6) and
+/// the validation search are bound by.
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeGraph {
     pub(crate) entities: Vec<Entity>,

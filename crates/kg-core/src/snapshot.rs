@@ -15,7 +15,7 @@
 //!
 //! [`GraphBuilder::build`]: crate::GraphBuilder::build
 //!
-//! # File layout (format version 2)
+//! # File layout (format version 3)
 //!
 //! ```text
 //! offset 0    ┌──────────────────────────────────────────────┐
@@ -69,8 +69,9 @@ use crate::triple::Triple;
 use std::io::Write;
 use std::path::Path;
 
-/// The snapshot format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+/// The snapshot format version this build reads and writes (v3: samplers
+/// carry the closed-form π, without the power iteration's settings).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section payloads (and the first payload after the TOC) start on
 /// multiples of this, so every section begins on a cache-line boundary.
@@ -1169,6 +1170,20 @@ mod tests {
         };
         assert_eq!(section, "header");
         assert!(message.contains("version skew: file is v1"), "{message}");
+        assert!(message.contains("rebuild"), "{message}");
+    }
+
+    /// A v2 file (π from the truncated power iteration) is not read: it
+    /// gets the version-skew error telling the operator to rebuild it.
+    #[test]
+    fn v2_header_gets_the_version_skew_message() {
+        let bytes = with_header_field(sample_graph().snapshot_bytes().unwrap(), 8, 2);
+        let e = Snapshot::from_bytes(bytes).unwrap_err();
+        let KgError::Snapshot { section, message } = e else {
+            panic!("expected a structured snapshot error");
+        };
+        assert_eq!(section, "header");
+        assert!(message.contains("version skew: file is v2"), "{message}");
         assert!(message.contains("rebuild"), "{message}");
     }
 

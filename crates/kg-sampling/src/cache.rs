@@ -1,9 +1,9 @@
 //! Memoisation of [`PreparedSampler`]s across queries that share a
 //! simple-query component.
 //!
-//! Preparing a sampler is the expensive part of answering a query: it builds
-//! the n-bounded scope, the transition matrix (Eq. 5) and iterates Eq. 6 to
-//! convergence. Workloads routinely repeat the same component — a plain
+//! Preparing a sampler builds the n-bounded scope, weighs every in-scope
+//! edge (Eq. 5), reads π off in closed form (Eq. 6) and builds the alias
+//! table. Workloads routinely repeat the same component — a plain
 //! query plus its filter and GROUP-BY variants differ only in post-sampling
 //! operators — so a batch executor can prepare once per distinct component
 //! and share the result. Sharing is sound because [`crate::prepare`] is
@@ -253,7 +253,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(first.answer_distribution(), fresh.answer_distribution());
-        assert_eq!(first.iterations, fresh.iterations);
+        assert_eq!(first.transition_entries, fresh.transition_entries);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!    connecting edge to the query edge (Eq. 5). A small self-loop on `u_s`
 //!    makes the chain aperiodic (Lemma 2); similarity floors keep every
 //!    probability non-zero so the chain stays irreducible (Lemma 1).
-//! 2. **Random walk until convergence** ([`sampler`]): the stationary
-//!    distribution π is obtained by iterating Eq. 6 (π ← πP) until it stops
-//!    changing, starting from the indicator distribution on `u_s`.
+//! 2. **Stationary distribution** ([`sampler`]): the walk is reversible, so
+//!    Eq. 6's π is read off in closed form in one pass over `G'`.
 //! 3. **Continuous sampling** ([`sampler::PreparedSampler::draw`]): the
 //!    stationary distribution is restricted and re-normalised over the
 //!    candidate answers (π_A), from which answers are drawn i.i.d.
@@ -66,6 +65,11 @@ pub mod snapshot;
 pub mod strategies;
 pub mod transition;
 pub mod wire;
+
+/// Revision of the π [`prepare`] computes, folded into the shard
+/// handshake's config fingerprint: bump it whenever π changes for the same
+/// inputs (1 iterated Eq. 6 up to 500 times, 2 is the closed form).
+pub const SAMPLER_REVISION: u64 = 2;
 
 pub use alias::{AliasTable, WeightError};
 pub use cache::{CacheStats, SamplerCache};

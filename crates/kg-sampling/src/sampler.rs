@@ -1,26 +1,25 @@
-//! Random-walk convergence and continuous sampling of candidate answers
-//! (§IV-A2, steps 2 and 3).
+//! Sampler preparation and continuous sampling of candidate answers
+//! (§IV-A2, steps 2 and 3). The walk is reversible on the undirected ball,
+//! so Eq. 6's π has a closed form (Lovász, *Random Walks on Graphs: A
+//! Survey*, 1993), which [`prepare`] reads off in one pass over the scope.
 
 use crate::alias::AliasTable;
 use crate::strategies::SamplingStrategy;
-use crate::transition::TransitionMatrix;
+use crate::transition::row_entries;
 use kg_core::{bounded_subgraph, BoundedSubgraph, EntityId, KgResult, KnowledgeGraph};
 use kg_embed::PredicateSimilarity;
 use kg_query::ResolvedSimpleQuery;
 use rand::Rng;
 use std::collections::HashMap;
 
-/// Configuration of the sampler.
+/// Configuration of the sampler: the scope and Lemma 2's self-loop. π is
+/// computed in closed form, so nothing else is tuned.
 #[derive(Clone, Copy, Debug)]
 pub struct SamplerConfig {
     /// Hop bound `n` of the n-bounded subgraph (paper default 3).
     pub n_bound: u32,
     /// Self-loop weight on the mapping node (paper: 0.001).
     pub self_loop_weight: f64,
-    /// Convergence tolerance on the L1 change of π.
-    pub tolerance: f64,
-    /// Maximum Eq. 6 iterations (paper observes ≤ 500 walk steps).
-    pub max_iterations: usize,
 }
 
 impl Default for SamplerConfig {
@@ -28,8 +27,6 @@ impl Default for SamplerConfig {
         Self {
             n_bound: 3,
             self_loop_weight: 0.001,
-            tolerance: 1e-10,
-            max_iterations: 500,
         }
     }
 }
@@ -45,8 +42,8 @@ pub struct SampledAnswer {
     pub probability: f64,
 }
 
-/// A sampler that has already run its random walk to convergence; drawing
-/// answers from it is cheap and i.i.d. (Theorem 1).
+/// A sampler whose stationary distribution is known; drawing answers from
+/// it is cheap and i.i.d. (Theorem 1).
 #[derive(Clone, Debug)]
 pub struct PreparedSampler {
     pub(crate) scope: BoundedSubgraph,
@@ -56,23 +53,21 @@ pub struct PreparedSampler {
     /// O(1) draw table over the answer probabilities; `None` when the
     /// scope holds no candidate answers.
     pub(crate) table: Option<AliasTable>,
-    /// Number of Eq. 6 iterations until convergence.
-    pub iterations: usize,
     /// Number of transition-matrix entries (the |E_G'| of the cost model).
     pub transition_entries: usize,
 }
 
 /// Runs the offline part of sampling for a simple query: builds the
-/// n-bounded scope, the transition matrix (Eq. 5) and the stationary
-/// distribution (Eq. 6), and restricts it to the candidate answers (π_A).
+/// n-bounded scope, computes the stationary distribution of the Eq. 5 walk
+/// (Eq. 6) in closed form, π(u) = b(u)·W(u) / Σ_v b(v)·W(v), and restricts
+/// it to the candidate answers (π_A).
 ///
 /// # Errors
 ///
-/// Returns [`kg_core::KgError::DegenerateWeights`] when the stationary mass
-/// of an answer is NaN, infinite or negative (e.g. a broken similarity
-/// store drove the walk to overflow) — the degenerate answer set is
-/// rejected here, at prepare time, instead of panicking later in the draw
-/// hot path.
+/// Returns [`kg_core::KgError::DegenerateWeights`] when the π_A mass of an
+/// answer is NaN or infinite (e.g. a broken similarity store drove the
+/// weights to overflow) — the degenerate answer set is rejected here, at
+/// prepare time, instead of panicking later in the draw hot path.
 pub fn prepare<S: PredicateSimilarity + ?Sized>(
     graph: &KnowledgeGraph,
     query: &ResolvedSimpleQuery,
@@ -81,74 +76,60 @@ pub fn prepare<S: PredicateSimilarity + ?Sized>(
     config: &SamplerConfig,
 ) -> KgResult<PreparedSampler> {
     let scope = bounded_subgraph(graph, query.specific, config.n_bound);
-    let matrix = TransitionMatrix::build(
-        graph,
-        query,
-        &scope,
-        similarity,
-        strategy,
-        config.self_loop_weight,
-    );
-    let (pi, iterations) =
-        matrix.stationary_distribution(query.specific, config.tolerance, config.max_iterations);
-    let stationary: HashMap<EntityId, f64> = matrix
-        .nodes()
+    let nodes = scope.sorted_nodes();
+    let mut transition_entries = 0;
+    let mass: Vec<f64> = nodes
         .iter()
-        .copied()
-        .zip(pi.iter().copied())
+        .map(|&u| {
+            let mut degree = 0.0;
+            for (_, w) in row_entries(
+                graph,
+                query,
+                &scope,
+                similarity,
+                strategy,
+                config.self_loop_weight,
+                u,
+            ) {
+                degree += w;
+                transition_entries += 1;
+            }
+            degree * strategy.stationary_bias(scope.distance(u).unwrap_or(0))
+        })
+        .collect();
+    let total_mass: f64 = mass.iter().sum();
+    let stationary: HashMap<EntityId, f64> = nodes
+        .iter()
+        .zip(&mass)
+        .map(|(&n, &m)| (n, m / total_mass))
         .collect();
 
     // Extract π_A: restrict π to candidate answers and re-normalise.
-    let mut answers: Vec<SampledAnswer> = matrix
-        .nodes()
+    let mut answers: Vec<SampledAnswer> = nodes
         .iter()
-        .copied()
-        .filter(|&n| query.is_candidate(graph, n))
-        .map(|n| SampledAnswer {
+        .zip(&mass)
+        .filter(|(&n, _)| query.is_candidate(graph, n))
+        .map(|(&n, &m)| SampledAnswer {
             entity: n,
-            probability: stationary.get(&n).copied().unwrap_or(0.0),
+            probability: m / total_mass,
         })
         .collect();
-    // Reject non-finite / negative stationary mass *before* normalising:
-    // NaN or ±inf here means the walk itself degenerated, and silently
-    // renormalising would launder it into wrong (or panicking) draws.
-    for (index, a) in answers.iter().enumerate() {
-        if !a.probability.is_finite() || a.probability < 0.0 {
-            return Err(kg_core::KgError::DegenerateWeights {
-                index,
-                weight: a.probability,
-            });
-        }
-    }
     let total: f64 = answers.iter().map(|a| a.probability).sum();
-    if total > 0.0 {
-        for a in &mut answers {
-            a.probability /= total;
-        }
-    } else if !answers.is_empty() {
-        // Degenerate chain (e.g. zero-probability answers): fall back to
-        // uniform probabilities so the estimators remain well-defined.
-        let uniform = 1.0 / answers.len() as f64;
-        for a in &mut answers {
-            a.probability = uniform;
-        }
+    for a in &mut answers {
+        a.probability /= total;
     }
-    let table = if answers.is_empty() {
-        None
-    } else {
-        // Validated and normalised above, so the build cannot fail.
-        Some(
-            AliasTable::new(&answers.iter().map(|a| a.probability).collect::<Vec<f64>>())
-                .expect("validated, normalised answer weights"),
-        )
-    };
+    // Every W(u) is positive, so π_A is a distribution unless a weight
+    // overflowed; the table build rejects that as a structured error.
+    let weights: Vec<f64> = answers.iter().map(|a| a.probability).collect();
+    let table = (!weights.is_empty())
+        .then(|| AliasTable::new(&weights))
+        .transpose()?;
     Ok(PreparedSampler {
         scope,
         stationary,
         answers,
         table,
-        iterations,
-        transition_entries: matrix.entry_count(),
+        transition_entries,
     })
 }
 
@@ -183,8 +164,8 @@ impl PreparedSampler {
         &self.answers
     }
 
-    /// Draws `count` answers i.i.d. from π_A (continuous sampling after
-    /// convergence, Theorem 1) via the prepared [`AliasTable`] — expected
+    /// Draws `count` answers i.i.d. from π_A (continuous sampling from the
+    /// stationary distribution, Theorem 1) via the prepared [`AliasTable`] — expected
     /// O(1) per draw, bit-identical to the binary-search draw it replaced.
     /// Returns an empty vector when the scope holds no candidate answers.
     pub fn draw<R: Rng>(&self, rng: &mut R, count: usize) -> Vec<SampledAnswer> {
@@ -203,16 +184,13 @@ mod tests {
     use kg_core::GraphBuilder;
 
     /// The doc comments on [`SamplerConfig`] cite the paper's defaults
-    /// (n = 3, self-loop weight 0.001, ≤ 500 walk iterations); assert the
-    /// `Default` impl matches so the documentation cannot drift from the
-    /// code.
+    /// (n = 3, self-loop weight 0.001); assert the `Default` impl matches so
+    /// the documentation cannot drift from the code.
     #[test]
     fn default_config_matches_documented_paper_defaults() {
         let c = SamplerConfig::default();
         assert_eq!(c.n_bound, 3);
         assert_eq!(c.self_loop_weight, 0.001);
-        assert_eq!(c.max_iterations, 500);
-        assert_eq!(c.tolerance, 1e-10);
     }
     use kg_embed::oracle::oracle_store;
     use kg_query::SimpleQuery;
@@ -271,7 +249,6 @@ mod tests {
             .map(|a| a.probability)
             .sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert!(sampler.iterations > 0);
         assert!(sampler.transition_entries > 0);
         // Semantically related answers are more likely to be sampled.
         let good = sampler.answer_probability(g.entity_by_name("good0").unwrap());

@@ -2,7 +2,7 @@
 //! an assembled query plan) restricted to one shard's owned candidates.
 //!
 //! Sharded execution runs the paper's sampling–estimation loop as a
-//! **stratified** design: the random walk converges once, globally, and the
+//! **stratified** design: π is computed once, globally, and the
 //! resulting answer distribution π_A is split by shard ownership into
 //! strata. Stratum `k` keeps the candidates owned by shard `k` with their
 //! probabilities re-normalised to sum to 1 (π'_k = π/W_k, where the

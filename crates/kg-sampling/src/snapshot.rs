@@ -2,13 +2,15 @@
 //! that ties the graph, similarity and sampler sections into one file.
 //!
 //! Preparing a sampler is the expensive part of answering a query — BFS
-//! scope, transition matrix, Eq. 6 iterated to convergence, alias-table
+//! scope, one weighing pass for the closed-form π of Eq. 6, alias-table
 //! build. A snapshot stores the *results* of that work (stationary
 //! distribution, answer probabilities and the alias table, all as exact
 //! `f64` bit patterns), so a snapshot-booted service starts with a warm
-//! [`SamplerCache`] and never re-runs the walk: the first query after a
-//! cold start draws from the same table, bit for bit, as the service that
-//! wrote the snapshot.
+//! [`SamplerCache`] and never re-prepares: the first query after a cold
+//! start draws from the same table, bit for bit, as the service that wrote
+//! the snapshot. Format v3 dropped the iteration settings and counts of
+//! the power iteration π used to come from; a v2 file's π is refused with
+//! the version-skew error.
 //!
 //! Section kind: [`kg_core::snapshot::section_kind::SAMPLERS`] (101).
 //! Layout (all little-endian, inside the checksummed section payload):
@@ -17,7 +19,7 @@
 //! u32 strategy tag     0=semantic-aware 1=CNARW 2=Node2Vec 3=uniform
 //! u64 p bits, q bits   Node2Vec parameters (zero for other strategies)
 //! u32 n_bound          sampler configuration ...
-//! u64 self-loop bits, tolerance bits, max iterations
+//! u64 self-loop bits
 //! u64 entry count
 //! per entry (sorted by key — deterministic bytes):
 //!   key        u32 specific, u32 predicate, u32 k, k × u32 type id
@@ -25,7 +27,7 @@
 //!   stationary u64 n, n × (u32 node, u64 π bits), sorted by node
 //!   answers    u64 n, n × (u32 entity, u64 π' bits), in draw order
 //!   table      u32 present, [u64 n, n × u64 cumulative bits, n × u32 cut]
-//!   u64 iterations, u64 transition entries
+//!   u64 transition entries
 //! ```
 
 use crate::alias::AliasTable;
@@ -89,8 +91,6 @@ pub fn encode_samplers(cache: &SamplerCache) -> Vec<u8> {
     let config = cache.config();
     put_u32(&mut out, config.n_bound);
     put_u64(&mut out, config.self_loop_weight.to_bits());
-    put_u64(&mut out, config.tolerance.to_bits());
-    put_u64(&mut out, config.max_iterations as u64);
 
     let entries = cache.export_entries();
     put_u64(&mut out, entries.len() as u64);
@@ -142,7 +142,6 @@ pub fn encode_samplers(cache: &SamplerCache) -> Vec<u8> {
             }
         }
 
-        put_u64(&mut out, sampler.iterations as u64);
         put_u64(&mut out, sampler.transition_entries as u64);
     }
     out
@@ -162,9 +161,6 @@ pub fn decode_samplers(bytes: &[u8], graph: &KnowledgeGraph) -> KgResult<Sampler
     let config = SamplerConfig {
         n_bound: c.u32()?,
         self_loop_weight: f64::from_bits(c.u64()?),
-        tolerance: f64::from_bits(c.u64()?),
-        max_iterations: usize::try_from(c.u64()?)
-            .map_err(|_| snapshot_error(SECTION, "max_iterations overflows usize"))?,
     };
     let cache = SamplerCache::new(strategy, config);
 
@@ -321,7 +317,6 @@ pub fn decode_samplers(bytes: &[u8], graph: &KnowledgeGraph) -> KgResult<Sampler
             ));
         }
 
-        let iterations = c.u64()? as usize;
         let transition_entries = c.u64()? as usize;
         cache.insert_prepared(
             key,
@@ -330,7 +325,6 @@ pub fn decode_samplers(bytes: &[u8], graph: &KnowledgeGraph) -> KgResult<Sampler
                 stationary,
                 answers,
                 table,
-                iterations,
                 transition_entries,
             }),
         );
@@ -540,7 +534,6 @@ mod tests {
             }
             other => panic!("table presence diverged: {other:?}"),
         }
-        assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.transition_entries, b.transition_entries);
     }
 
@@ -613,7 +606,7 @@ mod tests {
 
         // Out-of-range entity id in the key.
         let mut bad = payload.to_vec();
-        let key_offset = 4 + 8 + 8 + 4 + 8 + 8 + 8 + 8; // header through entry count
+        let key_offset = 4 + 8 + 8 + 4 + 8 + 8; // header through entry count
         bad[key_offset..key_offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode_samplers(&bad, &g).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
@@ -636,7 +629,7 @@ mod tests {
         let mut payload = snap.section(section_kind::SAMPLERS).unwrap().to_vec();
         // Header through entry count, then the key's specific, predicate
         // and type count, its type ids, and the scope's start and radius.
-        let key = 4 + 8 + 8 + 4 + 8 + 8 + 8 + 8;
+        let key = 4 + 8 + 8 + 4 + 8 + 8;
         let types = u32::from_le_bytes(payload[key + 8..key + 12].try_into().unwrap()) as usize;
         let scope_len = key + 12 + 4 * types + 8;
         payload[scope_len..scope_len + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());

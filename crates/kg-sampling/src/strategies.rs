@@ -5,6 +5,9 @@ use kg_core::{EntityId, KnowledgeGraph, PredicateId};
 use kg_embed::PredicateSimilarity;
 use std::collections::HashSet;
 
+/// Floor on the similarity weight and on Node2Vec's `p` and `q`.
+const FLOOR: f64 = 1e-3;
+
 /// Which transition-weight scheme the walker uses.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum SamplingStrategy {
@@ -39,6 +42,18 @@ impl SamplingStrategy {
         }
     }
 
+    /// The factor b(u) of the closed form π(u) ∝ b(u)·W(u) (W the weighted
+    /// degree) at BFS level `distance`: 1 for symmetric weights; Node2Vec
+    /// weighs an edge 1/q′ out and 1/p′ back, so b(u) = (p′/q′)^{d(u)}.
+    pub fn stationary_bias(self, distance: u32) -> f64 {
+        match self {
+            SamplingStrategy::Node2Vec { p, q } => {
+                (p.max(FLOOR) / q.max(FLOOR)).powi(distance as i32)
+            }
+            _ => 1.0,
+        }
+    }
+
     /// The unnormalised transition weight of moving from `from` to `to` over
     /// an edge labelled `predicate`.
     ///
@@ -57,20 +72,18 @@ impl SamplingStrategy {
         distance_from: Option<u32>,
         distance_to: Option<u32>,
     ) -> f64 {
-        const FLOOR: f64 = 1e-3;
         match self {
             SamplingStrategy::SemanticAware => {
                 similarity.similarity(predicate, query_predicate).max(FLOOR)
             }
             SamplingStrategy::Uniform => 1.0,
             SamplingStrategy::Cnarw => {
-                let na: HashSet<EntityId> =
-                    graph.neighbors(from).iter().map(|e| e.neighbor).collect();
-                let common = graph
-                    .neighbors(to)
-                    .iter()
-                    .filter(|e| na.contains(&e.neighbor))
-                    .count();
+                // Distinct common neighbours: counting `to`'s edges would
+                // make w(u→v) ≠ w(v→u) on multi-edges.
+                let distinct = |u: EntityId| -> HashSet<EntityId> {
+                    graph.neighbors(u).iter().map(|e| e.neighbor).collect()
+                };
+                let common = distinct(from).intersection(&distinct(to)).count();
                 1.0 / (1.0 + common as f64)
             }
             SamplingStrategy::Node2Vec { p, q } => {
@@ -136,6 +149,29 @@ mod tests {
         let w_lonely = s.weight(&g, hub, lonely, p, p, &store, None, None);
         assert!(w_lonely > w_shared);
         assert_eq!(s.name(), "CNARW");
+    }
+
+    /// u–v, u with two edges to x, v with one: counting edges gave
+    /// w(u→v) = 1/2 but w(v→u) = 1/3. Over distinct common neighbours
+    /// both are 1/2, so the CNARW walk is reversible.
+    #[test]
+    fn cnarw_weight_is_symmetric_on_multi_edges() {
+        let mut b = GraphBuilder::new();
+        let u = b.add_entity("u", &["T"]);
+        let v = b.add_entity("v", &["T"]);
+        let x = b.add_entity("x", &["T"]);
+        b.add_edge(u, "p", v);
+        b.add_edge(u, "p", x);
+        b.add_edge(u, "q", x);
+        b.add_edge(v, "p", x);
+        let g = b.build();
+        let p = g.predicate_id("p").unwrap();
+        let store = oracle_store(&[(p, 0, 1.0)]);
+        let s = SamplingStrategy::Cnarw;
+        let uv = s.weight(&g, u, v, p, p, &store, None, None);
+        let vu = s.weight(&g, v, u, p, p, &store, None, None);
+        assert_eq!(uv, vu);
+        assert_eq!(uv, 0.5);
     }
 
     #[test]

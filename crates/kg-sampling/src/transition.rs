@@ -1,5 +1,6 @@
-//! The transition matrix of the random walk over the n-bounded subgraph
-//! (Eq. 5) and its stationary distribution (Eq. 6).
+//! The random walk's transition weights over the n-bounded subgraph
+//! (Eq. 5): `row_entries`, which [`crate::prepare`] sums into π, and
+//! [`TransitionMatrix`], their row-normalised form, the tests' reference.
 
 use crate::strategies::SamplingStrategy;
 use kg_core::{BoundedSubgraph, EntityId, KnowledgeGraph};
@@ -7,8 +8,47 @@ use kg_embed::PredicateSimilarity;
 use kg_query::ResolvedSimpleQuery;
 use std::collections::HashMap;
 
+/// The unnormalised entries of Eq. 5's row out of `u`: one `(neighbour,
+/// weight)` per entry of `graph.neighbors(u)` that stays in `scope`, in
+/// that order, then Lemma 2's self-loop (weight `self_loop_weight`) when
+/// `u` is the mapping node. Weights are floored at `f64::MIN_POSITIVE`, so
+/// every in-scope node has positive row mass: the BFS parent of a non-root
+/// node is in scope, and the root carries the self-loop. Edges leaving the
+/// scope are dropped, which is the walk on the induced subgraph `G'`.
+pub(crate) fn row_entries<'a, S: PredicateSimilarity + ?Sized>(
+    graph: &'a KnowledgeGraph,
+    query: &'a ResolvedSimpleQuery,
+    scope: &'a BoundedSubgraph,
+    similarity: &'a S,
+    strategy: SamplingStrategy,
+    self_loop_weight: f64,
+    u: EntityId,
+) -> impl Iterator<Item = (EntityId, f64)> + 'a {
+    let du = scope.distance(u);
+    let self_loop = (u == query.specific).then(|| (u, self_loop_weight.max(f64::MIN_POSITIVE)));
+    graph
+        .neighbors(u)
+        .iter()
+        .filter_map(move |edge| {
+            let dv = scope.distance(edge.neighbor)?;
+            let w = strategy.weight(
+                graph,
+                u,
+                edge.neighbor,
+                edge.predicate,
+                query.predicate,
+                similarity,
+                du,
+                Some(dv),
+            );
+            Some((edge.neighbor, w.max(f64::MIN_POSITIVE)))
+        })
+        .chain(self_loop)
+}
+
 /// A row-stochastic transition matrix restricted to the nodes of the
-/// n-bounded subgraph, stored sparsely as per-node neighbour lists.
+/// n-bounded subgraph, stored sparsely as per-node neighbour lists: the
+/// reference Eq. 5 walk that tests check the closed-form π against.
 #[derive(Clone, Debug)]
 pub struct TransitionMatrix {
     /// Dense re-indexing of the in-scope nodes.
@@ -19,11 +59,8 @@ pub struct TransitionMatrix {
 }
 
 impl TransitionMatrix {
-    /// Builds the transition matrix for `query` over the `scope` subgraph,
-    /// using the given strategy's edge weights. A self-loop with weight
-    /// `self_loop_weight` is added on the mapping node (aperiodicity,
-    /// Lemma 2). Edges leaving the scope are ignored, which is equivalent to
-    /// running the walk on the induced subgraph `G'`.
+    /// Builds the transition matrix for `query` over the `scope` subgraph:
+    /// each row is `row_entries` divided by its sum.
     pub fn build<S: PredicateSimilarity + ?Sized>(
         graph: &KnowledgeGraph,
         query: &ResolvedSimpleQuery,
@@ -35,40 +72,27 @@ impl TransitionMatrix {
         let nodes = scope.sorted_nodes();
         let index: HashMap<EntityId, usize> =
             nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        let mut rows = Vec::with_capacity(nodes.len());
-        for &u in &nodes {
-            let mut row: Vec<(usize, f64)> = Vec::new();
-            let du = scope.distance(u);
-            for edge in graph.neighbors(u) {
-                let Some(&j) = index.get(&edge.neighbor) else {
-                    continue;
-                };
-                let w = strategy.weight(
+        let rows = nodes
+            .iter()
+            .map(|&u| {
+                let mut row: Vec<(usize, f64)> = row_entries(
                     graph,
-                    u,
-                    edge.neighbor,
-                    edge.predicate,
-                    query.predicate,
+                    query,
+                    scope,
                     similarity,
-                    du,
-                    scope.distance(edge.neighbor),
-                );
-                row.push((j, w.max(f64::MIN_POSITIVE)));
-            }
-            if u == query.specific {
-                row.push((index[&u], self_loop_weight.max(f64::MIN_POSITIVE)));
-            }
-            // Normalise the row; isolated nodes get an implicit self-loop.
-            let total: f64 = row.iter().map(|(_, w)| *w).sum();
-            if total <= 0.0 {
-                row = vec![(index[&u], 1.0)];
-            } else {
+                    strategy,
+                    self_loop_weight,
+                    u,
+                )
+                .map(|(v, w)| (index[&v], w))
+                .collect();
+                let total: f64 = row.iter().map(|(_, w)| *w).sum();
                 for (_, w) in &mut row {
                     *w /= total;
                 }
-            }
-            rows.push(row);
-        }
+                row
+            })
+            .collect();
         Self { nodes, index, rows }
     }
 
@@ -105,63 +129,17 @@ impl TransitionMatrix {
             .sum()
     }
 
-    /// One step of Eq. 6: `next = current · P`.
+    /// One step of the walk: `next = current · P`, indexed like
+    /// [`Self::nodes`].
     pub fn step(&self, current: &[f64]) -> Vec<f64> {
-        let mut next = vec![0.0; current.len()];
-        self.step_into(current, &mut next);
-        next
-    }
-
-    /// One step of Eq. 6 written into a caller-provided buffer, so the
-    /// convergence loop can ping-pong two buffers instead of allocating a
-    /// fresh vector per iteration (up to `max_iterations` allocations per
-    /// [`crate::prepare`] call before this existed).
-    pub fn step_into(&self, current: &[f64], next: &mut Vec<f64>) {
         debug_assert_eq!(current.len(), self.nodes.len());
-        next.clear();
-        next.resize(current.len(), 0.0);
-        for (i, row) in self.rows.iter().enumerate() {
-            let mass = current[i];
-            if mass == 0.0 {
-                continue;
-            }
+        let mut next = vec![0.0; current.len()];
+        for (row, &mass) in self.rows.iter().zip(current) {
             for &(j, p) in row {
                 next[j] += mass * p;
             }
         }
-    }
-
-    /// Iterates Eq. 6 from the indicator distribution on `start` until the L1
-    /// change drops below `tolerance` or `max_iterations` is reached. Returns
-    /// the stationary distribution (indexed like [`Self::nodes`]) and the
-    /// number of iterations performed.
-    pub fn stationary_distribution(
-        &self,
-        start: EntityId,
-        tolerance: f64,
-        max_iterations: usize,
-    ) -> (Vec<f64>, usize) {
-        let n = self.nodes.len();
-        let mut pi = vec![0.0; n];
-        if n == 0 {
-            return (pi, 0);
-        }
-        let start_index = self.index_of(start).unwrap_or(0);
-        pi[start_index] = 1.0;
-        let mut iterations = 0;
-        // Ping-pong between `pi` and one scratch buffer: the loop performs
-        // no allocation after the first iteration.
-        let mut next = Vec::with_capacity(n);
-        for _ in 0..max_iterations {
-            self.step_into(&pi, &mut next);
-            iterations += 1;
-            let delta: f64 = next.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
-            std::mem::swap(&mut pi, &mut next);
-            if delta < tolerance {
-                break;
-            }
-        }
-        (pi, iterations)
+        next
     }
 }
 
@@ -229,6 +207,8 @@ mod tests {
         );
     }
 
+    /// π from [`crate::prepare`] is stationary under one step of this
+    /// matrix and favours the semantically related answer.
     #[test]
     fn stationary_distribution_sums_to_one_and_favours_semantic_answers() {
         let (g, q, store) = setup();
@@ -241,13 +221,31 @@ mod tests {
             SamplingStrategy::SemanticAware,
             0.001,
         );
-        let (pi, iters) = t.stationary_distribution(q.specific, 1e-12, 500);
-        assert!(iters > 0 && iters <= 500);
+        let sampler = crate::prepare(
+            &g,
+            &q,
+            &store,
+            SamplingStrategy::SemanticAware,
+            &crate::SamplerConfig::default(),
+        )
+        .unwrap();
+        let pi: Vec<f64> = t
+            .nodes()
+            .iter()
+            .map(|&n| sampler.stationary_probability(n))
+            .collect();
         let total: f64 = pi.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9);
+        assert!((total - 1.0).abs() < 1e-12);
+        let residual: f64 = t
+            .step(&pi)
+            .iter()
+            .zip(&pi)
+            .map(|(a, b)| (a - b).abs())
+            .sum();
+        assert!(residual < 1e-12, "residual {residual}");
         let idx = |name: &str| t.index_of(g.entity_by_name(name).unwrap()).unwrap();
         assert!(pi[idx("car1")] > pi[idx("misc")]);
-        assert!(pi.iter().all(|p| *p >= 0.0));
+        assert!(pi.iter().all(|p| *p > 0.0));
     }
 
     #[test]

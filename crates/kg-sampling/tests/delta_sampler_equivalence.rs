@@ -1,7 +1,7 @@
 //! Differential check for sampling over a mutation overlay: a sampler
 //! prepared on a graph carrying pending delta writes must be **bitwise
 //! identical** to one prepared on a graph rebuilt from scratch at the same
-//! logical state — answer distribution, convergence iterations, and the
+//! logical state — stationary distribution, answer distribution, and the
 //! full draw transcript under a shared RNG seed — both before and after
 //! compaction. This is what makes the service's sampler reuse across writes
 //! sound: "prepared on the overlay" and "prepared on a fresh CSR" are not
@@ -30,7 +30,15 @@ fn prepare_on(graph: &KnowledgeGraph, store: &dyn PredicateSimilarity) -> Prepar
 }
 
 fn assert_samplers_bitwise_equal(a: &PreparedSampler, b: &PreparedSampler) {
-    assert_eq!(a.iterations, b.iterations);
+    let scope = a.scope().sorted_nodes();
+    assert_eq!(scope, b.scope().sorted_nodes());
+    for &n in &scope {
+        assert_eq!(
+            a.stationary_probability(n).to_bits(),
+            b.stationary_probability(n).to_bits(),
+            "π of {n:?} diverged"
+        );
+    }
     assert_eq!(a.transition_entries, b.transition_entries);
     assert_eq!(a.candidate_count(), b.candidate_count());
     assert_eq!(a.answer_distribution().len(), b.answer_distribution().len());

@@ -1038,9 +1038,7 @@ impl Service {
         let ours = engine.sampler_config();
         let theirs = samplers.config();
         let config_matches = ours.n_bound == theirs.n_bound
-            && ours.self_loop_weight.to_bits() == theirs.self_loop_weight.to_bits()
-            && ours.tolerance.to_bits() == theirs.tolerance.to_bits()
-            && ours.max_iterations == theirs.max_iterations;
+            && ours.self_loop_weight.to_bits() == theirs.self_loop_weight.to_bits();
         if samplers.strategy() != engine.strategy || !config_matches {
             return Err(KgError::Snapshot {
                 section: "samplers".into(),

@@ -46,7 +46,8 @@ fn build_verify_inspect_round_trip() {
     );
     let stdout = String::from_utf8_lossy(&verify.stdout);
     assert!(stdout.contains("OK"), "stdout: {stdout}");
-    assert!(stdout.contains("format v2"), "stdout: {stdout}");
+    let format = format!("format v{FORMAT_VERSION}");
+    assert!(stdout.contains(&format), "stdout: {stdout}");
 
     let inspect = kg_snap(&["inspect", path_str]);
     assert!(inspect.status.success());
@@ -120,10 +121,10 @@ fn verify_rejects_header_corruption_and_truncation() {
     std::fs::remove_file(&p).unwrap();
     assert!(!out.status.success());
 
-    // Version skew, older (v1 stored the CSR twice) and newer: rewrite
-    // the version field and re-checksum the header so only the skew
-    // itself is the failure.
-    for version in [1, FORMAT_VERSION + 1] {
+    // Version skew, older (v1 stored the CSR twice, v2 an iterated π) and
+    // newer: rewrite the version field and re-checksum the header so only
+    // the skew itself is the failure.
+    for version in [1, 2, FORMAT_VERSION + 1] {
         let mut skewed = bytes.clone();
         skewed[8..12].copy_from_slice(&version.to_le_bytes());
         let crc = kg_core::snapshot::crc64(&skewed[..48]);
