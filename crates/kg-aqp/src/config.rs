@@ -9,8 +9,8 @@ use kg_sampling::{SamplerConfig, SamplingStrategy};
 /// The sampling parameters default to the paper's: error bound eb = 1%,
 /// confidence 95%, repeat factor r = 3, desired sample ratio λ = 0.3,
 /// n-bounded subgraph with n = 3 and τ = 0.85. One default is not the
-/// paper's: [`Self::enumerate`] answers a plan of single-edge components
-/// exactly instead of running Algorithm 2 on it.
+/// paper's: [`Self::enumerate`] answers every plan exactly instead of
+/// running Algorithm 2 on it.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Semantic-similarity threshold τ.
@@ -41,19 +41,14 @@ pub struct EngineConfig {
     pub fixed_increment: Option<usize>,
     /// Path-similarity aggregation used during validation.
     pub aggregation: PathAggregation,
-    /// How many intermediate anchors a chain query keeps per hop
-    /// (§V-B; the second-level samplings run in parallel).
-    pub chain_anchor_limit: usize,
     /// RNG seed for sampling (results are deterministic given the seed).
     pub seed: u64,
-    /// Answer by enumeration when every component of the plan is a
-    /// single-edge one (simple, star and cycle shapes): the plan's
-    /// validation tables already decide every candidate, so the estimand is
-    /// returned exactly — one round, margin of error 0, no draws, no shard
-    /// call. Chain and flower plans sample regardless, because their
-    /// estimand is biased by anchor truncation. `false` runs Algorithm 2 on
-    /// every plan (the paper's tables and the suites that pin it). Not part
-    /// of [`crate::config_fingerprint`]: shard servers only ever sample.
+    /// Answer by enumeration: every plan's validation tables already decide
+    /// each of its candidates (a chain's through its anchored hops), so the
+    /// estimand — τ-GT — is returned exactly: one round, margin of error 0,
+    /// no draws, no shard call. `false` runs Algorithm 2 on every plan (the
+    /// paper's tables and the suites that pin it). Not part of
+    /// [`crate::config_fingerprint`]: shard servers only ever sample.
     pub enumerate: bool,
 }
 
@@ -73,7 +68,6 @@ impl Default for EngineConfig {
             validate: true,
             fixed_increment: None,
             aggregation: PathAggregation::GeometricMean,
-            chain_anchor_limit: 48,
             seed: 0xA96_5EED,
             enumerate: true,
         }

@@ -5,7 +5,7 @@ use crate::config::EngineConfig;
 use crate::remote::fleet::ShardFleet;
 use crate::result::QueryAnswer;
 use crate::session::Session;
-use crate::stratum::GraphHandle;
+use crate::stratum::{validation_config, GraphHandle};
 use kg_core::{EntityId, KgResult, KnowledgeGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{validate_answer, ValidationConfig, ValidationTable};
@@ -15,16 +15,17 @@ use kg_query::{
 };
 use kg_sampling::{prepare, AliasTable, PreparedSampler, SamplerCache};
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One prepared simple query and the validation outcomes of its candidates.
 ///
 /// The greedy π-guided search does not depend on the answer it validates, so
-/// it runs once per component — on first use, whichever session or stratum
-/// gets there first — and every candidate is answered from the resulting
-/// [`ValidationTable`]. The table lives and dies with the plan.
+/// it runs once per component — while planning a chain hop, else on first
+/// use, whichever session or stratum gets there first — and every candidate
+/// is answered from the resulting [`ValidationTable`]. The table lives and
+/// dies with the plan.
 pub(crate) struct ComponentSearch {
     pub(crate) query: ResolvedSimpleQuery,
     pub(crate) sampler: Arc<PreparedSampler>,
@@ -32,11 +33,16 @@ pub(crate) struct ComponentSearch {
 }
 
 impl ComponentSearch {
-    fn new(query: ResolvedSimpleQuery, sampler: Arc<PreparedSampler>) -> Self {
+    fn new(
+        query: ResolvedSimpleQuery,
+        sampler: Arc<PreparedSampler>,
+        table: Option<ValidationTable>,
+    ) -> Self {
+        let table = table.map_or_else(OnceLock::new, OnceLock::from);
         Self {
             query,
             sampler,
-            table: OnceLock::new(),
+            table,
         }
     }
 
@@ -72,20 +78,21 @@ pub(crate) enum ComponentValidator {
     /// A single-edge component: validate against the component's query with
     /// the greedy π-guided search.
     Simple(ComponentSearch),
-    /// A chain component: each final answer is validated against the last
-    /// hop's query anchored at the intermediate that contributed most of its
-    /// probability (hop-level decomposition of §V-B).
+    /// A chain component, hop by hop as §V-B (and τ-GT) evaluates it: an
+    /// inner hop's answers anchor the next hop only where its table says
+    /// they are correct, and a final answer is correct iff some last hop
+    /// that proposes it says so.
     Chain {
-        /// Final answer → index into `hops` of the hop that validates it.
-        final_hops: HashMap<EntityId, usize>,
-        /// One search per anchored hop query.
+        /// Final answer → index into `hops` of every last hop proposing it.
+        final_hops: HashMap<EntityId, Vec<usize>>,
+        /// One search per anchored last-hop query.
         hops: Vec<ComponentSearch>,
     },
 }
 
 /// One decomposed component: its answer distribution and validator.
 pub(crate) struct ComponentPlan {
-    pub(crate) distribution: HashMap<EntityId, f64>,
+    pub(crate) distribution: BTreeMap<EntityId, f64>,
     pub(crate) validator: ComponentValidator,
     pub(crate) candidate_count: usize,
 }
@@ -105,16 +112,6 @@ pub(crate) struct QueryPlan {
     pub(crate) group_by: Option<(kg_core::AttrId, f64)>,
     pub(crate) candidate_count: usize,
     pub(crate) plan_ms: f64,
-}
-
-impl QueryPlan {
-    /// Whether every component is single-edge, so that one validation
-    /// table decides each candidate of each component: the plans
-    /// [`EngineConfig::enumerate`] answers exactly.
-    pub(crate) fn single_edge(&self) -> bool {
-        let simple = |c: &ComponentPlan| matches!(c.validator, ComponentValidator::Simple(_));
-        self.components.iter().all(simple)
-    }
 }
 
 /// The approximate aggregate query engine.
@@ -235,7 +232,7 @@ impl AqpEngine {
         };
 
         // Assemble: intersect supports, multiply probabilities, re-normalise.
-        let mut combined: HashMap<EntityId, f64> = components
+        let mut combined: BTreeMap<EntityId, f64> = components
             .first()
             .map(|c| c.distribution.clone())
             .unwrap_or_default();
@@ -245,11 +242,8 @@ impl AqpEngine {
                 *p *= c.distribution[e];
             }
         }
-        // Sort before summing: float addition is order-sensitive, and
-        // `HashMap` iteration order varies per instance, so normalising from
-        // an unsorted sum would make repeated runs differ in the last ulp.
+        // In entity order: float addition is order-sensitive.
         let mut distribution: Vec<(EntityId, f64)> = combined.into_iter().collect();
-        distribution.sort_by_key(|(e, _)| *e);
         let total: f64 = distribution.iter().map(|(_, p)| *p).sum();
         if total > 0.0 {
             for (_, p) in &mut distribution {
@@ -315,7 +309,11 @@ impl AqpEngine {
         Ok(ComponentPlan {
             distribution,
             candidate_count: sampler.candidate_count(),
-            validator: ComponentValidator::Simple(ComponentSearch::new(query.clone(), sampler)),
+            validator: ComponentValidator::Simple(ComponentSearch::new(
+                query.clone(),
+                sampler,
+                None,
+            )),
         })
     }
 
@@ -326,22 +324,25 @@ impl AqpEngine {
         similarity: &S,
         cache: Option<&SamplerCache>,
     ) -> KgResult<ComponentPlan> {
+        let (validate, validation) = (self.config.validate, validation_config(&self.config));
         // First-level sampling from the specific node towards the first hop.
         let mut anchors: Vec<(EntityId, f64)> = vec![(chain.specific, 1.0)];
         let mut hops: Vec<ComponentSearch> = Vec::new();
-        let mut final_hops: HashMap<EntityId, usize> = HashMap::new();
-        let mut distribution: HashMap<EntityId, f64> = HashMap::new();
+        let mut final_hops: HashMap<EntityId, Vec<usize>> = HashMap::new();
+        let mut distribution: BTreeMap<EntityId, f64> = BTreeMap::new();
         let mut candidate_count = 0usize;
 
         for hop in 0..chain.hops.len() {
             let is_last = hop + 1 == chain.hops.len();
-            // Second and later levels run one sampling per anchor, in parallel
-            // (the paper runs each second sampling as a thread).
-            type HopResult = KgResult<(EntityId, f64, ResolvedSimpleQuery, Arc<PreparedSampler>)>;
+            // One sampler and validation table per anchor, in parallel (the
+            // paper runs each second sampling as a thread). An inner hop
+            // passes on only the answers its table says are correct, as
+            // `chain_ground_truth` does, each weighted by its π.
+            type HopResult = KgResult<(usize, Option<ComponentSearch>, Vec<(EntityId, f64)>)>;
             let hop_results: Vec<HopResult> = anchors
                 .par_iter()
-                .map(|(anchor, anchor_prob)| {
-                    let hop_query = chain.hop_as_simple(hop, *anchor);
+                .map(|&(anchor, anchor_prob)| {
+                    let hop_query = chain.hop_as_simple(hop, anchor);
                     let sampler = match cache {
                         Some(cache) => cache.get_or_prepare(graph, &hop_query, similarity)?,
                         None => Arc::new(prepare(
@@ -352,60 +353,59 @@ impl AqpEngine {
                             &self.config.sampler_config(),
                         )?),
                     };
-                    Ok((*anchor, *anchor_prob, hop_query, sampler))
+                    let table = validate.then(|| {
+                        ValidationTable::build(graph, &hop_query, &sampler, similarity, &validation)
+                    });
+                    let search = ComponentSearch::new(hop_query, sampler, table);
+                    let passes = |entity| {
+                        is_last
+                            || !validate
+                            || search.validate(graph, similarity, entity, &validation).0
+                    };
+                    let answers = search
+                        .sampler
+                        .answer_distribution()
+                        .iter()
+                        .filter(|a| passes(a.entity))
+                        .map(|a| (a.entity, anchor_prob * a.probability))
+                        .collect();
+                    let candidates = search.sampler.candidate_count();
+                    Ok((candidates, is_last.then_some(search), answers))
                 })
                 .collect();
 
-            let mut next_anchors: HashMap<EntityId, f64> = HashMap::new();
+            let mut next_anchors: BTreeMap<EntityId, f64> = BTreeMap::new();
             for hop_result in hop_results {
-                let (_anchor, anchor_prob, hop_query, sampler) = hop_result?;
-                candidate_count = candidate_count.max(sampler.candidate_count());
+                let (candidates, search, answers) = hop_result?;
+                candidate_count = candidate_count.max(candidates);
                 let hop_index = hops.len();
-                hops.push(ComponentSearch::new(hop_query, Arc::clone(&sampler)));
-                for a in sampler.answer_distribution() {
-                    let combined = anchor_prob * a.probability;
+                hops.extend(search);
+                for (entity, probability) in answers {
                     if is_last {
-                        let entry = distribution.entry(a.entity).or_insert(0.0);
-                        *entry += combined;
-                        // Remember the strongest-contributing anchor for validation.
-                        let replace = match final_hops.get(&a.entity) {
-                            None => true,
-                            Some(_) => *entry <= combined + f64::EPSILON,
-                        };
-                        if replace {
-                            final_hops.insert(a.entity, hop_index);
-                        }
+                        *distribution.entry(entity).or_insert(0.0) += probability;
+                        final_hops.entry(entity).or_default().push(hop_index);
                     } else {
-                        *next_anchors.entry(a.entity).or_insert(0.0) += combined;
+                        *next_anchors.entry(entity).or_insert(0.0) += probability;
                     }
                 }
             }
             if !is_last {
-                // Keep the most probable anchors, re-normalised.
-                let mut sorted: Vec<(EntityId, f64)> = next_anchors.into_iter().collect();
-                // Tie-break equal probabilities by entity id: without it the
-                // truncation below keeps a `HashMap`-order-dependent subset.
-                sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                sorted.truncate(self.config.chain_anchor_limit.max(1));
-                let total: f64 = sorted.iter().map(|(_, p)| p).sum();
+                // Every correct anchor goes on, re-normalised in entity order.
+                anchors = next_anchors.into_iter().collect();
+                let total: f64 = anchors.iter().map(|(_, p)| p).sum();
                 if total > 0.0 {
-                    for (_, p) in &mut sorted {
+                    for (_, p) in &mut anchors {
                         *p /= total;
                     }
                 }
-                anchors = sorted;
                 if anchors.is_empty() {
                     break;
                 }
             }
         }
 
-        // Normalise the final distribution, summing in entity order so the
-        // normaliser does not depend on `HashMap` iteration order.
-        let mut ordered: Vec<(EntityId, f64)> =
-            distribution.iter().map(|(e, p)| (*e, *p)).collect();
-        ordered.sort_by_key(|(e, _)| *e);
-        let total: f64 = ordered.iter().map(|(_, p)| *p).sum();
+        // Normalise the final distribution, summing in entity order.
+        let total: f64 = distribution.values().sum();
         if total > 0.0 {
             for p in distribution.values_mut() {
                 *p /= total;
@@ -652,6 +652,87 @@ mod tests {
             search.validate(&d.graph, &d.oracle, company, &validation).1 > 0.0,
             "an intermediate next to the hub is reached"
         );
+    }
+
+    /// A hand-built chain, Germany –country→ Company –manufacturer→
+    /// Automobile, that catches both ways a chain's estimand can leave τ-GT:
+    /// `shady`, tied to Germany only by predicates below τ, is the most
+    /// probable first-hop answer and must lend the answer none of its cars;
+    /// `weak`, the least probable correct one behind 48 stronger companies,
+    /// must lend its car, which no other anchor validates.
+    #[test]
+    fn a_chain_anchors_every_correct_answer_and_no_other() {
+        use kg_core::GraphBuilder;
+        use kg_query::{chain_ground_truth, GroundTruthConfig};
+
+        let mut b = GraphBuilder::new();
+        b.add_entity("Germany", &["Country"]);
+        let mut company = |name: &str, cars: usize, ties: &[&str]| {
+            b.add_entity(name, &["Company"]);
+            for tie in ties {
+                b.add_edge_by_name(name, tie, "Germany");
+            }
+            for i in 0..cars {
+                let car = format!("{name}_car{i}");
+                b.add_entity(&car, &["Automobile"]);
+                b.add_edge_by_name(&car, "manufacturer", name);
+            }
+        };
+        for i in 0..48 {
+            company(&format!("big{i}"), 2, &["country"]);
+        }
+        company("weak", 1, &["country"]);
+        company("shady", 3, &["rumoured", "linked"]);
+        let graph = b.build();
+        let oracle = kg_embed::oracle::oracle_store(&[
+            (graph.predicate_id("country").unwrap(), 0, 1.0),
+            (graph.predicate_id("rumoured").unwrap(), 0, 0.5),
+            (graph.predicate_id("linked").unwrap(), 0, 0.6),
+            (graph.predicate_id("manufacturer").unwrap(), 1, 1.0),
+        ]);
+        let chain = ChainQuery::new(
+            "Germany",
+            &["Country"],
+            vec![
+                ChainHop::new("country", &["Company"]),
+                ChainHop::new("manufacturer", &["Automobile"]),
+            ],
+        );
+        let engine = AqpEngine::new(EngineConfig::default());
+        let entity = |name: &str| graph.entity_by_name(name).unwrap();
+
+        // The premise, on the first hop's π.
+        let resolved = chain.resolve(&graph).unwrap();
+        let first = resolved.hop_as_simple(0, resolved.specific);
+        let config = engine.config();
+        let sampler = prepare(
+            &graph,
+            &first,
+            &oracle,
+            config.strategy,
+            &config.sampler_config(),
+        )
+        .unwrap();
+        let pi = |name: &str| sampler.answer_probability(entity(name));
+        for i in 0..48 {
+            let big = pi(&format!("big{i}"));
+            assert!(pi("shady") > big && big > pi("weak"), "big{i}");
+        }
+
+        let query = AggregateQuery::complex(ComplexQuery::chain(chain), AggregateFunction::Count);
+        let plan = engine
+            .plan_with_cache(&graph, &query, &oracle, None)
+            .unwrap();
+        let answers = crate::session::estimand_answers(&plan, config, &graph, &oracle);
+        assert!(answers.contains(&entity("weak_car0")));
+        for i in 0..3 {
+            let shady_car = entity(&format!("shady_car{i}"));
+            assert!(plan.distribution.iter().any(|(e, _)| *e == shady_car));
+            assert!(!answers.contains(&shady_car));
+        }
+        assert_eq!(answers.len(), 48 * 2 + 1);
+        let truth = chain_ground_truth(&graph, &resolved, &oracle, &GroundTruthConfig::default());
+        assert_eq!(answers, truth.correct);
     }
 
     #[test]

@@ -114,7 +114,6 @@ pub fn config_fingerprint(config: &EngineConfig) -> u64 {
         config.validate as u64,
         config.fixed_increment.map(|v| v as u64 + 1).unwrap_or(0),
         config.aggregation as u64,
-        config.chain_anchor_limit as u64,
         config.seed,
         kg_sampling::SAMPLER_REVISION,
     ])
@@ -590,12 +589,13 @@ mod tests {
     }
 
     /// The default config's handshake value. It moves with
-    /// [`kg_sampling::SAMPLER_REVISION`], so a change to π has to re-pin it
-    /// on purpose, and coordinator and shards then move together.
+    /// [`kg_sampling::SAMPLER_REVISION`] and with the list of hashed fields,
+    /// so a change to either has to re-pin it on purpose, and coordinator
+    /// and shards then move together.
     #[test]
     fn default_config_fingerprint_is_pinned() {
         let got = config_fingerprint(&EngineConfig::default());
-        assert_eq!(got, 0x09d4_c224_4066_f1aa, "{got:#x}");
+        assert_eq!(got, 0x45cd_1893_1084_5a1a, "{got:#x}");
     }
 
     /// One query text more than the table holds evicts the oldest text,

@@ -36,8 +36,8 @@ pub(crate) fn validation_config(config: &EngineConfig) -> ValidationConfig {
 }
 
 /// Validates one sampled entity against every component of a plan: each
-/// component answers from its validation table (one greedy π-guided search
-/// per component, see [`crate::engine::ComponentSearch`]), with outcomes
+/// component answers from its validation tables (one greedy π-guided search
+/// per component or anchored hop, see [`crate::engine::ComponentSearch`]), with outcomes
 /// AND-ed and the weakest similarity kept. `validate: false` is the
 /// Fig. 5(b) ablation (trust every sampled answer).
 pub(crate) fn validate_entity<S: PredicateSimilarity + ?Sized>(
@@ -58,10 +58,14 @@ pub(crate) fn validate_entity<S: PredicateSimilarity + ?Sized>(
             ComponentValidator::Simple(search) => {
                 search.validate(graph, similarity, entity, validation)
             }
-            ComponentValidator::Chain { final_hops, hops } => match final_hops.get(&entity) {
-                None => (false, 0.0),
-                Some(hop) => hops[*hop].validate(graph, similarity, entity, validation),
-            },
+            // Correct if any last hop proposing it says so, with the highest
+            // similarity among them, rejected or not.
+            ComponentValidator::Chain { final_hops, hops } => final_hops
+                .get(&entity)
+                .into_iter()
+                .flatten()
+                .map(|&hop| hops[hop].validate(graph, similarity, entity, validation))
+                .fold((false, 0.0_f64), |(c, s), (hc, hs)| (c || hc, s.max(hs))),
         };
         correct &= c;
         sim = sim.min(s);

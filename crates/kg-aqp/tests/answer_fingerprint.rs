@@ -24,13 +24,13 @@ use kg_query::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const WHOLE: u64 = 0x76b7_7456_d3ec_a561;
-const LOCAL_K1: u64 = 0x76b7_7456_d3ec_a561;
-const LOCAL_K2: u64 = 0x82dc_bb3d_2d9f_5087;
-const LOCAL_K4: u64 = 0xbb31_3e29_e971_e8e8;
-const REMOTE_K2: u64 = 0x82dc_bb3d_2d9f_5087;
-const RESUMED: u64 = 0x3b54_d53e_60a5_c489;
-const STEPPED: u64 = 0xdf6b_5579_e137_9d1a;
+const WHOLE: u64 = 0xe60c_1d24_154e_d39b;
+const LOCAL_K1: u64 = 0xe60c_1d24_154e_d39b;
+const LOCAL_K2: u64 = 0xb937_df9f_c15b_5722;
+const LOCAL_K4: u64 = 0xa6d8_459b_ba98_7b39;
+const REMOTE_K2: u64 = 0xb937_df9f_c15b_5722;
+const RESUMED: u64 = 0xe382_21a0_538d_23b8;
+const STEPPED: u64 = 0xbcae_d409_48d2_8209;
 
 fn dataset() -> kg_datagen::GeneratedDataset {
     generate(&GeneratorConfig::new(

@@ -1,11 +1,11 @@
-//! The exact outcome ([`EngineConfig::enumerate`], on by default): a plan
-//! whose every component is single-edge — the simple, star and cycle shapes
-//! of the workload, with filters, GROUP-BY and MAX/MIN — is answered by
-//! enumerating its candidates, and that answer is SSB's τ-GT bit for bit on
-//! the whole-graph, in-process K = 2 and remote K = 2 executors. It is one
-//! round with margin of error 0 and no draws, it never reaches a shard, and
-//! asking again at any bound or confidence returns the same bits. Chain and
-//! flower plans still sample, exactly as with enumeration off.
+//! The exact outcome ([`EngineConfig::enumerate`], on by default): every
+//! plan of the workload — the simple, star and cycle shapes with filters,
+//! GROUP-BY and MAX/MIN, and the chains and flowers, whose hops carry only
+//! validated anchors — is answered by enumerating its candidates, and that
+//! answer is SSB's τ-GT bit for bit on the whole-graph, in-process K = 2 and
+//! remote K = 2 executors. It is one round with margin of error 0 and no
+//! draws, it never reaches a shard, and asking again at any bound or
+//! confidence returns the same bits.
 
 use kg_aqp::{
     AqpEngine, EngineConfig, FaultPlan, FleetPolicy, InProcessTransport, QueryAnswer,
@@ -68,16 +68,6 @@ fn group_bits(answer: &QueryAnswer) -> Vec<(i64, u64)> {
     groups.map(|(key, value)| (*key, value.to_bits())).collect()
 }
 
-/// Every field of an answer that a sampled and an exact round can differ in.
-fn assert_same(label: &str, a: &QueryAnswer, b: &QueryAnswer) {
-    assert_eq!(a.estimate.to_bits(), b.estimate.to_bits(), "{label}");
-    assert_eq!(a.moe.to_bits(), b.moe.to_bits(), "{label}");
-    assert_eq!(a.guarantee_met, b.guarantee_met, "{label}");
-    assert_eq!(a.sample_size, b.sample_size, "{label}");
-    assert_eq!(a.rounds, b.rounds, "{label}");
-    assert_eq!(group_bits(a), group_bits(b), "{label}");
-}
-
 fn assert_exact(label: &str, answer: &QueryAnswer) {
     assert_eq!(answer.moe, 0.0, "{label}");
     assert_eq!(answer.sample_size, 0, "{label}");
@@ -87,8 +77,10 @@ fn assert_exact(label: &str, answer: &QueryAnswer) {
     assert!(answer.missing_shards.is_empty(), "{label}");
 }
 
-#[test]
-fn single_edge_answers_are_ssb_bit_for_bit_on_every_executor() {
+/// Every query `keep` selects is answered exactly, and equal to SSB's τ-GT
+/// bit for bit, on each executor. The coordinator planned every query on its
+/// own copy of the graph and answered it there: no shard was ever called.
+fn assert_ssb_bit_for_bit_on_every_executor(keep: impl Fn(&WorkloadQuery) -> bool) {
     let d = dataset();
     let config = EngineConfig::default();
     let ssb = SsbEngine::new(GroundTruthConfig {
@@ -100,7 +92,7 @@ fn single_edge_answers_are_ssb_bit_for_bit_on_every_executor() {
     let fleet = fleet(&d, &sharded);
     let engine = AqpEngine::new(config.clone());
     let remote = AqpEngine::remote(config, Arc::clone(&fleet));
-    for query in workload(&d, single_edge) {
+    for query in workload(&d, keep) {
         let label = format!("{} ({})", query.id, query.shape);
         let truth = ssb.evaluate(&d.graph, &query.query, &d.oracle).unwrap();
         let answers = [
@@ -121,9 +113,19 @@ fn single_edge_answers_are_ssb_bit_for_bit_on_every_executor() {
             );
         }
     }
-    // The coordinator planned every query on its own copy of the graph and
-    // answered it there: no shard was ever called.
     assert_eq!(fleet.metrics().snapshot(), RemoteMetricsSnapshot::default());
+}
+
+#[test]
+fn single_edge_answers_are_ssb_bit_for_bit_on_every_executor() {
+    assert_ssb_bit_for_bit_on_every_executor(single_edge);
+}
+
+/// A chain's hops carry only the anchors τ-GT carries, so chains and flowers
+/// are answered exactly too.
+#[test]
+fn chain_and_flower_answers_are_ssb_bit_for_bit_on_every_executor() {
+    assert_ssb_bit_for_bit_on_every_executor(|q| !single_edge(q));
 }
 
 #[test]
@@ -153,30 +155,5 @@ fn resuming_an_exact_session_keeps_its_bits() {
         }
         assert_eq!(resumed[1].confidence, 0.99);
         assert_eq!(whole.sample_size() + local.sample_size(), 0);
-    }
-}
-
-/// The decision is the executor's to ignore, so the whole-graph one stands
-/// for all three here, and three queries of each shape for all of them (a
-/// chain plans one sampler per anchor, which a debug build feels).
-#[test]
-fn chain_and_flower_plans_still_sample_as_with_enumeration_off() {
-    let d = dataset();
-    let on = EngineConfig::default().with_error_bound(0.10);
-    let off = AqpEngine::new(EngineConfig {
-        enumerate: false,
-        ..on.clone()
-    });
-    let on = AqpEngine::new(on);
-    let queries = workload(&d, |q| !single_edge(q));
-    let first_three = |shape| queries.iter().filter(move |q| q.shape == shape).take(3);
-    let sampled = first_three(QueryShape::Chain).chain(first_three(QueryShape::Flower));
-    for query in sampled {
-        let mut session = on.open_session(&d.graph, &query.query, &d.oracle).unwrap();
-        assert!(!session.is_exact(), "{}", query.id);
-        let answer = session.refine_to(&d.graph, &d.oracle, on.config().error_bound);
-        assert!(answer.sample_size > 0, "{}", query.id);
-        let reference = off.execute(&d.graph, &query.query, &d.oracle).unwrap();
-        assert_same(&query.id, &answer, &reference);
     }
 }

@@ -9,15 +9,15 @@
 //!
 //! `--shape` keeps only the workload queries of one shape (`simple`,
 //! `chain`, `star`, `cycle` or `flower`, any case) before `--queries`
-//! cycles through them. The fault-injection smoke asks chains: single-edge
-//! queries are answered exactly on the coordinator and never reach a shard.
+//! cycles through them. The fault-injection smoke asks chains: like every
+//! query, they are answered exactly on the coordinator and never reach a
+//! shard.
 //!
 //! `--max-degraded` / `--min-degraded` bound how many answers across the
 //! whole run (first query included) may / must come back flagged
-//! `degraded: true` — the fault-injection smoke job uses them to assert
-//! that killing one shard of a coordinator-mode fleet degrades *some*
-//! answers (`--min-degraded 1`) while a healthy or recovered fleet
-//! degrades none (`--max-degraded 0`).
+//! `degraded: true`. Only a sampled answer can be degraded; the
+//! fault-injection smoke job uses `--max-degraded 0` to assert that
+//! killing one shard of a coordinator-mode fleet degrades no answer.
 //!
 //! `--deadline-ms` attaches a deadline to every request (the service then
 //! returns anytime answers rather than shedding); `--tenants` spreads the
