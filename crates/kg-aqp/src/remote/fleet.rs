@@ -68,7 +68,7 @@ impl Default for FleetPolicy {
 }
 
 /// Monotonic counters for the remote execution path, shared between the
-/// fleet and the service `/metrics` endpoints.
+/// fleet and the service's `/metrics.prom`.
 #[derive(Default)]
 pub struct RemoteMetrics {
     /// Logical shard calls issued.

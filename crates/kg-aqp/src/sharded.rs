@@ -37,7 +37,7 @@ use kg_core::ShardedGraph;
 
 /// Per-shard observability of one sharded session: how many draws each
 /// shard performed and how long stratified merging took — the numbers that
-/// make shard imbalance visible in `BatchStats` and the service `/metrics`.
+/// make shard imbalance visible in `BatchStats` and the service `/metrics.prom`.
 #[derive(Clone, Debug, Default)]
 pub struct ShardedStats {
     /// Cumulative sample draws per shard (indexed by shard id).

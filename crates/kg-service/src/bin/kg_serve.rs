@@ -35,7 +35,7 @@
 //! data. `--write-snapshot PATH` writes a snapshot at boot
 //! and re-writes it on every compacting delta write, so the next cold start
 //! can use `--snapshot`. Snapshot provenance (format version, load ms) and
-//! the write counter appear in `/metrics` and `/metrics.prom`.
+//! the write counter appear on `/metrics.prom`.
 //!
 //! `--tenant-weight`/`--tenant-quota` set the default limits applied to any
 //! tenant the service has not been told about; each repeatable

@@ -80,20 +80,6 @@ pub struct ResultCacheStats {
     pub misses: usize,
     /// Times the cache was invalidated (graph/config generation bumps).
     pub invalidations: u64,
-    /// Entries evicted by footprint-scoped writes ([`ResultCache::note_write`]).
-    pub write_evictions: u64,
-}
-
-impl ResultCacheStats {
-    /// Fraction of lookups that avoided planning from scratch.
-    pub fn reuse_rate(&self) -> f64 {
-        let total = self.hits + self.resumes + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            (self.hits + self.resumes) as f64 / total as f64
-        }
-    }
 }
 
 /// Outcome of [`ResultCache::begin`].
@@ -203,9 +189,7 @@ impl ResultCache {
         let mut entries = self.entries.lock().unwrap();
         let before = entries.len();
         entries.retain(|_, entry| !entry.footprint.intersects(footprint));
-        let evicted = before - entries.len();
-        self.stats.lock().unwrap().write_evictions += evicted as u64;
-        evicted
+        before - entries.len()
     }
 
     /// Stores (or returns) a session with its freshest answer. `generation`
@@ -427,7 +411,6 @@ mod tests {
         // A later intersecting write evicts the stored entry itself.
         assert_eq!(cache.note_write(&write), 1);
         assert!(cache.is_empty());
-        assert_eq!(cache.stats().write_evictions, 1);
     }
 
     #[test]

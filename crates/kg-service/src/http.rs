@@ -12,8 +12,7 @@
 //! |---|---|
 //! | `POST /query` | v2 body `{"v": 2, "query": .., "targets"?: {"error_bound"?, "confidence"?}, "deadline_ms"?, "tenant"?}` (an untagged v1 flat body is upgraded to v2) → `200` with `{"answer": ..}`, `400` malformed, `422` unresolvable, `429` tenant quota, `503` shed, `504` deadline expired before planning |
 //! | `POST /v2/write` | body `{"v"?: 2, "ops": [{"op": "upsert_entity"\|"upsert_edge"\|"delete_edge", ..}, ..], "compact"?: bool}` → `200` with the [`crate::WriteOutcome`] JSON (applied counts, compaction, component-scoped evictions, write epoch), `400` malformed, `503` shutting down |
-//! | `GET /metrics` | `200` with the [`crate::MetricsSnapshot`] JSON |
-//! | `GET /metrics.prom` | `200` with the same snapshot in the Prometheus text exposition format (`text/plain; version=0.0.4`) |
+//! | `GET /metrics.prom` | `200` with the [`crate::MetricsSnapshot`] in the Prometheus text exposition format (`text/plain; version=0.0.4`), its one encoding |
 //! | `GET /livez` | liveness: `200` `{"status":"alive"}` as soon as the listener is up |
 //! | `GET /healthz` | legacy alias of `/livez` (kept as `200` `{"status":"ok"}` for existing probes) |
 //! | `GET /readyz` | readiness: `503` `{"status":"starting"}` until boot (snapshot load, partitioning, sampler prewarm, remote handshake) completes, then `200` `{"status":"ready"}`; flips back to `503` on shutdown |
@@ -268,7 +267,6 @@ fn route(service: &Service, method: &str, path: &str, body: &str) -> Response {
     match (method, path) {
         ("POST", "/query") => handle_query(service, body),
         ("POST", "/v2/write") => handle_write(service, body),
-        ("GET", "/metrics") => Response::new(200, service.metrics().to_json()),
         ("GET", "/metrics.prom") => Response::text(200, service.metrics().to_prometheus()),
         // Liveness ("is the process up?") and readiness ("may traffic be
         // routed here?") are deliberately separate: a booting coordinator is

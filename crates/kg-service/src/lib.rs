@@ -78,7 +78,4 @@ pub use request::{
     QueryRequest, ServedFrom, ServiceAnswer, ServiceError, WriteOp, WriteOutcome, WriteRequest,
     DEFAULT_TENANT, WIRE_VERSION,
 };
-pub use service::{
-    MetricsSnapshot, PendingAnswer, Service, SnapshotLoadInfo, TenantMetrics,
-    ACHIEVED_BOUND_BUCKETS,
-};
+pub use service::{MetricsSnapshot, PendingAnswer, Service, SnapshotLoadInfo, TenantMetrics};

@@ -52,7 +52,8 @@ struct SnapshotSink {
 }
 
 /// How this service process obtained its graph at boot, when it came from a
-/// binary snapshot (surfaced in `/metrics` and `/metrics.prom`).
+/// binary snapshot (surfaced as `kg_snapshot_format_version` and
+/// `kg_snapshot_load_ms` on `/metrics.prom`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SnapshotLoadInfo {
     /// Format version of the loaded snapshot file.
@@ -60,15 +61,6 @@ pub struct SnapshotLoadInfo {
     /// Wall-clock milliseconds from open to fully decoded bundle.
     pub load_ms: f64,
 }
-
-/// Upper bucket edges (inclusive) of the achieved-error-bound histogram in
-/// [`MetricsSnapshot::achieved_bound_hist`]; answers whose achieved bound
-/// exceeds the last edge — including the infinite bound of an interval that
-/// does not exclude zero — land in one final overflow bucket, so the
-/// histogram has `ACHIEVED_BOUND_BUCKETS.len() + 1` counters. Identical to
-/// [`kg_telemetry::ERROR_BOUND_DECADE_EDGES`] (pinned by test) so the
-/// `/metrics` JSON `le_*` keys and the Prometheus `le` labels agree.
-pub const ACHIEVED_BOUND_BUCKETS: [f64; 9] = [0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0];
 
 /// Generates a service-side request correlation ID for requests that
 /// arrived without one: a per-process monotone counter under a coarse
@@ -122,14 +114,12 @@ pub struct TenantMetrics {
     pub rounds: u64,
 }
 
+/// The service's counters. Request outcomes are counted once, in the tenant
+/// rows; [`Service::metrics`] sums them into the global totals.
 struct MetricsInner {
-    submitted: u64,
-    completed: u64,
-    shed: u64,
-    quota_shed: u64,
-    deadline_exceeded: u64,
-    anytime: u64,
-    failed: u64,
+    /// Worker batches abandoned to a panic (see `worker_loop`): counted
+    /// here because a panic cannot be attributed to one tenant.
+    worker_panics: u64,
     max_queue_depth: usize,
     /// End-to-end latency (admission → answer) in a fixed log2-bucket
     /// histogram: O(1) to record, O(buckets) to scrape — replaces the old
@@ -138,13 +128,14 @@ struct MetricsInner {
     /// Time spent queued, same bucket ladder as `latency_hist`.
     queue_hist: Histogram,
     /// Cumulative sample draws per shard (indexed by shard id), so shard
-    /// imbalance is visible in `/metrics`.
+    /// imbalance is visible in `kg_shard_samples_total`.
     shard_samples: Vec<u64>,
     /// Total milliseconds spent merging per-shard estimates.
     merge_overhead_ms: f64,
     /// Histogram of achieved error bounds over completed answers (bucketed
-    /// by [`ACHIEVED_BOUND_BUCKETS`] plus an overflow slot; infinite bounds
-    /// — intervals not excluding zero — land in the overflow bucket).
+    /// by [`kg_telemetry::ERROR_BOUND_DECADE_EDGES`] plus an overflow slot;
+    /// infinite bounds — intervals not excluding zero — land in the
+    /// overflow bucket).
     achieved_hist: Histogram,
     tenants: BTreeMap<String, TenantMetrics>,
     /// Writes applied through [`Service::apply_write`].
@@ -158,9 +149,9 @@ struct MetricsInner {
     /// Prepared samplers evicted by write footprints (cumulative).
     samplers_evicted: u64,
     /// Per-component write epochs, keyed by predicate name: bumped once per
-    /// write for every predicate the write touched, so `/metrics` shows
-    /// which components have churned and tests can assert a write to one
-    /// component left another's epoch alone.
+    /// write for every predicate the write touched, so `kg_write_epoch`
+    /// shows which components have churned and tests can assert a write to
+    /// one component left another's epoch alone.
     component_epochs: BTreeMap<String, u64>,
     /// Snapshots written by the compaction sink (and by
     /// [`Service::write_snapshot_now`]).
@@ -178,13 +169,7 @@ impl Default for MetricsInner {
     // ladder must be chosen, not defaulted).
     fn default() -> Self {
         Self {
-            submitted: 0,
-            completed: 0,
-            shed: 0,
-            quota_shed: 0,
-            deadline_exceeded: 0,
-            anytime: 0,
-            failed: 0,
+            worker_panics: 0,
             max_queue_depth: 0,
             latency_hist: Histogram::latency_log2(),
             queue_hist: Histogram::latency_log2(),
@@ -215,8 +200,9 @@ impl MetricsInner {
     }
 }
 
-/// A point-in-time view of the service counters, percentiles and cache
-/// state.
+/// A point-in-time view of the service counters, histograms and cache
+/// state. [`MetricsSnapshot::to_prometheus`] is its one wire encoding
+/// (`GET /metrics.prom`).
 #[derive(Clone, Debug)]
 pub struct MetricsSnapshot {
     /// Requests offered to [`Service::submit`] (including shed ones).
@@ -233,8 +219,12 @@ pub struct MetricsSnapshot {
     pub deadline_exceeded: u64,
     /// Completed answers flagged `guarantee_met: false` (anytime answers).
     pub anytime: u64,
-    /// Requests that failed planning or validation of targets.
+    /// Requests that failed planning or validation of targets, plus
+    /// [`MetricsSnapshot::worker_panics`].
     pub failed: u64,
+    /// Worker batches abandoned to a panic (their clients see the reply
+    /// channel close); not attributed to any tenant.
+    pub worker_panics: u64,
     /// Current admission-queue depth (all tenants).
     pub queue_depth: usize,
     /// Deepest the queue has been.
@@ -243,21 +233,13 @@ pub struct MetricsSnapshot {
     pub cache: ResultCacheStats,
     /// Prepared-sampler cache counters (current graph generation).
     pub sampler_cache: CacheStats,
-    /// Median end-to-end latency (admission → answer) in milliseconds
-    /// (bucket-edge quantile of [`MetricsSnapshot::latency_hist`]).
-    pub latency_p50_ms: f64,
-    /// 95th-percentile end-to-end latency in milliseconds.
-    pub latency_p95_ms: f64,
-    /// 99th-percentile end-to-end latency in milliseconds.
-    pub latency_p99_ms: f64,
-    /// 95th-percentile time spent queued, in milliseconds.
-    pub queue_p95_ms: f64,
-    /// Full end-to-end latency histogram (log2 millisecond buckets).
+    /// End-to-end latency histogram (log2 millisecond buckets); read
+    /// percentiles with [`HistogramSnapshot::quantile`].
     pub latency_hist: HistogramSnapshot,
-    /// Full queue-wait histogram (log2 millisecond buckets).
+    /// Queue-wait histogram (log2 millisecond buckets).
     pub queue_hist: HistogramSnapshot,
-    /// Full achieved-error-bound histogram (decade buckets; same edges as
-    /// [`ACHIEVED_BOUND_BUCKETS`]).
+    /// Achieved-error-bound histogram over completed answers (edges
+    /// [`kg_telemetry::ERROR_BOUND_DECADE_EDGES`] plus an overflow bucket).
     pub achieved_hist: HistogramSnapshot,
     /// Cumulative sample draws per shard (one slot per configured shard;
     /// a single slot for an unsharded deployment).
@@ -265,10 +247,6 @@ pub struct MetricsSnapshot {
     /// Total milliseconds spent merging per-shard estimates into one
     /// interval (0 for unsharded deployments).
     pub merge_overhead_ms: f64,
-    /// Histogram of achieved error bounds over completed answers: one count
-    /// per [`ACHIEVED_BOUND_BUCKETS`] edge (`achieved ≤ edge`) plus a final
-    /// overflow bucket.
-    pub achieved_bound_hist: Vec<u64>,
     /// Per-tenant counters, keyed by tenant name.
     pub tenants: BTreeMap<String, TenantMetrics>,
     /// Writes applied through [`Service::apply_write`].
@@ -315,155 +293,6 @@ impl MetricsSnapshot {
         } else {
             (self.shed + self.quota_shed) as f64 / self.submitted as f64
         }
-    }
-
-    /// Encodes the snapshot for the `/metrics` endpoint.
-    pub fn to_json(&self) -> Value {
-        let mut cache = Map::new();
-        cache.insert("hits".into(), Value::Number(self.cache.hits as f64));
-        cache.insert("resumes".into(), Value::Number(self.cache.resumes as f64));
-        cache.insert("misses".into(), Value::Number(self.cache.misses as f64));
-        cache.insert(
-            "invalidations".into(),
-            Value::Number(self.cache.invalidations as f64),
-        );
-        cache.insert("reuse_rate".into(), Value::Number(self.cache.reuse_rate()));
-        let mut samplers = Map::new();
-        samplers.insert("hits".into(), Value::Number(self.sampler_cache.hits as f64));
-        samplers.insert(
-            "misses".into(),
-            Value::Number(self.sampler_cache.misses as f64),
-        );
-        let mut map = Map::new();
-        map.insert("submitted".into(), Value::Number(self.submitted as f64));
-        map.insert("completed".into(), Value::Number(self.completed as f64));
-        map.insert("shed".into(), Value::Number(self.shed as f64));
-        map.insert("quota_shed".into(), Value::Number(self.quota_shed as f64));
-        map.insert(
-            "deadline_exceeded".into(),
-            Value::Number(self.deadline_exceeded as f64),
-        );
-        map.insert("anytime".into(), Value::Number(self.anytime as f64));
-        map.insert("failed".into(), Value::Number(self.failed as f64));
-        map.insert("shed_rate".into(), Value::Number(self.shed_rate()));
-        map.insert("queue_depth".into(), Value::Number(self.queue_depth as f64));
-        map.insert(
-            "max_queue_depth".into(),
-            Value::Number(self.max_queue_depth as f64),
-        );
-        map.insert("result_cache".into(), Value::Object(cache));
-        map.insert("sampler_cache".into(), Value::Object(samplers));
-        map.insert("latency_p50_ms".into(), Value::Number(self.latency_p50_ms));
-        map.insert("latency_p95_ms".into(), Value::Number(self.latency_p95_ms));
-        map.insert("latency_p99_ms".into(), Value::Number(self.latency_p99_ms));
-        map.insert("queue_p95_ms".into(), Value::Number(self.queue_p95_ms));
-        let mut shards = Map::new();
-        shards.insert(
-            "samples".into(),
-            Value::Array(
-                self.shard_samples
-                    .iter()
-                    .map(|&n| Value::Number(n as f64))
-                    .collect(),
-            ),
-        );
-        shards.insert(
-            "merge_overhead_ms".into(),
-            Value::Number(self.merge_overhead_ms),
-        );
-        map.insert("shards".into(), Value::Object(shards));
-        let mut hist = Map::new();
-        for (i, &edge) in ACHIEVED_BOUND_BUCKETS.iter().enumerate() {
-            hist.insert(
-                format!("le_{edge}"),
-                Value::Number(self.achieved_bound_hist.get(i).copied().unwrap_or(0) as f64),
-            );
-        }
-        hist.insert(
-            "overflow".into(),
-            Value::Number(
-                self.achieved_bound_hist
-                    .get(ACHIEVED_BOUND_BUCKETS.len())
-                    .copied()
-                    .unwrap_or(0) as f64,
-            ),
-        );
-        map.insert("achieved_bound_histogram".into(), Value::Object(hist));
-        let mut tenants = Map::new();
-        for (name, t) in &self.tenants {
-            let mut row = Map::new();
-            row.insert("submitted".into(), Value::Number(t.submitted as f64));
-            row.insert("completed".into(), Value::Number(t.completed as f64));
-            row.insert("guaranteed".into(), Value::Number(t.guaranteed as f64));
-            row.insert("anytime".into(), Value::Number(t.anytime as f64));
-            row.insert("shed".into(), Value::Number(t.shed as f64));
-            row.insert("quota_shed".into(), Value::Number(t.quota_shed as f64));
-            row.insert(
-                "deadline_exceeded".into(),
-                Value::Number(t.deadline_exceeded as f64),
-            );
-            row.insert("failed".into(), Value::Number(t.failed as f64));
-            row.insert("rounds".into(), Value::Number(t.rounds as f64));
-            tenants.insert(name.clone(), Value::Object(row));
-        }
-        map.insert("tenants".into(), Value::Object(tenants));
-        let mut writes = Map::new();
-        writes.insert("applied".into(), Value::Number(self.writes as f64));
-        writes.insert("ops".into(), Value::Number(self.write_ops as f64));
-        writes.insert("compactions".into(), Value::Number(self.compactions as f64));
-        writes.insert(
-            "answers_evicted".into(),
-            Value::Number(self.answers_evicted as f64),
-        );
-        writes.insert(
-            "samplers_evicted".into(),
-            Value::Number(self.samplers_evicted as f64),
-        );
-        writes.insert("delta_ops".into(), Value::Number(self.delta_ops as f64));
-        let mut epochs = Map::new();
-        for (component, &epoch) in &self.component_epochs {
-            epochs.insert(component.clone(), Value::Number(epoch as f64));
-        }
-        writes.insert("epochs".into(), Value::Object(epochs));
-        map.insert("writes".into(), Value::Object(writes));
-        let mut snapshot = Map::new();
-        snapshot.insert("writes".into(), Value::Number(self.snapshot_writes as f64));
-        if let Some(info) = &self.snapshot_load {
-            snapshot.insert(
-                "format_version".into(),
-                Value::Number(info.format_version as f64),
-            );
-            snapshot.insert("load_ms".into(), Value::Number(info.load_ms));
-        }
-        map.insert("snapshot".into(), Value::Object(snapshot));
-        map.insert(
-            "degraded_answers".into(),
-            Value::Number(self.degraded_answers as f64),
-        );
-        map.insert(
-            "exact_answers".into(),
-            Value::Number(self.exact_answers as f64),
-        );
-        if let Some(remote) = &self.remote {
-            let mut row = Map::new();
-            for (event, value) in [
-                ("requests", remote.requests),
-                ("retries", remote.retries),
-                ("hedges", remote.hedges),
-                ("hedge_wins", remote.hedge_wins),
-                ("failovers", remote.failovers),
-                ("ejections", remote.ejections),
-                ("readmissions", remote.readmissions),
-                ("timeouts", remote.timeouts),
-                ("garbage", remote.garbage),
-                ("degraded_rounds", remote.degraded_rounds),
-                ("connects", remote.connects),
-            ] {
-                row.insert(event.into(), Value::Number(value as f64));
-            }
-            map.insert("remote".into(), Value::Object(row));
-        }
-        Value::Object(map)
     }
 
     /// Encodes the snapshot in the Prometheus text exposition format
@@ -641,6 +470,13 @@ impl MetricsSnapshot {
         );
         exact.push("", &[], self.exact_answers as f64);
         families.push(exact);
+        let mut panics = MetricFamily::new(
+            "kg_worker_panics_total",
+            MetricKind::Counter,
+            "Worker batches abandoned to a panic (their clients see the reply channel close).",
+        );
+        panics.push("", &[], self.worker_panics as f64);
+        families.push(panics);
         if let Some(remote) = &self.remote {
             let mut rpcs = MetricFamily::new(
                 "kg_remote_shard_rpcs_total",
@@ -686,9 +522,9 @@ impl std::fmt::Display for MetricsSnapshot {
             self.cache.hits,
             self.cache.resumes,
             self.cache.misses,
-            self.latency_p50_ms,
-            self.latency_p95_ms,
-            self.latency_p99_ms,
+            self.latency_hist.quantile(0.50),
+            self.latency_hist.quantile(0.95),
+            self.latency_hist.quantile(0.99),
         )
     }
 }
@@ -850,8 +686,6 @@ impl Service {
         }
         if !request.targets_valid() {
             let mut metrics = self.inner.metrics.lock().unwrap();
-            metrics.submitted += 1;
-            metrics.failed += 1;
             let tenant = metrics.tenant(&request.tenant);
             tenant.submitted += 1;
             tenant.failed += 1;
@@ -875,7 +709,6 @@ impl Service {
                 return Err(ServiceError::ShuttingDown);
             }
             let mut metrics = self.inner.metrics.lock().unwrap();
-            metrics.submitted += 1;
             metrics.tenant(&request.tenant).submitted += 1;
             let tenant_name = request.tenant.clone();
             if let Err(e) = sched.try_enqueue(Job {
@@ -884,16 +717,13 @@ impl Service {
                 deadline,
                 reply: tx,
             }) {
-                match &e {
-                    ServiceError::Overloaded { .. } => {
-                        metrics.shed += 1;
-                        metrics.tenant(&tenant_name).shed += 1;
-                    }
-                    ServiceError::TenantQuotaExceeded { .. } => {
-                        metrics.quota_shed += 1;
-                        metrics.tenant(&tenant_name).quota_shed += 1;
-                    }
-                    _ => metrics.failed += 1,
+                // `try_enqueue` refuses only by tenant quota or by global
+                // capacity.
+                let tenant = metrics.tenant(&tenant_name);
+                if matches!(e, ServiceError::TenantQuotaExceeded { .. }) {
+                    tenant.quota_shed += 1;
+                } else {
+                    tenant.shed += 1;
                 }
                 return Err(e);
             }
@@ -1011,8 +841,7 @@ impl Service {
     }
 
     /// Records that this process booted its graph from a binary snapshot,
-    /// surfacing the format version and load time in `/metrics` and
-    /// `/metrics.prom`.
+    /// surfacing the format version and load time on `/metrics.prom`.
     pub fn record_snapshot_load(&self, format_version: u32, load_ms: f64) {
         *self.inner.snapshot_load.lock().unwrap() = Some(SnapshotLoadInfo {
             format_version,
@@ -1241,110 +1070,60 @@ impl Service {
         })
     }
 
-    /// Counter / percentile / cache snapshot.
+    /// Counter / histogram / cache snapshot. The global request counters
+    /// are sums over the tenant rows, so the two can never disagree.
     pub fn metrics(&self) -> MetricsSnapshot {
         let queue_depth = self.inner.sched.lock().unwrap().ready();
-        // Snapshotting a fixed-bucket histogram is an O(buckets) copy, so
-        // the whole scrape holds the metrics lock only briefly — the old
-        // path cloned and sorted a 16k-sample window per scrape.
-        let (
-            submitted,
-            completed,
-            shed,
-            quota_shed,
-            deadline_exceeded,
-            anytime,
-            failed,
-            max_queue_depth,
-            latency_hist,
-            queue_hist,
-            mut shard_samples,
-            merge_overhead_ms,
-            achieved_hist,
-            tenants,
-            writes,
-            write_ops,
-            compactions,
-            answers_evicted,
-            samplers_evicted,
-            component_epochs,
-            snapshot_writes,
-            degraded_answers,
-            exact_answers,
-        ) = {
-            let metrics = self.inner.metrics.lock().unwrap();
-            (
-                metrics.submitted,
-                metrics.completed,
-                metrics.shed,
-                metrics.quota_shed,
-                metrics.deadline_exceeded,
-                metrics.anytime,
-                metrics.failed,
-                metrics.max_queue_depth,
-                metrics.latency_hist.snapshot(),
-                metrics.queue_hist.snapshot(),
-                metrics.shard_samples.clone(),
-                metrics.merge_overhead_ms,
-                metrics.achieved_hist.snapshot(),
-                metrics.tenants.clone(),
-                metrics.writes,
-                metrics.write_ops,
-                metrics.compactions,
-                metrics.answers_evicted,
-                metrics.samplers_evicted,
-                metrics.component_epochs.clone(),
-                metrics.snapshot_writes,
-                metrics.degraded_answers,
-                metrics.exact_answers,
-            )
-        };
-        // A scrape before the first completion still reports one (zeroed)
-        // slot per configured shard.
-        shard_samples.resize(shard_samples.len().max(self.inner.config.shards.max(1)), 0);
         let (sampler_cache, delta_ops) = {
             let state = self.inner.state.lock().unwrap();
             (state.samplers.stats(), state.sharded.global().delta_ops())
         };
+        let cache = self.inner.cache.stats();
+        let snapshot_load = *self.inner.snapshot_load.lock().unwrap();
+        let remote = self
+            .inner
+            .remote
+            .as_ref()
+            .map(|fleet| fleet.metrics().snapshot());
+        // Snapshotting a fixed-bucket histogram is an O(buckets) copy, so
+        // the scrape holds the metrics lock only briefly.
+        let metrics = self.inner.metrics.lock().unwrap();
+        let sum = |count: fn(&TenantMetrics) -> u64| metrics.tenants.values().map(count).sum();
+        let mut shard_samples = metrics.shard_samples.clone();
+        // A scrape before the first completion still reports one (zeroed)
+        // slot per configured shard.
+        shard_samples.resize(shard_samples.len().max(self.inner.config.shards.max(1)), 0);
         MetricsSnapshot {
-            submitted,
-            completed,
-            shed,
-            quota_shed,
-            deadline_exceeded,
-            anytime,
-            failed,
+            submitted: sum(|t| t.submitted),
+            completed: sum(|t| t.completed),
+            shed: sum(|t| t.shed),
+            quota_shed: sum(|t| t.quota_shed),
+            deadline_exceeded: sum(|t| t.deadline_exceeded),
+            anytime: sum(|t| t.anytime),
+            failed: sum(|t| t.failed) + metrics.worker_panics,
+            worker_panics: metrics.worker_panics,
             queue_depth,
-            max_queue_depth,
-            cache: self.inner.cache.stats(),
+            max_queue_depth: metrics.max_queue_depth,
+            cache,
             sampler_cache,
-            latency_p50_ms: latency_hist.quantile(0.50),
-            latency_p95_ms: latency_hist.quantile(0.95),
-            latency_p99_ms: latency_hist.quantile(0.99),
-            queue_p95_ms: queue_hist.quantile(0.95),
-            latency_hist,
-            queue_hist,
+            latency_hist: metrics.latency_hist.snapshot(),
+            queue_hist: metrics.queue_hist.snapshot(),
+            achieved_hist: metrics.achieved_hist.snapshot(),
             shard_samples,
-            merge_overhead_ms,
-            achieved_bound_hist: achieved_hist.counts.clone(),
-            achieved_hist,
-            tenants,
-            writes,
-            write_ops,
-            compactions,
-            answers_evicted,
-            samplers_evicted,
+            merge_overhead_ms: metrics.merge_overhead_ms,
+            tenants: metrics.tenants.clone(),
+            writes: metrics.writes,
+            write_ops: metrics.write_ops,
+            compactions: metrics.compactions,
+            answers_evicted: metrics.answers_evicted,
+            samplers_evicted: metrics.samplers_evicted,
             delta_ops,
-            component_epochs,
-            snapshot_load: *self.inner.snapshot_load.lock().unwrap(),
-            snapshot_writes,
-            degraded_answers,
-            exact_answers,
-            remote: self
-                .inner
-                .remote
-                .as_ref()
-                .map(|fleet| fleet.metrics().snapshot()),
+            component_epochs: metrics.component_epochs.clone(),
+            snapshot_load,
+            snapshot_writes: metrics.snapshot_writes,
+            degraded_answers: metrics.degraded_answers,
+            exact_answers: metrics.exact_answers,
+            remote,
         }
     }
 
@@ -1441,7 +1220,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             // Tolerate a poisoned metrics lock here: this path exists to
             // keep the worker alive, not to die on bookkeeping.
             if let Ok(mut metrics) = inner.metrics.lock() {
-                metrics.failed += 1;
+                metrics.worker_panics += 1;
             }
         }
     }
@@ -1711,11 +1490,12 @@ fn triage_jobs(
         for ((job, key, queue_ms), session) in fresh.into_iter().zip(sessions) {
             match session {
                 Err(e) => {
-                    {
-                        let mut metrics = inner.metrics.lock().unwrap();
-                        metrics.failed += 1;
-                        metrics.tenant(&job.request.tenant).failed += 1;
-                    }
+                    inner
+                        .metrics
+                        .lock()
+                        .unwrap()
+                        .tenant(&job.request.tenant)
+                        .failed += 1;
                     let _ = job.reply.send(Err(ServiceError::Rejected(Arc::new(e))));
                 }
                 Ok(session) => {
@@ -1877,10 +1657,6 @@ fn respond(
     let achieved = achieved_error_bound(answer.estimate, answer.moe);
     {
         let mut metrics = inner.metrics.lock().unwrap();
-        metrics.completed += 1;
-        if !answer.guarantee_met {
-            metrics.anytime += 1;
-        }
         metrics.achieved_hist.observe(achieved);
         metrics.latency_hist.observe(total_ms);
         metrics.queue_hist.observe(queue_ms);
@@ -1944,8 +1720,6 @@ fn respond(
 fn respond_deadline_exceeded(inner: &Inner, job: Job) {
     {
         let mut metrics = inner.metrics.lock().unwrap();
-        metrics.failed += 1;
-        metrics.deadline_exceeded += 1;
         let tenant = metrics.tenant(&job.request.tenant);
         tenant.failed += 1;
         tenant.deadline_exceeded += 1;
@@ -1965,16 +1739,6 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn achieved_buckets_match_the_telemetry_decade_ladder() {
-        // The `/metrics` JSON `le_*` keys and the Prometheus `le` labels
-        // must describe the same buckets.
-        assert_eq!(
-            ACHIEVED_BOUND_BUCKETS,
-            kg_telemetry::ERROR_BOUND_DECADE_EDGES
-        );
-    }
 
     #[test]
     fn generated_request_ids_are_unique_and_trace_ids_nonzero() {

@@ -64,14 +64,21 @@ fn well_formed_query_gets_a_well_formed_answer() {
     assert_eq!(answer["served_from"].as_str(), Some("fresh"));
     assert!(answer["total_ms"].as_f64().unwrap() >= 0.0);
 
-    // And over the healthz/metrics routes:
+    // And over the healthz/metrics routes: `/metrics.prom` is the one
+    // metrics encoding, and the retired JSON `/metrics` is no route at all.
     let (status, body) = http_request(addr, "GET", "/healthz", "", TIMEOUT).unwrap();
     assert_eq!(status, 200);
     assert!(body.contains("\"ok\""));
-    let (status, body) = http_request(addr, "GET", "/metrics", "", TIMEOUT).unwrap();
+    let (status, body) = http_request(addr, "GET", "/metrics.prom", "", TIMEOUT).unwrap();
     assert_eq!(status, 200);
-    let metrics: Value = serde_json::from_str(&body).unwrap();
-    assert_eq!(metrics["completed"].as_u64(), Some(1));
+    assert!(
+        body.contains("kg_requests_total{tenant=\"default\",outcome=\"completed\"} 1\n"),
+        "{body}"
+    );
+    let (status, body) = http_request(addr, "GET", "/metrics", "", TIMEOUT).unwrap();
+    assert_eq!(status, 404, "{body}");
+    let error: Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(error["error"]["code"].as_str(), Some("not_found"));
 
     server.shutdown();
     service.shutdown();

@@ -341,10 +341,10 @@ fn metrics_and_shutdown_behave() {
     assert!(report.percentile_ms(0.99) >= report.percentile_ms(0.50));
     let m = svc.metrics();
     assert_eq!(m.completed, queries.len() as u64);
-    assert!(m.latency_p95_ms >= m.latency_p50_ms);
+    assert!(m.latency_hist.quantile(0.95) >= m.latency_hist.quantile(0.50));
     let rendered = m.to_string();
     assert!(rendered.contains("completed"), "{rendered}");
-    assert!(!m.to_json()["latency_p50_ms"].is_null());
+    assert!(rendered.contains("p50="), "{rendered}");
     svc.shutdown();
 
     // After shutdown: submissions refused.
@@ -414,13 +414,12 @@ fn sharded_service_answers_with_guarantees_and_reports_shard_metrics() {
         m.shard_samples
     );
     assert!(m.merge_overhead_ms >= 0.0);
-    let json = m.to_json();
-    assert_eq!(
-        json["shards"]["samples"].as_array().unwrap().len(),
-        4,
-        "{json:?}"
-    );
-    assert!(!json["shards"]["merge_overhead_ms"].is_null());
+    let prom = m.to_prometheus();
+    for shard in 0..4 {
+        let line = format!("kg_shard_samples_total{{shard=\"{shard}\"}} ");
+        assert!(prom.contains(&line), "{prom}");
+    }
+    assert!(prom.contains("kg_merge_overhead_ms_total "), "{prom}");
 
     // Swap: re-partitions and invalidates; the old cached answers are gone.
     svc.swap_graph(Arc::new(d.graph.clone()), Arc::new(d.oracle.clone()));

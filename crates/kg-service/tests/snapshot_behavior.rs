@@ -3,7 +3,7 @@
 //! on top of a snapshot boot, once compacted and re-snapshotted through the
 //! compaction sink, produce a file byte-identical to the chronological
 //! rebuild (seed graph → same writes → compact → snapshot); and snapshot
-//! provenance shows up in both `/metrics` encodings.
+//! provenance shows up on `/metrics.prom`.
 
 use kg_core::{GraphBuilder, KnowledgeGraph, FORMAT_VERSION};
 use kg_embed::oracle::oracle_store;
@@ -98,22 +98,27 @@ fn snapshot_booted_service_answers_bitwise_identically() {
     assert_eq!(a.answer.moe.to_bits(), b.answer.moe.to_bits());
     assert_eq!(a.answer.sample_size, b.answer.sample_size);
 
-    // Provenance is visible in both metrics encodings.
+    // Provenance is visible in the snapshot and its exposition.
     let metrics = booted.metrics();
-    let json = metrics.to_json();
     assert_eq!(
-        json["snapshot"]["format_version"].as_f64(),
-        Some(f64::from(FORMAT_VERSION))
+        metrics.snapshot_load.map(|info| info.format_version),
+        Some(FORMAT_VERSION)
     );
-    assert_eq!(json["snapshot"]["load_ms"].as_f64(), Some(0.25));
     let prom = metrics.to_prometheus();
-    let version_line = format!("kg_snapshot_format_version {FORMAT_VERSION}");
+    let version_line = format!("kg_snapshot_format_version {FORMAT_VERSION}\n");
     assert!(prom.contains(&version_line), "{prom}");
-    assert!(prom.contains("kg_snapshot_load_ms"), "{prom}");
+    assert!(prom.contains("kg_snapshot_load_ms 0.25\n"), "{prom}");
     // A non-snapshot boot reports only the write counter.
-    let fresh_json = fresh.metrics().to_json();
-    assert!(fresh_json["snapshot"]["format_version"].is_null());
-    assert_eq!(fresh_json["snapshot"]["writes"].as_f64(), Some(0.0));
+    let fresh_prom = fresh.metrics().to_prometheus();
+    assert!(
+        !fresh_prom.contains("kg_snapshot_format_version"),
+        "{fresh_prom}"
+    );
+    assert!(!fresh_prom.contains("kg_snapshot_load_ms"), "{fresh_prom}");
+    assert!(
+        fresh_prom.contains("kg_snapshot_writes_total 0\n"),
+        "{fresh_prom}"
+    );
 }
 
 /// The snapshot × writes contract: boot from a snapshot, apply `/v2/write`

@@ -3,8 +3,8 @@
 //! samplers whose footprint intersects it — answers on untouched components
 //! keep serving from cache across writes, a post-write fresh execution is
 //! bitwise the answer of a service built from scratch at the same logical
-//! state (read-your-writes), and the per-component epoch counters in
-//! `/metrics` record which components churned. The interleaving property
+//! state (read-your-writes), and the per-component epoch counters
+//! (`kg_write_epoch`) record which components churned. The interleaving property
 //! test drives random write/query/compact schedules and checks both
 //! invariants at every query step.
 //!
@@ -322,7 +322,7 @@ proptest! {
 
 /// `/v2/write` over HTTP: the wire face of the same flow — write, observe
 /// the outcome JSON, see the write reflected in a follow-up query and in
-/// the `/metrics` epochs.
+/// the `/metrics.prom` write counters and epochs.
 #[test]
 fn http_write_endpoint_applies_and_reports() {
     use kg_service::{http_request, HttpServer};
@@ -370,25 +370,29 @@ fn http_write_endpoint_applies_and_reports() {
     assert!(response.contains("write.ops[0]"), "got: {response}");
 
     // The write is visible to queries (+1 new ship, −1 deleted) and to the
-    // component epochs in /metrics.
+    // write counters and component epochs on /metrics.prom.
     let request = QueryRequest::new(ship_query(), 0.1, 0.95);
     let body = serde_json::to_string(&request.to_json()).expect("total");
     let (status, response) = http_request(addr, "POST", "/query", &body, timeout).expect("query");
     assert_eq!(status, 200, "unexpected query response: {response}");
 
-    let (status, metrics) = http_request(addr, "GET", "/metrics", "", timeout).expect("metrics");
+    let (status, text) = http_request(addr, "GET", "/metrics.prom", "", timeout).expect("metrics");
     assert_eq!(status, 200);
-    let metrics: serde_json::Value = serde_json::from_str(&metrics).expect("valid JSON");
-    let writes = metrics.get("writes").expect("writes block");
-    assert_eq!(writes.get("applied").and_then(|v| v.as_f64()), Some(1.0));
-    assert_eq!(
-        writes
-            .get("epochs")
-            .and_then(|e| e.get("builds"))
-            .and_then(|v| v.as_f64()),
-        Some(1.0)
-    );
-    assert!(writes.get("epochs").unwrap().get("product").is_none());
+    let families = kg_telemetry::parse(&text).expect("valid exposition format");
+    let sample = |name: &str, label: (&str, &str)| {
+        families
+            .iter()
+            .find(|f| f.name == name)
+            .and_then(|f| {
+                f.samples
+                    .iter()
+                    .find(|s| s.labels == [(label.0.to_string(), label.1.to_string())])
+            })
+            .map(|s| s.value)
+    };
+    assert_eq!(sample("kg_writes_total", ("effect", "applied")), Some(1.0));
+    assert_eq!(sample("kg_write_epoch", ("predicate", "builds")), Some(1.0));
+    assert_eq!(sample("kg_write_epoch", ("predicate", "product")), None);
 
     drop(server);
     svc.shutdown();

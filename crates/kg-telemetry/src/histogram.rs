@@ -12,8 +12,7 @@
 //!
 //! Two standard ladders exist: [`Histogram::latency_log2`] (milliseconds
 //! in powers of two, 2⁻⁴..2¹⁴ ms) and [`Histogram::error_bound_decades`]
-//! (achieved error bounds on the 1-2-5 decade grid the `/metrics` JSON
-//! snapshot has always used).
+//! (achieved error bounds on a 1-2-5 decade grid).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -24,9 +23,8 @@ pub const LATENCY_LOG2_EDGES: [f64; 19] = [
     2048.0, 4096.0, 8192.0, 16384.0,
 ];
 
-/// Upper edges of the achieved-error-bound ladder (1-2-5 decades), kept
-/// identical to the edges the service's JSON snapshot has exposed since
-/// the deadline PR so the `le_*` keys stay stable.
+/// Upper edges of the achieved-error-bound ladder (1-2-5 decades), the
+/// `le` labels of the service's `kg_achieved_error_bound` histogram.
 pub const ERROR_BOUND_DECADE_EDGES: [f64; 9] =
     [0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.5, 1.0];
 
