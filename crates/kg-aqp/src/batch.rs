@@ -1,9 +1,11 @@
 //! Batch execution: answer many aggregate queries over one graph in a
 //! single call, amortising planning work across the batch.
 //!
-//! Much of the per-query cost of [`AqpEngine::execute`] is per-component,
-//! not per-query: preparing a sampler (building the n-bounded scope, its
-//! stationary distribution (Eq. 6) and alias table). Realistic workloads
+//! Much of the per-query cost of [`AqpEngine::execute`] under Algorithm 2
+//! (`enumerate: false`) is per-component, not per-query: preparing a
+//! sampler (building the n-bounded scope, its stationary distribution
+//! (Eq. 6) and alias table). An exact plan prepares no sampler, so the cache
+//! serves only sessions that sample. Realistic workloads
 //! repeat components — a plain query and its filtered / GROUP-BY /
 //! aggregate variants all share one underlying simple query, chain planning
 //! re-anchors the same hop queries, and dashboards re-issue the same shapes
@@ -35,13 +37,18 @@
 //!     AggregateQuery::simple(simple.clone(), AggregateFunction::Avg("price".into()))
 //!         .with_filter(Filter::range("price", 10_000.0, 80_000.0)),
 //! ];
-//! let batch = BatchEngine::new(EngineConfig::default());
+//! let sampled = EngineConfig { enumerate: false, ..EngineConfig::default() };
+//! let batch = BatchEngine::new(sampled);
 //! let (answers, stats) = batch.execute(&dataset.graph, &queries, &dataset.oracle);
 //! assert_eq!(answers.len(), 2);
 //! assert!(answers.iter().all(|a| a.is_ok()));
 //! // Both queries share one component: it is prepared once and reused.
 //! assert_eq!(stats.sampler_cache.misses, 1);
 //! assert_eq!(stats.sampler_cache.hits, 1);
+//! // Exact plans (the default) prepare nothing.
+//! let exact = BatchEngine::new(EngineConfig::default());
+//! let (_, stats) = exact.execute(&dataset.graph, &queries, &dataset.oracle);
+//! assert_eq!((stats.sampler_cache.misses, stats.sampler_cache.hits), (0, 0));
 //! ```
 
 use crate::config::EngineConfig;
@@ -348,6 +355,7 @@ mod tests {
         let queries = workload();
         let batch = BatchEngine::new(EngineConfig {
             error_bound: 0.05,
+            enumerate: false,
             ..EngineConfig::default()
         });
         let (answers, stats) = batch.execute(&d.graph, &queries, &d.oracle);
@@ -360,6 +368,13 @@ mod tests {
         assert!(stats.sampler_cache.hits >= 4);
         assert!(stats.sampler_cache.misses >= 2);
         assert!(stats.sampler_cache.hits + stats.sampler_cache.misses >= queries.len());
+        // Exact plans prepare nothing.
+        let exact = BatchEngine::new(EngineConfig::default());
+        let stats = exact.execute(&d.graph, &queries, &d.oracle).1;
+        assert_eq!(
+            (stats.sampler_cache.misses, stats.sampler_cache.hits),
+            (0, 0)
+        );
     }
 
     #[test]
@@ -470,6 +485,7 @@ mod tests {
         let queries = workload();
         let config = EngineConfig {
             error_bound: 0.05,
+            enumerate: false,
             ..EngineConfig::default()
         };
         let batch = BatchEngine::new(config.clone());
@@ -496,6 +512,15 @@ mod tests {
             assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
             assert_eq!(a.moe.to_bits(), b.moe.to_bits());
         }
+        // Exact plans prepare nothing.
+        let exact = BatchEngine::new(EngineConfig::default());
+        let stats = exact
+            .open_sessions_cached(&d.graph, &queries, &d.oracle, &cache)
+            .1;
+        assert_eq!(
+            (stats.sampler_cache.misses, stats.sampler_cache.hits),
+            (0, 0)
+        );
     }
 
     #[test]

@@ -43,12 +43,14 @@ pub struct EngineConfig {
     pub aggregation: PathAggregation,
     /// RNG seed for sampling (results are deterministic given the seed).
     pub seed: u64,
-    /// Answer by enumeration: every plan's validation tables already decide
-    /// each of its candidates (a chain's through its anchored hops), so the
-    /// estimand — τ-GT — is returned exactly: one round, margin of error 0,
-    /// no draws, no shard call. `false` runs Algorithm 2 on every plan (the
-    /// paper's tables and the suites that pin it). Not part of
-    /// [`crate::config_fingerprint`]: shard servers only ever sample.
+    /// Answer by enumeration: one path walk per simple component and per
+    /// anchored chain hop finds τ-GT's answers, composed as SSB composes
+    /// them, and the aggregate over them is returned exactly: one round,
+    /// margin of error 0, no draws, no sampler, no shard call. A query with
+    /// a candidate past SSB's path limit is sampled instead. `false` runs
+    /// Algorithm 2 on every plan (the paper's tables and the suites that pin
+    /// it). Not part of [`crate::config_fingerprint`]: shard servers only
+    /// ever sample.
     pub enumerate: bool,
 }
 

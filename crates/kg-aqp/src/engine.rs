@@ -10,8 +10,9 @@ use kg_core::{EntityId, KgResult, KnowledgeGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{validate_answer, ValidationConfig, ValidationTable};
 use kg_query::{
-    AggregateQuery, QuerySpec, ResolvedAggregate, ResolvedChainQuery, ResolvedComplexQuery,
-    ResolvedComponent, ResolvedFilter, ResolvedSimpleQuery,
+    matches_all, AggregateQuery, MatchConfig, MatchWalk, QuerySpec, ResolvedAggregate,
+    ResolvedChainQuery, ResolvedComplexQuery, ResolvedComponent, ResolvedFilter,
+    ResolvedSimpleQuery,
 };
 use kg_sampling::{prepare, AliasTable, PreparedSampler, SamplerCache};
 use rayon::prelude::*;
@@ -19,7 +20,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// One prepared simple query and the validation outcomes of its candidates.
+/// One prepared simple query and the validation outcomes of its candidates,
+/// for a plan that samples (Algorithm 2; the exact outcome prepares none,
+/// see [`AqpEngine::plan_exact`]).
 ///
 /// The greedy π-guided search does not depend on the answer it validates, so
 /// it runs once per component — while planning a chain hop, else on first
@@ -112,6 +115,93 @@ pub(crate) struct QueryPlan {
     pub(crate) group_by: Option<(kg_core::AttrId, f64)>,
     pub(crate) candidate_count: usize,
     pub(crate) plan_ms: f64,
+    /// The exact outcome's answers — τ-relevant, filtered, sorted by entity
+    /// id — for a plan from [`AqpEngine::plan_exact`], which samples nothing
+    /// (empty distribution, no table, no components); `None` for a plan
+    /// that samples.
+    pub(crate) exact: Option<Vec<EntityId>>,
+}
+
+/// What a query's answers are reduced to: the aggregate, the filters and
+/// the GROUP-BY, resolved in the order every planner reports errors in.
+type Outputs = (
+    ResolvedAggregate,
+    Vec<ResolvedFilter>,
+    Option<(kg_core::AttrId, f64)>,
+);
+
+fn resolve_outputs(graph: &KnowledgeGraph, query: &AggregateQuery) -> KgResult<Outputs> {
+    let aggregate = query.function.resolve(graph)?;
+    let filters = query.resolve_filters(graph)?;
+    let group_by = match &query.group_by {
+        None => None,
+        Some(gb) => Some(gb.resolve(graph)?),
+    };
+    Ok((aggregate, filters, group_by))
+}
+
+/// The exact planner's state: one [`MatchWalk`] for every hop of a plan,
+/// and the largest n-ball candidate count seen.
+struct ExactWalks<'a> {
+    config: &'a EngineConfig,
+    walk: MatchWalk,
+    candidate_count: usize,
+}
+
+impl ExactWalks<'_> {
+    /// The correct answers of one simple query, sorted by entity id, as
+    /// [`kg_query::simple_ground_truth`] decides them — every n-ball
+    /// candidate under `validate: false` (the Fig. 5(b) ablation). `None`
+    /// when a candidate passes SSB's path limit.
+    fn simple<S: PredicateSimilarity + ?Sized>(
+        &mut self,
+        graph: &KnowledgeGraph,
+        query: &ResolvedSimpleQuery,
+        similarity: &S,
+    ) -> Option<Vec<EntityId>> {
+        let config = self.config;
+        let candidates = self.walk.ball_candidates(graph, query, config.n_bound);
+        self.candidate_count = self.candidate_count.max(candidates.len());
+        if !config.validate {
+            let mut all = candidates.to_vec();
+            all.sort_unstable();
+            return Some(all);
+        }
+        let match_config = MatchConfig {
+            max_path_len: config.n_bound as usize,
+            aggregation: config.aggregation,
+            ..MatchConfig::default()
+        };
+        let complete = self.walk.walk(graph, query, similarity, &match_config);
+        complete.then(|| self.walk.correct(config.tau))
+    }
+
+    /// A chain hop by hop, as [`kg_query::chain_ground_truth`] evaluates
+    /// it: each hop is anchored at every correct answer of the one before.
+    fn chain<S: PredicateSimilarity + ?Sized>(
+        &mut self,
+        graph: &KnowledgeGraph,
+        chain: &ResolvedChainQuery,
+        similarity: &S,
+    ) -> Option<Vec<EntityId>> {
+        if chain.hops.is_empty() {
+            return Some(Vec::new());
+        }
+        let mut frontier = vec![chain.specific];
+        for hop in 0..chain.hops.len() {
+            let mut next = Vec::new();
+            for &anchor in &frontier {
+                next.extend(self.simple(graph, &chain.hop_as_simple(hop, anchor), similarity)?);
+            }
+            next.sort_unstable();
+            next.dedup();
+            frontier = next;
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        Some(frontier)
+    }
 }
 
 /// The approximate aggregate query engine.
@@ -192,10 +282,69 @@ impl AqpEngine {
     // Planning (decomposition–assembly)
     // ------------------------------------------------------------------
 
-    /// Plans a query, optionally reusing prepared samplers from `cache` for
-    /// simple components (batch execution prepares each distinct component
-    /// once). Cached and fresh planning produce identical plans: sampler
-    /// preparation is deterministic.
+    /// Plans `query` for the exact outcome ([`EngineConfig::enumerate`]):
+    /// each simple component, and each anchored hop of a chain, is one
+    /// [`MatchWalk`] from its mapping node, composed as
+    /// [`kg_query::complex_ground_truth`] composes them — an inner chain hop
+    /// anchors the next at its correct answers, and components intersect.
+    /// The answers are therefore τ-GT's by construction, and no sampler,
+    /// validation table or alias table is built. `None` when some candidate
+    /// has more admissible paths than SSB's path limit
+    /// ([`MatchConfig::path_limit`]): SSB truncates there, so the query is
+    /// not answered exactly.
+    pub(crate) fn plan_exact<S: PredicateSimilarity + ?Sized>(
+        &self,
+        graph: &KnowledgeGraph,
+        query: &AggregateQuery,
+        similarity: &S,
+    ) -> KgResult<Option<QueryPlan>> {
+        let start = Instant::now();
+        let (aggregate, filters, group_by) = resolve_outputs(graph, query)?;
+        let components = match &query.query {
+            QuerySpec::Simple(simple) => vec![ResolvedComponent::Simple(simple.resolve(graph)?)],
+            QuerySpec::Complex(complex) => complex.resolve(graph)?.components,
+        };
+        let mut walks = ExactWalks {
+            config: &self.config,
+            walk: MatchWalk::new(graph),
+            candidate_count: 0,
+        };
+        let mut answers: Option<Vec<EntityId>> = None;
+        for component in &components {
+            let correct = match component {
+                ResolvedComponent::Simple(q) => walks.simple(graph, q, similarity),
+                ResolvedComponent::Chain(q) => walks.chain(graph, q, similarity),
+            };
+            let Some(correct) = correct else {
+                return Ok(None);
+            };
+            answers = Some(match answers {
+                None => correct,
+                Some(mut so_far) => {
+                    so_far.retain(|e| correct.binary_search(e).is_ok());
+                    so_far
+                }
+            });
+        }
+        let mut answers = answers.unwrap_or_default();
+        answers.retain(|&e| matches_all(graph, e, &filters));
+        Ok(Some(QueryPlan {
+            distribution: Vec::new(),
+            table: None,
+            components: Vec::new(),
+            aggregate,
+            filters,
+            group_by,
+            candidate_count: walks.candidate_count,
+            plan_ms: start.elapsed().as_secs_f64() * 1e3,
+            exact: Some(answers),
+        }))
+    }
+
+    /// Plans a query for Algorithm 2, optionally reusing prepared samplers
+    /// from `cache` for simple components (batch execution prepares each
+    /// distinct component once). Cached and fresh planning produce
+    /// identical plans: sampler preparation is deterministic.
     pub(crate) fn plan_with_cache<S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &KnowledgeGraph,
@@ -204,12 +353,7 @@ impl AqpEngine {
         cache: Option<&SamplerCache>,
     ) -> KgResult<QueryPlan> {
         let start = Instant::now();
-        let aggregate = query.function.resolve(graph)?;
-        let filters = query.resolve_filters(graph)?;
-        let group_by = match &query.group_by {
-            None => None,
-            Some(gb) => Some(gb.resolve(graph)?),
-        };
+        let (aggregate, filters, group_by) = resolve_outputs(graph, query)?;
 
         let components = match &query.query {
             QuerySpec::Simple(simple) => {
@@ -281,6 +425,7 @@ impl AqpEngine {
             group_by,
             candidate_count,
             plan_ms: start.elapsed().as_secs_f64() * 1e3,
+            exact: None,
         })
     }
 

@@ -20,29 +20,31 @@
 //! reads paths, attributes and filters from the one global graph. Everything
 //! else — allocation, termination, tracing, timings, the answer — is shared.
 //!
-//! **The exact outcome.** When [`EngineConfig::enumerate`] is set, the
-//! session does not sample, whatever the graph handle: it runs as the whole
-//! executor, and its one round evaluates the plan's estimand over every
-//! candidate (margin of error 0, no draws, no shard call — the coordinator
-//! plans on its own full copy of the graph). The session then keeps only the
-//! answer, and every later round returns that round again.
+//! **The exact outcome.** When [`EngineConfig::enumerate`] is set, the query
+//! is planned by `AqpEngine::plan_exact`: one path walk per simple
+//! component and per anchored chain hop, composed as SSB composes them, so
+//! the plan carries τ-GT's answers and no sampler. The session does not
+//! sample, whatever the graph handle: it runs as the whole executor, and its
+//! one round applies the aggregate to those answers (margin of error 0, no
+//! draws, no shard call — the coordinator plans on its own full copy of the
+//! graph). The session then keeps only the answer, and every later round
+//! returns that round again. A query with a candidate past SSB's path limit
+//! cannot be answered exactly; it opens the Algorithm 2 session it would get
+//! with `enumerate` off, so [`Session::is_exact`] is decided per session.
 
 use crate::config::EngineConfig;
 use crate::engine::{AqpEngine, QueryPlan};
 use crate::remote::session::RemoteStrata;
 use crate::result::{QueryAnswer, RoundTrace, StepTimings};
 use crate::sharded::ShardedStats;
-use crate::stratum::{
-    ms_since, shard_sampler, validate_entity, validation_config, GraphHandle, GraphView, Stratum,
-    StratumMass,
-};
-use kg_core::{EntityId, KgResult, KnowledgeGraph, ShardedGraph};
+use crate::stratum::{ms_since, shard_sampler, GraphHandle, GraphView, Stratum, StratumMass};
+use kg_core::{KgResult, KnowledgeGraph, ShardedGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{
     additional_sample_size, allocate_proportional, blb_moe, combine_point_terms, estimate,
     merge_strata, neutral_point_terms, satisfies_error_bound, MergedEstimate, StratumEstimate,
 };
-use kg_query::{group_values, matches_all, AggregateQuery, ResolvedAggregate};
+use kg_query::{group_values, AggregateQuery, ResolvedAggregate};
 use kg_sampling::{BucketTerm, SamplerCache, StratumReport};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -164,20 +166,22 @@ fn next_allocation(
     Ok(allocation)
 }
 
-/// The answers the plan's estimand counts: every candidate of its
+/// The answers a sampled plan's estimand counts: every candidate of its
 /// distribution, in entity order, that validates — exactly as a sampled
 /// round validates its draws, so a chain goes through its hop tables — and
 /// passes the filters.
+#[cfg(test)]
 pub(crate) fn estimand_answers<S: PredicateSimilarity + ?Sized>(
     plan: &QueryPlan,
     config: &EngineConfig,
     graph: &KnowledgeGraph,
     similarity: &S,
-) -> Vec<EntityId> {
+) -> Vec<kg_core::EntityId> {
+    use crate::stratum::{validate_entity, validation_config};
     let (validate, validation) = (config.validate, validation_config(config));
-    let counts = |entity: EntityId| {
+    let counts = |entity| {
         let (correct, _) = validate_entity(plan, validate, &validation, graph, similarity, entity);
-        correct && matches_all(graph, entity, &plan.filters)
+        correct && kg_query::matches_all(graph, entity, &plan.filters)
     };
     let candidates = plan.distribution.iter().map(|(entity, _)| *entity);
     candidates.filter(|&entity| counts(entity)).collect()
@@ -292,6 +296,8 @@ pub struct Session<G: ?Sized> {
     guarantee_met: bool,
     /// Milliseconds spent merging per-stratum estimates so far.
     merge_ms: f64,
+    /// Whether the plan is the exact outcome's ([`QueryPlan::exact`]).
+    exact: bool,
     /// The exact answer's GROUP-BY buckets, once its round has run.
     exact_groups: BTreeMap<i64, f64>,
     graph: PhantomData<fn(&G)>,
@@ -314,6 +320,7 @@ impl<G: GraphHandle + ?Sized> Session<G> {
         };
         Self {
             masses: strata.masses(&plan),
+            exact: plan.exact.is_some(),
             config,
             plan,
             strata,
@@ -326,10 +333,12 @@ impl<G: GraphHandle + ?Sized> Session<G> {
         }
     }
 
-    /// Whether this session answers exactly, by enumerating the plan's
-    /// candidates, instead of sampling ([`EngineConfig::enumerate`]).
+    /// Whether this session answers exactly, from the answers its plan's
+    /// path walks found, instead of sampling: under
+    /// [`EngineConfig::enumerate`], unless a candidate passed SSB's path
+    /// limit.
     pub fn is_exact(&self) -> bool {
-        self.config.enumerate
+        self.exact
     }
 
     /// Number of candidate answers the plan found.
@@ -480,23 +489,16 @@ impl<G: GraphHandle + ?Sized> Session<G> {
 
     /// The exact outcome's one round: the aggregate (and any GROUP-BY,
     /// bucketed as [`group_values`] buckets SSB's answers) applied exactly
-    /// over the plan's [`estimand_answers`]. The samplers and validation
-    /// tables that decided it are freed: the answer is all the session keeps.
-    fn exact_round<S: PredicateSimilarity + ?Sized>(
-        &mut self,
-        graph: &KnowledgeGraph,
-        similarity: &S,
-    ) -> RoundTrace {
+    /// over the plan's [`QueryPlan::exact`] answers, which are then freed:
+    /// the answer is all the session keeps.
+    fn exact_round(&mut self, graph: &KnowledgeGraph) -> RoundTrace {
         let start = Instant::now();
         let plan = &mut self.plan;
-        let answers = estimand_answers(plan, &self.config, graph, similarity);
+        let answers = plan.exact.take().unwrap_or_default();
         if let Some((attr, width)) = plan.group_by {
             self.exact_groups = group_values(graph, &plan.aggregate, &answers, attr, width);
         }
         let estimate = plan.aggregate.apply_exact(graph, &answers);
-        plan.distribution = Vec::new();
-        plan.table = None;
-        plan.components = Vec::new();
         self.timings.estimation_ms += ms_since(start);
         RoundTrace {
             round: 1,
@@ -547,9 +549,9 @@ impl<G: GraphHandle + ?Sized> Session<G> {
         confidence: f64,
     ) -> RoundOutcome {
         self.config.confidence = confidence;
-        if self.config.enumerate {
+        if self.exact {
             if self.rounds.is_empty() {
-                let round = self.exact_round(graph.view().global(), similarity);
+                let round = self.exact_round(graph.view().global());
                 self.record(round, 0.0);
             }
             self.guarantee_met = true;
@@ -691,7 +693,7 @@ impl<G: GraphHandle + ?Sized> Session<G> {
         let (plan, aggregate) = (&self.plan, &self.plan.aggregate);
         let mut missing_shards = self.strata.missing().to_vec();
         let groups = match &self.strata {
-            _ if self.config.enumerate => self.exact_groups.clone(),
+            _ if self.exact => self.exact_groups.clone(),
             // Per bucket as for the top-level answer: Eq. 7–9 over the one
             // stratum.
             Strata::Whole(stratum) => stratum
@@ -732,7 +734,8 @@ impl AqpEngine {
     /// executor the engine and graph select: the whole graph for an exact
     /// session, else remote when the engine has a fleet and the graph is
     /// sharded, one in-process stratum per shard for a graph of two or more
-    /// shards, the whole graph otherwise.
+    /// shards, the whole graph otherwise. Only a session that samples plans
+    /// through `cache`.
     pub(crate) fn open<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &G,
@@ -742,9 +745,14 @@ impl AqpEngine {
     ) -> KgResult<Session<G>> {
         let config = self.config().clone();
         let view = graph.view();
+        if config.enumerate {
+            if let Some(plan) = self.plan_exact(view.global(), query, similarity)? {
+                let strata = Strata::whole(config.seed);
+                return Ok(Session::new(config, plan, strata));
+            }
+        }
         let plan = self.plan_with_cache(view.global(), query, similarity, cache)?;
         let strata = match (view, &self.fleet) {
-            _ if config.enumerate => Strata::whole(config.seed),
             (GraphView::Sharded(sharded), Some(fleet)) => {
                 Strata::Remote(RemoteStrata::new(&plan, sharded, Arc::clone(fleet), query))
             }

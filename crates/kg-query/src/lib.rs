@@ -60,7 +60,7 @@ pub use ground_truth::{
     CandidateAnswer, GroundTruth, GroundTruthConfig,
 };
 pub use matching::{
-    admissible_intermediate, best_match, best_similarity, MatchConfig, SubgraphMatch,
+    admissible_intermediate, best_match, best_similarity, MatchConfig, MatchWalk, SubgraphMatch,
 };
 pub use query_graph::{QueryNode, ResolvedSimpleQuery, SimpleQuery};
 pub use shapes::{

@@ -82,7 +82,7 @@ pub struct ResultCacheStats {
     pub invalidations: u64,
 }
 
-/// Outcome of [`ResultCache::begin`].
+/// Outcome of [`ResultCache::lookup`].
 pub enum CacheDecision {
     /// Serve this answer as-is.
     Hit(QueryAnswer),
@@ -137,8 +137,9 @@ impl ResultCache {
     /// different graphs. A `Resume` checks the entry out of the cache
     /// (concurrent requests for the same key miss and plan fresh rather
     /// than wait — deliberate: the race is rare and both outcomes are
-    /// correct).
-    pub fn begin(
+    /// correct). Hits and resumes are counted here; a miss is counted by
+    /// the caller, through [`Self::count_miss`], only if it goes on to plan.
+    pub fn lookup(
         &self,
         key: &str,
         generation: u64,
@@ -146,15 +147,11 @@ impl ResultCache {
         confidence: f64,
     ) -> CacheDecision {
         if *self.generation.lock().unwrap() != generation {
-            self.stats.lock().unwrap().misses += 1;
             return CacheDecision::Miss;
         }
         let mut entries = self.entries.lock().unwrap();
         match entries.get(key) {
-            None => {
-                self.stats.lock().unwrap().misses += 1;
-                CacheDecision::Miss
-            }
+            None => CacheDecision::Miss,
             Some(entry) if dominates(&entry.answer, error_bound, confidence) => {
                 self.stats.lock().unwrap().hits += 1;
                 CacheDecision::Hit(entry.answer.clone())
@@ -165,6 +162,27 @@ impl ResultCache {
                 CacheDecision::Resume(Box::new(entry.session))
             }
         }
+    }
+
+    /// [`Self::lookup`] for a request that plans on a miss: the miss is
+    /// counted too.
+    pub fn begin(
+        &self,
+        key: &str,
+        generation: u64,
+        error_bound: f64,
+        confidence: f64,
+    ) -> CacheDecision {
+        let decision = self.lookup(key, generation, error_bound, confidence);
+        if matches!(decision, CacheDecision::Miss) {
+            self.count_miss();
+        }
+        decision
+    }
+
+    /// Counts a lookup that missed and planned from scratch.
+    pub fn count_miss(&self) {
+        self.stats.lock().unwrap().misses += 1;
     }
 
     /// The current write sequence number. Callers snapshot this together

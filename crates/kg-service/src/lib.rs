@@ -19,7 +19,9 @@
 //!   result cache, keyed by canonical query JSON
 //!      ├─ cached CI dominates targets ──► answer instantly   (cache hit)
 //!      ├─ component known, CI too wide ─► resume refinement  (cache resume)
-//!      └─ unknown ──► plan via lifetime SamplerCache         (fresh)
+//!      └─ unknown ──► plan: one exact path walk per hop      (fresh)
+//!                     (past SSB's path limit: Algorithm 2 through the
+//!                      lifetime SamplerCache, answered with an interval)
 //!      ▼
 //!   round-interleaved refinement: each refinement round goes to the
 //!   smallest-virtual-time tenant; a deadline firing mid-refinement

@@ -1428,7 +1428,7 @@ fn triage_jobs(
             );
             guard
         });
-        match inner.cache.begin(
+        match inner.cache.lookup(
             &key,
             generation,
             job.request.error_bound,
@@ -1471,6 +1471,7 @@ fn triage_jobs(
                     // return. The only deadline→error path.
                     respond_deadline_exceeded(inner, job);
                 } else {
+                    inner.cache.count_miss();
                     fresh.push((job, key, queue_ms));
                 }
             }

@@ -467,3 +467,71 @@ fn an_exact_answer_serves_the_refinement_ladder_from_the_cache() {
     assert_eq!((m.cache.misses, m.cache.hits, m.exact_answers), (1, 3, 1));
     svc.shutdown();
 }
+
+/// SSB's `best_match` stops at `MatchConfig::path_limit` (10 000) paths per
+/// candidate, so a candidate with more is not answered exactly: its query
+/// opens the Algorithm 2 session it would get with `enumerate` off, answers
+/// with an interval, and is not counted as exact. Here X has 101 × 100
+/// paths Germany – b_j – a_i – X.
+#[test]
+fn a_candidate_past_the_path_limit_is_answered_by_sampling() {
+    let mut b = kg_core::GraphBuilder::new();
+    b.add_entity("Germany", &["Country"]);
+    for y in 0..4 {
+        let car = format!("Y{y}");
+        b.add_entity(&car, &["Automobile"]);
+        b.add_edge_by_name("Germany", "product", &car);
+    }
+    b.add_entity("X", &["Automobile"]);
+    for j in 0..100 {
+        let dealer = format!("b{j}");
+        b.add_entity(&dealer, &["Dealer"]);
+        b.add_edge_by_name(&dealer, "located_in", "Germany");
+    }
+    for i in 0..101 {
+        let part = format!("a{i}");
+        b.add_entity(&part, &["Part"]);
+        b.add_edge_by_name("X", "made_of", &part);
+        for j in 0..100 {
+            b.add_edge_by_name(&part, "supplied_by", &format!("b{j}"));
+        }
+    }
+    let graph = b.build();
+    let oracle = kg_embed::oracle::oracle_store(&[
+        (graph.predicate_id("product").unwrap(), 0, 1.0),
+        (graph.predicate_id("located_in").unwrap(), 0, 0.3),
+        (graph.predicate_id("made_of").unwrap(), 0, 0.3),
+        (graph.predicate_id("supplied_by").unwrap(), 0, 0.3),
+    ]);
+    let query = AggregateQuery::simple(
+        SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]),
+        AggregateFunction::Count,
+    );
+
+    let engine = kg_aqp::AqpEngine::new(EngineConfig::default());
+    let mut session = engine.open_session(&graph, &query, &oracle).unwrap();
+    assert!(!session.is_exact());
+    let answer = session.refine_to(&graph, &oracle, 0.05);
+    assert!(answer.sample_size > 0);
+    assert!(answer.moe > 0.0, "{answer:?}");
+
+    let svc = Service::new(
+        Arc::new(graph),
+        Arc::new(oracle),
+        ServiceConfig {
+            engine: EngineConfig::default(),
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let served = svc
+        .execute(QueryRequest::new(query, 0.05, 0.95))
+        .unwrap()
+        .answer;
+    assert!(served.sample_size > 0);
+    assert!(served.moe > 0.0, "{served:?}");
+    let m = svc.metrics();
+    assert_eq!((m.completed, m.exact_answers), (1, 0));
+    assert!(m.sampler_cache.misses > 0);
+    svc.shutdown();
+}

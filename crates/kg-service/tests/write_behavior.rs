@@ -122,10 +122,10 @@ fn write_evicts_only_the_intersecting_component() {
         assert!(!outcome.compacted);
         assert_eq!(outcome.delta_ops, 1);
         assert_eq!(outcome.epoch, 1);
-        // Exactly the ship answer and the ship sampler die; the car entry
-        // of each cache — there were exactly two — survives.
+        // Exactly the ship answer dies; the car entry — there were exactly
+        // two — survives. The exact service prepared no sampler to evict.
         assert_eq!(outcome.evicted_answers, 1);
-        assert_eq!(outcome.evicted_samplers, 1);
+        assert_eq!(outcome.evicted_samplers, 0);
 
         let metrics = svc.metrics();
         assert_eq!(metrics.writes, 1);
