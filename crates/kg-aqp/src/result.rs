@@ -24,9 +24,12 @@ pub struct RoundTrace {
 /// (including correctness validation), S3 accuracy guarantee.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StepTimings {
-    /// Sampling time in milliseconds (sampler preparation + draws).
+    /// Sampling time in milliseconds (sampler preparation + draws). Zero
+    /// for an exact answer, which prepares and draws nothing.
     pub sampling_ms: f64,
-    /// Estimation time in milliseconds (validation + estimators).
+    /// Estimation time in milliseconds (validation + estimators). For an
+    /// exact answer this is the plan's path walks (the exact match) plus
+    /// the aggregate over its answers.
     pub estimation_ms: f64,
     /// Accuracy-guarantee time in milliseconds (bootstrap CIs + Eq. 12).
     pub guarantee_ms: f64,

@@ -314,10 +314,15 @@ const _: fn() = || {
 
 impl<G: GraphHandle + ?Sized> Session<G> {
     pub(crate) fn new(config: EngineConfig, plan: QueryPlan, strata: Strata) -> Self {
-        let timings = StepTimings {
-            sampling_ms: plan.plan_ms,
-            ..StepTimings::default()
-        };
+        // An exact plan's time is its path walks — the exact match, that
+        // is, validation — so it is estimation; an Algorithm 2 plan's is
+        // sampler preparation.
+        let mut timings = StepTimings::default();
+        if plan.exact.is_some() {
+            timings.estimation_ms = plan.plan_ms;
+        } else {
+            timings.sampling_ms = plan.plan_ms;
+        }
         Self {
             masses: strata.masses(&plan),
             exact: plan.exact.is_some(),

@@ -85,6 +85,8 @@ fn assert_exact(label: &str, answer: &QueryAnswer) {
     assert_eq!(answer.rounds.len(), 1, "{label}");
     assert_eq!(answer.rounds[0].sample_size, 0, "{label}");
     assert!(answer.missing_shards.is_empty(), "{label}");
+    // The plan's path walks are the exact match: estimation, not sampling.
+    assert_eq!(answer.timings.sampling_ms, 0.0, "{label}");
 }
 
 /// Every query `keep` selects is answered exactly, and equal to SSB's τ-GT

@@ -79,7 +79,7 @@ fn reload(
     graph: &KnowledgeGraph,
     oracle: &PredicateVectorStore,
 ) -> (KnowledgeGraph, PredicateVectorStore) {
-    let bytes = bundle_bytes(graph, Some(oracle), None).expect("snapshot");
+    let bytes = bundle_bytes(graph, Some(oracle)).expect("snapshot");
     let snap = kg_core::snapshot::Snapshot::from_bytes(bytes).expect("parse");
     let bundle = bundle_from_snapshot(&snap).expect("reload");
     (bundle.graph, bundle.similarity.expect("similarity stored"))

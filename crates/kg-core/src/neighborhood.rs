@@ -90,31 +90,6 @@ pub struct BoundedSubgraph {
 }
 
 impl BoundedSubgraph {
-    /// Reassembles a scope from its parts — the decode path of the binary
-    /// snapshot format (`kg_core::snapshot`), where prepared samplers store
-    /// their scope as sorted `(node, distance)` pairs. A scope rebuilt from
-    /// [`Self::sorted_distances`] is observationally identical to the BFS
-    /// original (hash iteration order is never exposed: every reader sorts).
-    pub fn from_parts(
-        start: EntityId,
-        radius: u32,
-        nodes: impl IntoIterator<Item = (EntityId, u32)>,
-    ) -> Self {
-        Self {
-            start,
-            radius,
-            dist: nodes.into_iter().collect(),
-        }
-    }
-
-    /// The `(node, distance)` pairs of the scope, sorted by node id — the
-    /// deterministic serialization order used by snapshots.
-    pub fn sorted_distances(&self) -> Vec<(EntityId, u32)> {
-        let mut v: Vec<(EntityId, u32)> = self.dist.iter().map(|(&n, &d)| (n, d)).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// True when `node` lies within the bounded subgraph.
     pub fn contains(&self, node: EntityId) -> bool {
         self.dist.contains_key(&node)

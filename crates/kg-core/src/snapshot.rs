@@ -3,19 +3,18 @@
 //!
 //! Every `kg-serve` replica used to redo the whole build pipeline on boot:
 //! re-parse triples, re-intern four vocabularies, re-run the counting sort
-//! into CSR, re-prepare samplers. A snapshot stores the graph once — the
-//! interned string pools in id order, the attribute stores and the triple
-//! log — plus, via extension sections owned by downstream crates, the
-//! similarity oracle and prebuilt per-component alias tables. Loading is a
-//! bounds / checksum / layout validation, a linear decode of little-endian
-//! records, and the counting sort [`GraphBuilder::build`] runs, over the
-//! triple log, to rebuild the CSR adjacency. No re-parse and no alias
-//! rebuild; the adjacency is not stored, so it cannot disagree with the
-//! triples it is derived from.
+//! into CSR. A snapshot stores the graph once — the interned string pools
+//! in id order, the attribute stores and the triple log — plus, via an
+//! extension section owned by `kg-embed`, the predicate-similarity store.
+//! Loading is a bounds / checksum / layout validation, a linear decode of
+//! little-endian records, and the counting sort [`GraphBuilder::build`]
+//! runs, over the triple log, to rebuild the CSR adjacency. No re-parse;
+//! the adjacency is not stored, so it cannot disagree with the triples it
+//! is derived from.
 //!
 //! [`GraphBuilder::build`]: crate::GraphBuilder::build
 //!
-//! # File layout (format version 3)
+//! # File layout (format version 4)
 //!
 //! ```text
 //! offset 0    ┌──────────────────────────────────────────────┐
@@ -55,7 +54,10 @@
 //! [`FORMAT_VERSION`]; anything else — older or newer — is a structured
 //! error telling the operator to rebuild the snapshot with the matching
 //! `kg-snap`. There is no cross-version migration: snapshots are derived
-//! artifacts, cheap to regenerate from the source of truth.
+//! artifacts, cheap to regenerate from the source of truth. v1 stored the
+//! CSR beside the triples, v2 carried prepared samplers whose π came from
+//! the retired power iteration, and v3 carried a prepared-sampler section
+//! (kind 101), which v4 no longer has.
 
 use crate::builder::build_csr;
 use crate::entity::Entity;
@@ -69,9 +71,9 @@ use crate::triple::Triple;
 use std::io::Write;
 use std::path::Path;
 
-/// The snapshot format version this build reads and writes (v3: samplers
-/// carry the closed-form π, without the power iteration's settings).
-pub const FORMAT_VERSION: u32 = 3;
+/// The snapshot format version this build reads and writes (v4: the graph
+/// and its similarity store, without the v3 prepared-sampler section).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Section payloads (and the first payload after the TOC) start on
 /// multiples of this, so every section begins on a cache-line boundary.
@@ -86,7 +88,7 @@ const TOC_ENTRY_LEN: usize = 32;
 
 /// Well-known section kinds. Kinds below 100 are owned by `kg-core`;
 /// 100–199 are reserved for extension sections written by downstream
-/// crates (similarity store, prebuilt samplers).
+/// crates (today only the similarity store).
 pub mod section_kind {
     /// Scalar counts every other section is validated against.
     pub const META: u32 = 1;
@@ -107,9 +109,6 @@ pub mod section_kind {
     pub const TRIPLES: u32 = 8;
     /// Predicate similarity store (written by `kg-embed`).
     pub const SIMILARITY: u32 = 100;
-    /// Prebuilt per-component samplers with alias tables (written by
-    /// `kg-sampling`).
-    pub const SAMPLERS: u32 = 101;
 
     /// Human-readable section name, used in error messages and by
     /// `kg-snap inspect`/`verify`.
@@ -124,7 +123,6 @@ pub mod section_kind {
             ENTITY_ATTRS => "entity_attrs",
             TRIPLES => "triples",
             SIMILARITY => "similarity",
-            SAMPLERS => "samplers",
             _ => "unknown",
         }
     }
@@ -723,7 +721,7 @@ fn interner_from_strings(strings: Vec<String>) -> StringInterner {
 impl KnowledgeGraph {
     /// Encodes this graph's core sections (everything `kg-core` owns) into
     /// a [`SnapshotWriter`]. Downstream crates append their extension
-    /// sections (similarity store, prebuilt samplers) before `finish`.
+    /// sections (the similarity store) before `finish`.
     ///
     /// # Errors
     /// Fails when the graph carries a pending delta overlay — snapshots
@@ -1159,32 +1157,36 @@ mod tests {
         assert!(e.to_string().contains("version skew"), "{e}");
     }
 
-    /// A v1 file (the format that stored the CSR twice) is not read: it
-    /// gets the version-skew error telling the operator to rebuild it.
-    #[test]
-    fn v1_header_gets_the_version_skew_message() {
-        let bytes = with_header_field(sample_graph().snapshot_bytes().unwrap(), 8, 1);
+    /// Asserts that a file whose header names `version` is refused with the
+    /// version-skew error telling the operator to rebuild it.
+    fn assert_older_header_is_skew(version: u32) {
+        let bytes = with_header_field(sample_graph().snapshot_bytes().unwrap(), 8, version);
         let e = Snapshot::from_bytes(bytes).unwrap_err();
         let KgError::Snapshot { section, message } = e else {
-            panic!("expected a structured snapshot error");
+            panic!("expected a structured snapshot error for v{version}");
         };
         assert_eq!(section, "header");
-        assert!(message.contains("version skew: file is v1"), "{message}");
+        let expected = format!("version skew: file is v{version}");
+        assert!(message.contains(&expected), "{message}");
         assert!(message.contains("rebuild"), "{message}");
     }
 
-    /// A v2 file (π from the truncated power iteration) is not read: it
-    /// gets the version-skew error telling the operator to rebuild it.
+    /// A v1 file (the format that stored the CSR twice) is not read.
+    #[test]
+    fn v1_header_gets_the_version_skew_message() {
+        assert_older_header_is_skew(1);
+    }
+
+    /// A v2 file (π from the truncated power iteration) is not read.
     #[test]
     fn v2_header_gets_the_version_skew_message() {
-        let bytes = with_header_field(sample_graph().snapshot_bytes().unwrap(), 8, 2);
-        let e = Snapshot::from_bytes(bytes).unwrap_err();
-        let KgError::Snapshot { section, message } = e else {
-            panic!("expected a structured snapshot error");
-        };
-        assert_eq!(section, "header");
-        assert!(message.contains("version skew: file is v2"), "{message}");
-        assert!(message.contains("rebuild"), "{message}");
+        assert_older_header_is_skew(2);
+    }
+
+    /// A v3 file (one carrying a prepared-sampler section) is not read.
+    #[test]
+    fn v3_header_gets_the_version_skew_message() {
+        assert_older_header_is_skew(3);
     }
 
     /// The header flags word is reserved: anything but 0 is refused.

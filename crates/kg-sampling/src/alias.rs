@@ -178,62 +178,6 @@ impl AliasTable {
         &self.cumulative
     }
 
-    /// The cutpoint array (`bucket_first[j]` = first index whose cumulative
-    /// weight reaches `j / n`) — serialized verbatim by snapshots.
-    pub(crate) fn bucket_first(&self) -> &[u32] {
-        &self.bucket_first
-    }
-
-    /// Reassembles a table from its stored arrays — the snapshot load path,
-    /// which must *not* rebuild the table (that is the work the snapshot
-    /// exists to skip). Validation is the same fail-closed discipline as
-    /// [`AliasTable::new`]: both arrays non-empty and of equal length,
-    /// cumulative weights finite and non-decreasing with positive total
-    /// mass, cutpoints within range and non-decreasing. A table accepted
-    /// here draws exactly like the table the writer serialized, because
-    /// both arrays are bit-identical to the originals.
-    pub(crate) fn from_parts(
-        cumulative: Vec<f64>,
-        bucket_first: Vec<u32>,
-    ) -> Result<Self, WeightError> {
-        if cumulative.is_empty() {
-            return Err(WeightError::Empty);
-        }
-        let n = cumulative.len();
-        if bucket_first.len() != n {
-            // Mismatched arrays cannot have come from a valid build.
-            return Err(WeightError::Empty);
-        }
-        let mut prev = 0.0f64;
-        for (index, &c) in cumulative.iter().enumerate() {
-            if !c.is_finite() {
-                return Err(WeightError::NonFinite { index, weight: c });
-            }
-            if c < prev {
-                // A decreasing cumulative sum implies a negative weight.
-                return Err(WeightError::Negative {
-                    index,
-                    weight: c - prev,
-                });
-            }
-            prev = c;
-        }
-        if prev <= 0.0 {
-            return Err(WeightError::ZeroTotal);
-        }
-        let mut prev_bucket = 0u32;
-        for &b in &bucket_first {
-            if b as usize > n || b < prev_bucket {
-                return Err(WeightError::Empty);
-            }
-            prev_bucket = b;
-        }
-        Ok(Self {
-            cumulative,
-            bucket_first,
-        })
-    }
-
     /// Maps a uniform variate `x ∈ [0, 1)` to an answer index: exactly
     /// `min(first i with cumulative[i] >= x, n - 1)`, the inverse-CDF rule
     /// the binary-search draw implemented — in expected O(1).

@@ -20,11 +20,11 @@ use std::sync::{Arc, Mutex};
 
 /// Cache key: the fields of [`ResolvedSimpleQuery`] a prepared sampler
 /// depends on (strategy and sampler configuration are fixed per cache).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct SamplerKey {
-    pub(crate) specific: EntityId,
-    pub(crate) predicate: PredicateId,
-    pub(crate) target_types: Vec<TypeId>,
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct SamplerKey {
+    specific: EntityId,
+    predicate: PredicateId,
+    target_types: Vec<TypeId>,
 }
 
 impl SamplerKey {
@@ -179,38 +179,6 @@ impl SamplerCache {
     /// Hit/miss counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         *self.stats.lock().unwrap()
-    }
-
-    /// The sampling strategy this cache prepares with.
-    pub fn strategy(&self) -> SamplingStrategy {
-        self.strategy
-    }
-
-    /// The sampler configuration this cache prepares with.
-    pub fn config(&self) -> SamplerConfig {
-        self.config
-    }
-
-    /// Every prepared entry, sorted by key — the deterministic order the
-    /// snapshot writer stores, so identical caches always serialize to
-    /// identical bytes regardless of hash-map iteration order.
-    pub(crate) fn export_entries(&self) -> Vec<(SamplerKey, Arc<PreparedSampler>)> {
-        let entries = self.entries.lock().unwrap();
-        let mut out: Vec<(SamplerKey, Arc<PreparedSampler>)> = entries
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Inserts an externally prepared sampler — the snapshot load path,
-    /// which pre-populates the cache from stored alias tables instead of
-    /// re-running the random walk. The caller asserts the sampler was
-    /// prepared on this cache's graph with this cache's strategy and
-    /// configuration; neither hits nor misses are counted.
-    pub(crate) fn insert_prepared(&self, key: SamplerKey, sampler: Arc<PreparedSampler>) {
-        self.entries.lock().unwrap().insert(key, sampler);
     }
 }
 

@@ -29,12 +29,11 @@
 //! `--snapshot PATH` boots from a snapshot written by `kg-snap build` (or a
 //! previous `--write-snapshot` run) instead of generating the dataset:
 //! checksum-validated load of the graph (its CSR rebuilt from the stored
-//! triples by one counting sort), the predicate-similarity store and any
-//! prepared alias tables — no generation, no parse, no random walks. The
-//! served answers are bitwise identical to a generate boot of the same
-//! data. `--write-snapshot PATH` writes a snapshot at boot
-//! and re-writes it on every compacting delta write, so the next cold start
-//! can use `--snapshot`. Snapshot provenance (format version, load ms) and
+//! triples by one counting sort) and the predicate-similarity store — no
+//! generation, no parse. The served answers are bitwise identical to a
+//! generate boot of the same data. `--write-snapshot PATH` writes a
+//! snapshot at boot and re-writes it on every compacting delta write, so
+//! the next cold start can use `--snapshot`. Snapshot provenance (format version, load ms) and
 //! the write counter appear on `/metrics.prom`.
 //!
 //! `--tenant-weight`/`--tenant-quota` set the default limits applied to any
@@ -61,7 +60,6 @@ mod cli;
 use cli::Flags;
 use kg_datagen::{generate, profiles, DatasetScale};
 use kg_embed::PredicateVectorStore;
-use kg_sampling::SamplerCache;
 use kg_service::{HttpServer, RemoteTopology, Service, ServiceConfig};
 use std::sync::Arc;
 
@@ -217,15 +215,10 @@ fn main() {
     // Either a millisecond cold start from a prebuilt snapshot, or the
     // generate-from-scratch path. Both yield the same graph for the same
     // seed, so clients (kg-load) cannot tell them apart.
-    let (graph, oracle, samplers, loaded) = if snapshot_path.is_empty() {
+    let (graph, oracle, loaded) = if snapshot_path.is_empty() {
         eprintln!("kg-serve: generating DBpedia-like dataset (tiny scale, seed {seed})…");
         let dataset = generate(&profiles::dbpedia_like(DatasetScale::tiny(), seed));
-        (
-            Arc::new(dataset.graph),
-            Arc::new(dataset.oracle),
-            None,
-            None,
-        )
+        (Arc::new(dataset.graph), Arc::new(dataset.oracle), None)
     } else {
         let t0 = std::time::Instant::now();
         let bundle = match kg_sampling::open_bundle(&snapshot_path) {
@@ -258,15 +251,12 @@ fn main() {
             std::process::exit(1);
         };
         eprintln!(
-            "kg-serve: loaded snapshot {snapshot_path} in {load_ms:.2} ms \
-             (format v{}, {} prepared sampler(s))",
+            "kg-serve: loaded snapshot {snapshot_path} in {load_ms:.2} ms (format v{})",
             bundle.version,
-            bundle.samplers.as_ref().map_or(0, SamplerCache::len),
         );
         (
             Arc::new(bundle.graph),
             Arc::new(similarity),
-            bundle.samplers,
             Some((bundle.version, load_ms)),
         )
     };
@@ -281,9 +271,9 @@ fn main() {
         service.record_snapshot_load(version, load_ms);
     }
     // Bind before the remaining boot work: `/livez` (and `/healthz`) answer
-    // 200 from here on while `/readyz` stays 503 until sampler install, the
-    // boot snapshot write and — in coordinator mode — the fleet handshake
-    // have all completed.
+    // 200 from here on while `/readyz` stays 503 until the boot snapshot
+    // write and — in coordinator mode — the fleet handshake have both
+    // completed.
     let server = match HttpServer::serve(Arc::clone(&service), addr.as_str()) {
         Ok(server) => server,
         Err(e) => {
@@ -291,11 +281,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if let Some(samplers) = samplers {
-        if let Err(e) = service.install_samplers(samplers) {
-            eprintln!("kg-serve: ignoring snapshot samplers: {e}");
-        }
-    }
     if !write_snapshot_path.is_empty() {
         service.enable_snapshot_writes(
             write_snapshot_path.as_str(),

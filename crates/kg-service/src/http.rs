@@ -15,7 +15,7 @@
 //! | `GET /metrics.prom` | `200` with the [`crate::MetricsSnapshot`] in the Prometheus text exposition format (`text/plain; version=0.0.4`), its one encoding |
 //! | `GET /livez` | liveness: `200` `{"status":"alive"}` as soon as the listener is up |
 //! | `GET /healthz` | legacy alias of `/livez` (kept as `200` `{"status":"ok"}` for existing probes) |
-//! | `GET /readyz` | readiness: `503` `{"status":"starting"}` until boot (snapshot load, partitioning, sampler prewarm, remote handshake) completes, then `200` `{"status":"ready"}`; flips back to `503` on shutdown |
+//! | `GET /readyz` | readiness: `503` `{"status":"starting"}` until boot (snapshot load, partitioning, boot snapshot write, remote handshake) completes, then `200` `{"status":"ready"}`; flips back to `503` on shutdown |
 //!
 //! Every error body is structured:
 //! `{"error": {"code": .., "kind": .., "message": ..}}`, where `code` is the

@@ -548,7 +548,7 @@ struct Inner {
     /// instead of in-process strata.
     remote: Option<Arc<ShardFleet>>,
     /// Readiness gate for `/readyz`: false until boot (snapshot load,
-    /// partitioning, sampler prewarm, remote handshake) completes.
+    /// partitioning, boot snapshot write, remote handshake) completes.
     ready: AtomicBool,
 }
 
@@ -798,11 +798,11 @@ impl Service {
 
     /// Arms the compaction snapshot sink: every [`Service::apply_write`]
     /// that compacts the delta overlay also persists the freshly compacted
-    /// graph — together with `similarity` and the current prepared-sampler
-    /// cache — as a snapshot bundle at `path` (atomic tmp-and-rename, so a
-    /// reader never sees a half-written file). The concrete vector store is
-    /// required because the service itself only holds the type-erased
-    /// `dyn PredicateSimilarity`, which cannot be serialized.
+    /// graph — together with `similarity` — as a snapshot bundle at `path`
+    /// (atomic tmp-and-rename, so a reader never sees a half-written file).
+    /// The concrete vector store is required because the service itself
+    /// only holds the type-erased `dyn PredicateSimilarity`, which cannot be
+    /// serialized.
     pub fn enable_snapshot_writes(
         &self,
         path: impl Into<PathBuf>,
@@ -815,10 +815,9 @@ impl Service {
     }
 
     /// Writes a snapshot of the current graph (plus the sink's similarity
-    /// store and the live sampler cache) through the armed sink right now —
-    /// the boot-time write behind `kg-serve --write-snapshot`. Errors if the
-    /// sink is not armed or the live graph has pending (uncompacted) delta
-    /// operations.
+    /// store) through the armed sink right now — the boot-time write behind
+    /// `kg-serve --write-snapshot`. Errors if the sink is not armed or the
+    /// live graph has pending (uncompacted) delta operations.
     pub fn write_snapshot_now(&self) -> KgResult<()> {
         let sink = self.inner.snapshot_sink.lock().unwrap();
         let Some(sink) = &*sink else {
@@ -827,14 +826,8 @@ impl Service {
                 message: "snapshot writes are not enabled on this service".into(),
             });
         };
-        let (graph, samplers) = {
-            let state = self.inner.state.lock().unwrap();
-            (
-                Arc::clone(state.sharded.global()),
-                Arc::clone(&state.samplers),
-            )
-        };
-        write_bundle(&sink.path, &graph, Some(&sink.similarity), Some(&samplers))?;
+        let graph = Arc::clone(self.inner.state.lock().unwrap().sharded.global());
+        write_bundle(&sink.path, &graph, Some(&sink.similarity))?;
         self.inner.metrics.lock().unwrap().snapshot_writes += 1;
         kg_telemetry::point("snapshot.write", &[("boot", 1u64.into())]);
         Ok(())
@@ -854,34 +847,6 @@ impl Service {
                 ("load_ms", load_ms.into()),
             ],
         );
-    }
-
-    /// Installs a pre-populated sampler cache — the snapshot boot path,
-    /// where the alias tables come from the snapshot instead of a fresh
-    /// random walk. Fails closed when the cache was prepared under a
-    /// different strategy or sampler configuration than this service runs
-    /// with: mixing them would serve answers from walks the configuration
-    /// says never ran.
-    pub fn install_samplers(&self, samplers: SamplerCache) -> KgResult<()> {
-        let engine = &self.inner.config.engine;
-        let ours = engine.sampler_config();
-        let theirs = samplers.config();
-        let config_matches = ours.n_bound == theirs.n_bound
-            && ours.self_loop_weight.to_bits() == theirs.self_loop_weight.to_bits();
-        if samplers.strategy() != engine.strategy || !config_matches {
-            return Err(KgError::Snapshot {
-                section: "samplers".into(),
-                message: format!(
-                    "snapshot samplers were prepared with strategy {} and a \
-                     different configuration than this service ({})",
-                    samplers.strategy().name(),
-                    engine.strategy.name()
-                ),
-            });
-        }
-        let mut state = self.inner.state.lock().unwrap();
-        state.samplers = Arc::new(samplers);
-        Ok(())
     }
 
     /// Applies a batch of delta writes to the live graph.
@@ -1004,8 +969,7 @@ impl Service {
             // A compacted graph has no pending delta, so it is exactly what
             // the snapshot sink can persist; the file write itself happens
             // after the state lock is released.
-            let to_persist =
-                compacted.then(|| (Arc::clone(&new_global), Arc::clone(&state.samplers)));
+            let to_persist = compacted.then(|| Arc::clone(&new_global));
             (
                 footprint,
                 compacted,
@@ -1016,10 +980,10 @@ impl Service {
                 to_persist,
             )
         };
-        if let Some((graph, samplers)) = to_persist {
+        if let Some(graph) = to_persist {
             let sink = self.inner.snapshot_sink.lock().unwrap();
             if let Some(sink) = &*sink {
-                match write_bundle(&sink.path, &graph, Some(&sink.similarity), Some(&samplers)) {
+                match write_bundle(&sink.path, &graph, Some(&sink.similarity)) {
                     Ok(()) => {
                         self.inner.metrics.lock().unwrap().snapshot_writes += 1;
                         kg_telemetry::point("snapshot.write", &[("compaction", 1u64.into())]);
@@ -1155,8 +1119,8 @@ impl Service {
     }
 
     /// Flips the readiness gate: `/readyz` answers 200 from here on. Called
-    /// by the binary once boot (snapshot load, partitioning, sampler
-    /// prewarm, remote handshake) completes.
+    /// by the binary once boot (snapshot load, partitioning, boot snapshot
+    /// write, remote handshake) completes.
     pub fn mark_ready(&self) {
         self.inner.ready.store(true, Ordering::SeqCst);
     }

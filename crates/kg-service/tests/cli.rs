@@ -1,7 +1,8 @@
 //! `kg-serve` and `kg-load` refuse an argument list they cannot use before
 //! they generate any data: exit status 2 and one stderr line naming the
-//! flag. A `kg-serve` that boots instead would serve until killed, so every
-//! run here is bounded and killed if it outlives the bound.
+//! flag. A `kg-serve --snapshot` whose file does not load exits 1 with one
+//! structured stderr line. A `kg-serve` that boots instead would serve until
+//! killed, so every run here is bounded and killed if it outlives the bound.
 
 use std::process::{Command, Output, Stdio};
 use std::thread::sleep;
@@ -77,6 +78,39 @@ fn help_still_exits_0() {
     let out = run(&["--help"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: kg-serve"));
+}
+
+/// A v3 snapshot (the format that carried a prepared-sampler section) is
+/// refused at boot: exit 1 and a single `snapshot_load_failed` line naming
+/// the header, before the process binds or serves anything.
+#[test]
+fn snapshot_boot_refuses_a_v3_file() {
+    let mut b = kg_core::GraphBuilder::new();
+    b.add_entity("Germany", &["Country"]);
+    b.add_entity("car0", &["Automobile"]);
+    b.add_edge_by_name("Germany", "product", "car0");
+    let mut bytes = b.build().snapshot_bytes().unwrap();
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let crc = kg_core::snapshot::crc64(&bytes[..48]);
+    bytes[48..56].copy_from_slice(&crc.to_le_bytes());
+    let path = std::env::temp_dir().join(format!("kg-serve-v3-{}.kgsnap", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+
+    let out = run(&["--snapshot", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr {stderr:?}");
+    assert_eq!(stderr.lines().count(), 1, "stderr {stderr:?}");
+    let line = stderr
+        .trim_end()
+        .strip_prefix("kg-serve: ")
+        .expect("prefixed line");
+    let parsed: serde_json::Value = serde_json::from_str(line).expect("one JSON line");
+    assert_eq!(parsed["error"].as_str(), Some("snapshot_load_failed"));
+    assert_eq!(parsed["section"].as_str(), Some("header"));
+    assert_eq!(parsed["path"].as_str(), path.to_str());
+    let cause = parsed["cause"].as_str().unwrap();
+    assert!(cause.contains("version skew: file is v3"), "{cause}");
 }
 
 #[test]

@@ -5,11 +5,12 @@
 //! rebuild (seed graph → same writes → compact → snapshot); and snapshot
 //! provenance shows up on `/metrics.prom`.
 
+use kg_core::snapshot::{section_kind, Snapshot};
 use kg_core::{GraphBuilder, KnowledgeGraph, FORMAT_VERSION};
 use kg_embed::oracle::oracle_store;
 use kg_embed::PredicateVectorStore;
 use kg_query::{AggregateFunction, AggregateQuery, SimpleQuery};
-use kg_sampling::{bundle_bytes, open_bundle};
+use kg_sampling::{bundle_bytes, bundle_from_snapshot, open_bundle};
 use kg_service::{QueryRequest, Service, ServiceAnswer, ServiceConfig, WriteOp, WriteRequest};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -76,7 +77,7 @@ fn temp_path(tag: &str) -> PathBuf {
 fn snapshot_booted_service_answers_bitwise_identically() {
     let graph = seed_graph();
     let oracle = oracle_for(&graph);
-    let bytes = bundle_bytes(&graph, Some(&oracle), None).unwrap();
+    let bytes = bundle_bytes(&graph, Some(&oracle)).unwrap();
     let path = temp_path("boot");
     std::fs::write(&path, &bytes).unwrap();
     let bundle = open_bundle(&path).unwrap();
@@ -150,7 +151,7 @@ fn compaction_sink_snapshot_equals_chronological_rebuild() {
     // Path A: boot from a snapshot of the seed graph, then write + compact.
     let graph = seed_graph();
     let oracle = oracle_for(&graph);
-    let bytes = bundle_bytes(&graph, Some(&oracle), None).unwrap();
+    let bytes = bundle_bytes(&graph, Some(&oracle)).unwrap();
     let boot_path = temp_path("chrono-boot");
     std::fs::write(&boot_path, &bytes).unwrap();
     let bundle = open_bundle(&boot_path).unwrap();
@@ -230,32 +231,18 @@ fn boot_time_snapshot_write_round_trips() {
     let path = temp_path("boot-write");
     svc.enable_snapshot_writes(&path, oracle);
     svc.write_snapshot_now().expect("boot write");
-    let bundle = open_bundle(&path).unwrap();
+    let snap = Snapshot::open(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
-    assert_eq!(bundle.samplers.expect("samplers stored").len(), 0);
+    // The file carries the graph and its similarity store, and no sampler
+    // section (kind 101 in format v3).
+    assert!(snap.section(section_kind::SIMILARITY).is_some());
+    assert!(
+        snap.sections().iter().all(|s| s.kind != 101),
+        "{:?}",
+        snap.sections()
+    );
+    bundle_from_snapshot(&snap).expect("the written file loads");
     assert_eq!(svc.metrics().snapshot_writes, 1);
     let prom = svc.metrics().to_prometheus();
     assert!(prom.contains("kg_snapshot_writes_total 1"), "{prom}");
-}
-
-/// Installing snapshot samplers prepared under a different strategy than
-/// the service's engine configuration fails closed.
-#[test]
-fn install_samplers_rejects_strategy_mismatch() {
-    let graph = seed_graph();
-    let oracle = oracle_for(&graph);
-    let svc = service_over(graph, oracle);
-    let mismatched = kg_sampling::SamplerCache::new(
-        kg_sampling::SamplingStrategy::Uniform,
-        kg_sampling::SamplerConfig::default(),
-    );
-    let err = svc.install_samplers(mismatched).unwrap_err();
-    assert!(err.to_string().contains("samplers"), "{err}");
-
-    let matching = kg_sampling::SamplerCache::new(
-        svc.config().engine.strategy,
-        svc.config().engine.sampler_config(),
-    );
-    svc.install_samplers(matching)
-        .expect("matching cache installs");
 }

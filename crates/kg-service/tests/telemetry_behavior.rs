@@ -286,7 +286,7 @@ fn prometheus_exposition_carries_every_snapshot_counter() {
         "kg-service-metrics-parity-{}.kgsnap",
         std::process::id()
     ));
-    kg_sampling::write_bundle(&path, &d.graph, Some(&d.oracle), None).unwrap();
+    kg_sampling::write_bundle(&path, &d.graph, Some(&d.oracle)).unwrap();
     let bundle = kg_sampling::open_bundle(&path).unwrap();
     let similarity = Arc::new(bundle.similarity.expect("similarity stored"));
     let svc = Service::new(

@@ -2,16 +2,13 @@
 //!
 //! ```text
 //! kg-snap build OUT.kgsnap [--profile dbpedia|freebase|yago] [--seed 42]
-//!                          [--warm N]
 //! kg-snap inspect PATH
 //! kg-snap verify PATH
 //! ```
 //!
 //! `build` generates a synthetic dataset (the same profiles `kg-serve` and
-//! `kg-load` agree on), optionally pre-prepares up to `--warm N` simple-query
-//! samplers over the generated workload, and writes the full bundle — graph
-//! sections, predicate-similarity store and prepared alias tables — to
-//! `OUT.kgsnap` atomically.
+//! `kg-load` agree on) and writes the full bundle — graph sections and the
+//! predicate-similarity store — to `OUT.kgsnap` atomically.
 //!
 //! `inspect` prints the header and section table of a snapshot without
 //! decoding the graph (it still validates checksums: a corrupt file is
@@ -20,7 +17,7 @@
 //! `verify` runs the full validation chain — container (magic, header CRC,
 //! version, reserved flags, table of contents, per-section CRCs), then a
 //! full bundle decode: every graph section structurally, the CSR rebuilt
-//! from the triple log, and the similarity/sampler sections if present.
+//! from the triple log, and the similarity section if present.
 //! Exit code 0 means every check passed; any failure exits 1 with the
 //! failing section named on stderr.
 //!
@@ -34,14 +31,13 @@ mod cli;
 use cli::Flags;
 use kg_core::snapshot::Snapshot;
 use kg_core::KgError;
-use kg_datagen::{build_workload, generate, profiles, DatasetScale, WorkloadConfig};
-use kg_query::QuerySpec;
-use kg_sampling::{bundle_from_snapshot, write_bundle, SamplerCache, SamplerConfig};
+use kg_datagen::{generate, profiles, DatasetScale};
+use kg_sampling::{bundle_from_snapshot, write_bundle};
 
 fn usage() -> ! {
     eprintln!(
         "usage: kg-snap build OUT.kgsnap [--profile dbpedia|freebase|yago] \
-         [--seed N] [--warm N]\n       kg-snap inspect PATH\n       \
+         [--seed N]\n       kg-snap inspect PATH\n       \
          kg-snap verify PATH"
     );
     std::process::exit(2);
@@ -63,15 +59,9 @@ fn cmd_build(args: &[String]) {
     let Some(out) = args.first().filter(|a| !a.starts_with("--")) else {
         usage();
     };
-    let flags = Flags::parse(
-        "kg-snap build",
-        &args[1..],
-        &["--profile", "--seed", "--warm"],
-        &[],
-    );
+    let flags = Flags::parse("kg-snap build", &args[1..], &["--profile", "--seed"], &[]);
     let profile: String = flags.get("--profile", "dbpedia".to_string());
     let seed: u64 = flags.get("--seed", 42);
-    let warm: usize = flags.get("--warm", 0);
 
     let config = match profile.as_str() {
         "dbpedia" => profiles::dbpedia_like(DatasetScale::tiny(), seed),
@@ -85,42 +75,14 @@ fn cmd_build(args: &[String]) {
     eprintln!("kg-snap build: generating {profile} dataset (tiny scale, seed {seed})…");
     let dataset = generate(&config);
 
-    // Pre-prepare samplers for the first `--warm` distinct simple-query
-    // components of the standard workload, so a snapshot boot starts with
-    // the alias tables those queries draw from already built.
-    let samplers = SamplerCache::new(
-        kg_sampling::SamplingStrategy::SemanticAware,
-        SamplerConfig::default(),
-    );
-    if warm > 0 {
-        let workload = build_workload(&dataset, &WorkloadConfig::default());
-        for wq in &workload {
-            if samplers.len() >= warm {
-                break;
-            }
-            let QuerySpec::Simple(simple) = &wq.query.query else {
-                continue;
-            };
-            let Ok(resolved) = simple.resolve(&dataset.graph) else {
-                continue;
-            };
-            if let Err(e) = samplers.get_or_prepare(&dataset.graph, &resolved, &dataset.oracle) {
-                eprintln!("kg-snap build: skipping {}: {e}", wq.id);
-            }
-        }
-        eprintln!("kg-snap build: warmed {} sampler(s)", samplers.len());
-    }
-
-    if let Err(e) = write_bundle(out, &dataset.graph, Some(&dataset.oracle), Some(&samplers)) {
+    if let Err(e) = write_bundle(out, &dataset.graph, Some(&dataset.oracle)) {
         report("build", &e);
     }
     let len = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     println!(
-        "kg-snap build: wrote {out} ({len} bytes, {} entities, {} triples, \
-         {} sampler(s))",
+        "kg-snap build: wrote {out} ({len} bytes, {} entities, {} triples)",
         dataset.graph.entity_count(),
         dataset.graph.triples().len(),
-        samplers.len(),
     );
 }
 

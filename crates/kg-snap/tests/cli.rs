@@ -2,7 +2,8 @@
 //! happy path, the exit-code contract on corruption — every section kind,
 //! when a single byte is flipped, must fail `verify` with a non-zero exit
 //! and the failing section named on stderr; a checksummed section with a
-//! hostile count fails the same way — and strict flag parsing (exit 2).
+//! hostile count fails the same way — and strict flag parsing (exit 2),
+//! retired flags included.
 
 use kg_core::snapshot::{section_kind, Snapshot, SnapshotWriter, FORMAT_VERSION};
 use std::path::PathBuf;
@@ -19,12 +20,9 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("kg-snap-cli-{tag}-{}.kgsnap", std::process::id()))
 }
 
-fn build_snapshot(tag: &str, extra: &[&str]) -> PathBuf {
+fn build_snapshot(tag: &str) -> PathBuf {
     let path = temp_path(tag);
-    let path_str = path.to_str().unwrap();
-    let mut args = vec!["build", path_str, "--seed", "7", "--warm", "2"];
-    args.extend_from_slice(extra);
-    let out = kg_snap(&args);
+    let out = kg_snap(&["build", path.to_str().unwrap(), "--seed", "7"]);
     assert!(
         out.status.success(),
         "build failed: {}",
@@ -35,7 +33,7 @@ fn build_snapshot(tag: &str, extra: &[&str]) -> PathBuf {
 
 #[test]
 fn build_verify_inspect_round_trip() {
-    let path = build_snapshot("ok", &[]);
+    let path = build_snapshot("ok");
     let path_str = path.to_str().unwrap();
 
     let verify = kg_snap(&["verify", path_str]);
@@ -52,9 +50,11 @@ fn build_verify_inspect_round_trip() {
     let inspect = kg_snap(&["inspect", path_str]);
     assert!(inspect.status.success());
     let stdout = String::from_utf8_lossy(&inspect.stdout);
-    for section in ["meta", "entity_names", "triples", "similarity", "samplers"] {
+    for section in ["meta", "entity_names", "triples", "similarity"] {
         assert!(stdout.contains(section), "missing {section}: {stdout}");
     }
+    // A snapshot stores no prepared sampler.
+    assert!(!stdout.contains("samplers"), "sampler section: {stdout}");
     // The graph is stored once: the adjacency is rebuilt, never stored.
     assert!(!stdout.contains("csr_"), "stored adjacency: {stdout}");
 
@@ -66,7 +66,7 @@ fn build_verify_inspect_round_trip() {
 /// very section on stderr.
 #[test]
 fn verify_names_the_corrupted_section() {
-    let path = build_snapshot("flip", &[]);
+    let path = build_snapshot("flip");
     let bytes = std::fs::read(&path).unwrap();
     let snap = kg_core::snapshot::Snapshot::from_bytes(bytes.clone()).unwrap();
     let sections: Vec<(String, u64, u64)> = snap
@@ -74,7 +74,7 @@ fn verify_names_the_corrupted_section() {
         .iter()
         .map(|s| (s.name().to_string(), s.offset, s.len))
         .collect();
-    assert!(sections.len() >= 10, "expected a full bundle: {sections:?}");
+    assert!(sections.len() >= 9, "expected a full bundle: {sections:?}");
 
     for (name, offset, len) in sections {
         let mut corrupt = bytes.clone();
@@ -100,7 +100,7 @@ fn verify_names_the_corrupted_section() {
 
 #[test]
 fn verify_rejects_header_corruption_and_truncation() {
-    let path = build_snapshot("hdr", &[]);
+    let path = build_snapshot("hdr");
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
 
@@ -121,10 +121,10 @@ fn verify_rejects_header_corruption_and_truncation() {
     std::fs::remove_file(&p).unwrap();
     assert!(!out.status.success());
 
-    // Version skew, older (v1 stored the CSR twice, v2 an iterated π) and
-    // newer: rewrite the version field and re-checksum the header so only
-    // the skew itself is the failure.
-    for version in [1, 2, FORMAT_VERSION + 1] {
+    // Version skew, older (v1 stored the CSR twice, v2 an iterated π, v3 a
+    // prepared-sampler section) and newer: rewrite the version field and
+    // re-checksum the header so only the skew itself is the failure.
+    for version in [1, 2, 3, FORMAT_VERSION + 1] {
         let mut skewed = bytes.clone();
         skewed[8..12].copy_from_slice(&version.to_le_bytes());
         let crc = kg_core::snapshot::crc64(&skewed[..48]);
@@ -167,7 +167,7 @@ fn assert_verify_names(tag: &str, snap: &Snapshot, replace: &[(u32, Vec<u8>)], s
 /// `verify` reports the section instead of aborting on the allocation.
 #[test]
 fn verify_names_a_section_with_a_hostile_count() {
-    let path = build_snapshot("hostile", &[]);
+    let path = build_snapshot("hostile");
     let snap = Snapshot::from_bytes(std::fs::read(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).unwrap();
 
@@ -184,21 +184,6 @@ fn verify_names_a_section_with_a_hostile_count() {
         ],
         "entity_names",
     );
-
-    // The first sampler scope declares 2^40 nodes. Its length sits after
-    // the section header, the entry count, the key (specific, predicate,
-    // type count, type ids) and the scope's start and radius.
-    let mut samplers = snap.section(section_kind::SAMPLERS).unwrap().to_vec();
-    let key = 4 + 8 + 8 + 4 + 8 + 8 + 8 + 8;
-    let types = u32::from_le_bytes(samplers[key + 8..key + 12].try_into().unwrap()) as usize;
-    let scope_len = key + 12 + 4 * types + 8;
-    samplers[scope_len..scope_len + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-    assert_verify_names(
-        "hostile-scope",
-        &snap,
-        &[(section_kind::SAMPLERS, samplers)],
-        "samplers",
-    );
 }
 
 /// Asserts `out` is an exit 2 with one stderr line that names `flag`.
@@ -209,22 +194,33 @@ fn assert_refused(out: Output, flag: &str) {
     assert!(stderr.contains(flag), "stderr {stderr:?}");
 }
 
+/// Runs `kg-snap build` with `args` after the output path and asserts it is
+/// refused naming `flag`, without writing the file.
+fn assert_build_refused(args: &[&str], flag: &str) {
+    let path = temp_path(flag.trim_start_matches('-'));
+    let mut full = vec!["build", path.to_str().unwrap()];
+    full.extend_from_slice(args);
+    let out = kg_snap(&full);
+    assert!(!path.exists(), "refused build still wrote a file");
+    assert_refused(out, flag);
+}
+
 /// The retired CSR encoding switch is an unknown flag, not a silent no-op.
 #[test]
 fn build_refuses_the_retired_compress_flag() {
-    let path = temp_path("compress");
-    let out = kg_snap(&["build", path.to_str().unwrap(), "--compress"]);
-    assert!(!path.exists(), "refused build still wrote a file");
-    assert_refused(out, "--compress");
+    assert_build_refused(&["--compress"], "--compress");
+}
+
+/// The retired sampler prewarm is an unknown flag: a snapshot stores no
+/// prepared sampler.
+#[test]
+fn build_refuses_the_retired_warm_flag() {
+    assert_build_refused(&["--warm", "8"], "--warm");
 }
 
 #[test]
 fn build_refuses_an_unparsable_value() {
-    let path = temp_path("warm-x");
-    assert_refused(
-        kg_snap(&["build", path.to_str().unwrap(), "--warm", "x"]),
-        "--warm",
-    );
+    assert_build_refused(&["--seed", "x"], "--seed");
 }
 
 #[test]
