@@ -242,10 +242,10 @@ impl BatchEngine {
     /// Opens one session per query, in input order, planning through a
     /// caller-owned [`SamplerCache`], so a caller can refine the error bound
     /// of each query incrementally (the batched counterpart of
-    /// [`AqpEngine::open_session`]) and prepared components survive beyond
-    /// one batch (the service keeps a cache alive for its whole lifetime).
-    /// The reported cache stats cover only this call, not the cache's
-    /// history. Sessions are identical to fresh-cache ones: sampler
+    /// [`AqpEngine::open_session`]) and share one cache across several
+    /// calls against the same graph (the service plans a batch and its late
+    /// admissions through one cache, created per batch). The reported cache
+    /// stats cover only this call, not the cache's history. Sessions are identical to fresh-cache ones: sampler
     /// preparation is deterministic, so a shared cache changes who prepares
     /// a sampler, never its value.
     pub fn open_sessions_cached<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(

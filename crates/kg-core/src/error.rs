@@ -44,8 +44,9 @@ pub enum KgError {
     /// loader fails closed with this error — a bad snapshot never panics
     /// and never produces a partially-initialised graph.
     Snapshot {
-        /// The failing section (`"header"`, `"toc"`, or a section name such
-        /// as `"triples"` — see `snapshot::section_kind::name`).
+        /// The failing section (`"header"`, `"toc"`, a section name such
+        /// as `"triples"` — see `snapshot::section_kind::name` — or
+        /// `"kind N"` for a section kind the format does not define).
         section: String,
         /// What failed, with stored-vs-computed detail where applicable.
         message: String,

@@ -42,10 +42,10 @@
 //! A truncated, corrupted or version-skewed file is rejected with a
 //! structured [`KgError::Snapshot`] naming the failing section — never UB,
 //! never a panic. Validation layers: magic → header checksum → version →
-//! flags → file length → TOC checksum → per-section bounds/alignment/
-//! checksum → per-section structural decode (ids in range, every declared
-//! count backed by the bytes present before it sizes an allocation, string
-//! pools well-formed). Only the sections a reader touches are decoded, but
+//! flags → file length → TOC checksum → per-section kind (one this format
+//! defines)/bounds/alignment/checksum → per-section structural decode (ids
+//! in range, every declared count backed by the bytes present before it
+//! sizes an allocation, string pools well-formed). Only the sections a reader touches are decoded, but
 //! [`Snapshot::open`] always verifies every checksum up front.
 //!
 //! # Version-skew policy
@@ -111,7 +111,8 @@ pub mod section_kind {
     pub const SIMILARITY: u32 = 100;
 
     /// Human-readable section name, used in error messages and by
-    /// `kg-snap inspect`/`verify`.
+    /// `kg-snap inspect`/`verify`; `"unknown"` for a kind this format does
+    /// not define, which [`super::Snapshot::from_bytes`] refuses.
     pub fn name(kind: u32) -> &'static str {
         match kind {
             META => "meta",
@@ -520,6 +521,17 @@ impl Snapshot {
                 checksum: u64::from_le_bytes(e[24..32].try_into().unwrap()),
             };
             let name = info.name();
+            if name == "unknown" {
+                // A section from a foreign or future writer: serving the
+                // file as if it were complete would ignore what it holds.
+                return Err(err(
+                    &format!("kind {}", info.kind),
+                    format!(
+                        "not defined by format v{FORMAT_VERSION} (written by a foreign or \
+                         future writer); rebuild the snapshot with the matching kg-snap"
+                    ),
+                ));
+            }
             if sections.iter().any(|s: &SectionInfo| s.kind == info.kind) {
                 return Err(err("toc", format!("duplicate section kind {name:?}")));
             }
@@ -1224,6 +1236,20 @@ mod tests {
                 s.name()
             );
         }
+    }
+
+    /// A re-signed file with an extra section of a kind format v4 does not
+    /// define (here 101, v3's prepared samplers) is refused, naming it.
+    #[test]
+    fn undefined_section_kind_is_refused_naming_it() {
+        let mut w = sample_graph().snapshot_writer().unwrap();
+        w.add_section(101, vec![0xAB; 100]);
+        let e = Snapshot::from_bytes(w.finish()).unwrap_err();
+        let KgError::Snapshot { section, message } = e else {
+            panic!("expected a structured snapshot error");
+        };
+        assert_eq!(section, "kind 101");
+        assert!(message.contains("not defined by format v4"), "{message}");
     }
 
     #[test]

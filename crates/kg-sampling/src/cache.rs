@@ -59,9 +59,11 @@ impl CacheStats {
 }
 
 /// A per-batch cache of prepared samplers, keyed by resolved simple-query
-/// component. One cache instance is bound to one graph, one sampling
-/// strategy and one sampler configuration — callers create a fresh cache per
-/// batch (or per graph generation).
+/// component. One cache instance is bound to one graph snapshot, one
+/// sampling strategy and one sampler configuration — callers create a fresh
+/// cache per batch. A prepared π depends on every edge of the mapping
+/// node's n-bounded subgraph (Eq. 5–6), so a cache must not outlive the
+/// graph it was filled against.
 ///
 /// The cache is interior-mutable (`&self` lookups) so parallel planning
 /// stages — the per-anchor hop samplings of a chain query run on the rayon
@@ -137,45 +139,6 @@ impl SamplerCache {
         ))
     }
 
-    /// Evicts every prepared sampler whose component could observe a write
-    /// touching the given predicates, types or entities: an entry dies when
-    /// its query predicate is touched, its specific node is touched, or any
-    /// of its target types is touched. Entries sharing none of these axes
-    /// survive — the component-scoped invalidation rule of the service's
-    /// write path (see `kg-service`). Returns the number of entries evicted.
-    ///
-    /// The touched sets are assumed small (one write's footprint), so the
-    /// scan is a linear `retain` over the cache.
-    pub fn evict_touching(
-        &self,
-        predicates: &[PredicateId],
-        types: &[TypeId],
-        entities: &[EntityId],
-    ) -> usize {
-        let mut entries = self.entries.lock().unwrap();
-        let before = entries.len();
-        entries.retain(|key, _| {
-            !(predicates.contains(&key.predicate)
-                || entities.contains(&key.specific)
-                || key.target_types.iter().any(|t| types.contains(t)))
-        });
-        let evicted = before - entries.len();
-        if evicted > 0 {
-            kg_telemetry::point("sampler.evict", &[("evicted", evicted.into())]);
-        }
-        evicted
-    }
-
-    /// Number of distinct components prepared so far.
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    /// True when no component has been prepared yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().unwrap().is_empty()
-    }
-
     /// Hit/miss counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         *self.stats.lock().unwrap()
@@ -208,7 +171,6 @@ mod tests {
         let second = cache.get_or_prepare(&g, &q, &store).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(cache.len(), 1);
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
 
         // The cached sampler is value-identical to a fresh preparation.
@@ -222,52 +184,5 @@ mod tests {
         .unwrap();
         assert_eq!(first.answer_distribution(), fresh.answer_distribution());
         assert_eq!(first.transition_entries, fresh.transition_entries);
-    }
-
-    #[test]
-    fn evict_touching_is_scoped_to_the_write_footprint() {
-        // Two disconnected components with disjoint predicates and types.
-        let mut b = GraphBuilder::new();
-        let de = b.add_entity("Germany", &["Country"]);
-        let jp = b.add_entity("Japan", &["Island"]);
-        for i in 0..6 {
-            let car = b.add_entity(&format!("car{i}"), &["Automobile"]);
-            b.add_edge(de, "product", car);
-            let ship = b.add_entity(&format!("ship{i}"), &["Ship"]);
-            b.add_edge(jp, "builds", ship);
-        }
-        let g = b.build();
-        let store = oracle_store(&[
-            (g.predicate_id("product").unwrap(), 0, 1.0),
-            (g.predicate_id("builds").unwrap(), 1, 1.0),
-        ]);
-        let q_de = SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"])
-            .resolve(&g)
-            .unwrap();
-        let q_jp = SimpleQuery::new("Japan", &["Island"], "builds", &["Ship"])
-            .resolve(&g)
-            .unwrap();
-
-        let cache = SamplerCache::new(SamplingStrategy::SemanticAware, SamplerConfig::default());
-        cache.get_or_prepare(&g, &q_de, &store).unwrap();
-        cache.get_or_prepare(&g, &q_jp, &store).unwrap();
-        assert_eq!(cache.len(), 2);
-
-        // A write on "builds" only evicts the Japan component.
-        let touched = [g.predicate_id("builds").unwrap()];
-        assert_eq!(cache.evict_touching(&touched, &[], &[]), 1);
-        assert_eq!(cache.len(), 1);
-        let stats_before = cache.stats();
-        cache.get_or_prepare(&g, &q_de, &store).unwrap();
-        assert_eq!(cache.stats().hits, stats_before.hits + 1);
-
-        // Touching the specific entity or a target type also evicts.
-        assert_eq!(cache.evict_touching(&[], &[], &[q_de.specific]), 1);
-        cache.get_or_prepare(&g, &q_de, &store).unwrap();
-        let auto = g.type_id("Automobile").unwrap();
-        assert_eq!(cache.evict_touching(&[], &[auto], &[]), 1);
-        assert!(cache.is_empty());
-        // Disjoint footprints evict nothing.
-        assert_eq!(cache.evict_touching(&[], &[], &[]), 0);
     }
 }

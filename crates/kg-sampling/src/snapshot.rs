@@ -6,8 +6,8 @@
 //! ([`kg_core::snapshot::section_kind::SIMILARITY`], written by `kg-embed`).
 //! It stores no prepared sampler: served plans within SSB's path limit are
 //! answered by exact path walks and prepare nothing, and the path-limit
-//! fallback prepares through the service's [`crate::SamplerCache`] on first
-//! use.
+//! fallback prepares through a [`crate::SamplerCache`] that lives for one
+//! service batch.
 
 use kg_core::snapshot::{section_kind, write_snapshot_file, Snapshot};
 use kg_core::{KgResult, KnowledgeGraph};

@@ -164,22 +164,6 @@ impl ResultCache {
         }
     }
 
-    /// [`Self::lookup`] for a request that plans on a miss: the miss is
-    /// counted too.
-    pub fn begin(
-        &self,
-        key: &str,
-        generation: u64,
-        error_bound: f64,
-        confidence: f64,
-    ) -> CacheDecision {
-        let decision = self.lookup(key, generation, error_bound, confidence);
-        if matches!(decision, CacheDecision::Miss) {
-            self.count_miss();
-        }
-        decision
-    }
-
     /// Counts a lookup that missed and planned from scratch.
     pub fn count_miss(&self) {
         self.stats.lock().unwrap().misses += 1;
@@ -326,11 +310,20 @@ mod tests {
         // never see entries written at generation 1: resuming its session
         // would refine graph-1 state against the worker's graph-0 snapshot.
         cache.invalidate();
+        let query = product_query();
+        let (session, footprint) = session_for(&query);
+        let stored = answer(1000.0, 4.0, 0.95, true);
+        cache.finish("k".into(), 1, 0, footprint, session, stored);
         assert!(matches!(
-            cache.begin("k", 0, 0.05, 0.95),
+            cache.lookup("k", 0, 0.05, 0.95),
             CacheDecision::Miss
         ));
-        assert_eq!(cache.stats().misses, 1);
+        assert!(matches!(
+            cache.lookup("k", 1, 0.05, 0.95),
+            CacheDecision::Hit(_)
+        ));
+        // `lookup` counts the hit; a miss is the planner's to count.
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 0));
     }
 
     /// Builds a real session plus the query it belongs to (cheapest

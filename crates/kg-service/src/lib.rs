@@ -21,7 +21,7 @@
 //!      ├─ component known, CI too wide ─► resume refinement  (cache resume)
 //!      └─ unknown ──► plan: one exact path walk per hop      (fresh)
 //!                     (past SSB's path limit: Algorithm 2 through the
-//!                      lifetime SamplerCache, answered with an interval)
+//!                      batch's own SamplerCache, answered with an interval)
 //!      ▼
 //!   round-interleaved refinement: each refinement round goes to the
 //!   smallest-virtual-time tenant; a deadline firing mid-refinement

@@ -389,8 +389,6 @@ pub struct WriteOutcome {
     /// Cached answers evicted because their footprint intersected the
     /// write's.
     pub evicted_answers: usize,
-    /// Prepared samplers evicted for the same reason.
-    pub evicted_samplers: usize,
     /// The write sequence number this write landed at: any answer computed
     /// at a later sequence sees it.
     pub epoch: u64,
@@ -398,8 +396,7 @@ pub struct WriteOutcome {
 
 impl WriteOutcome {
     /// Encodes as `{"applied": .., "edges_deleted": .., "compacted": ..,
-    /// "delta_ops": .., "evicted_answers": .., "evicted_samplers": ..,
-    /// "epoch": ..}`.
+    /// "delta_ops": .., "evicted_answers": .., "epoch": ..}`.
     pub fn to_json(&self) -> Value {
         let count = |n: usize| Value::Number(n as f64);
         object(vec![
@@ -408,7 +405,6 @@ impl WriteOutcome {
             ("compacted", Value::Bool(self.compacted)),
             ("delta_ops", count(self.delta_ops)),
             ("evicted_answers", count(self.evicted_answers)),
-            ("evicted_samplers", count(self.evicted_samplers)),
             ("epoch", Value::Number(self.epoch as f64)),
         ])
     }
@@ -548,6 +544,9 @@ pub enum ServiceError {
     /// authoritative graph lives in the `kg-shard` fleet; accepting a write
     /// on the coordinator's local copy would fork the graph fingerprints.
     RemoteWriteUnsupported,
+    /// The batch answering this request panicked before the request was
+    /// answered (an engine invariant violated by some query of the batch).
+    Internal,
 }
 
 impl ServiceError {
@@ -564,12 +563,14 @@ impl ServiceError {
             ServiceError::DeadlineExceeded { .. } => "deadline_exceeded",
             ServiceError::ShuttingDown => "shutting_down",
             ServiceError::RemoteWriteUnsupported => "remote_write_unsupported",
+            ServiceError::Internal => "internal_error",
         }
     }
 
     /// The HTTP status this error maps to: 503 overloaded / shutting down,
     /// 429 per-tenant quota, 422 unresolvable query, 400 invalid targets,
-    /// 504 deadline expired before planning, 501 write in coordinator mode.
+    /// 504 deadline expired before planning, 501 write in coordinator mode,
+    /// 500 a panicked batch.
     pub fn http_status(&self) -> u16 {
         match self {
             ServiceError::Overloaded { .. } => 503,
@@ -579,6 +580,7 @@ impl ServiceError {
             ServiceError::DeadlineExceeded { .. } => 504,
             ServiceError::ShuttingDown => 503,
             ServiceError::RemoteWriteUnsupported => 501,
+            ServiceError::Internal => 500,
         }
     }
 
@@ -636,6 +638,9 @@ impl fmt::Display for ServiceError {
                 "writes are not supported in remote shard mode; \
                  apply writes to the shard fleet's source graph and restart",
             ),
+            ServiceError::Internal => {
+                f.write_str("internal error: the batch answering this request panicked")
+            }
         }
     }
 }
@@ -898,7 +903,6 @@ mod tests {
             compacted: true,
             delta_ops: 0,
             evicted_answers: 2,
-            evicted_samplers: 4,
             epoch: 7,
         };
         let json = outcome.to_json();
@@ -907,7 +911,7 @@ mod tests {
         assert_eq!(json["compacted"].as_bool(), Some(true));
         assert_eq!(json["delta_ops"].as_f64(), Some(0.0));
         assert_eq!(json["evicted_answers"].as_f64(), Some(2.0));
-        assert_eq!(json["evicted_samplers"].as_f64(), Some(4.0));
+        assert!(json.get("evicted_samplers").is_none());
         assert_eq!(json["epoch"].as_f64(), Some(7.0));
     }
 

@@ -16,8 +16,9 @@
 
 use crate::config::TenantPolicy;
 use crate::request::{QueryRequest, ServiceAnswer, ServiceError};
+use crate::service::MetricsInner;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// One admitted request waiting for (or being refined by) a worker.
@@ -28,8 +29,38 @@ pub(crate) struct Job {
     pub admitted: Instant,
     /// Absolute deadline derived from `request.deadline_ms` at admission.
     pub deadline: Option<Instant>,
-    /// Where the answer (or error) goes.
-    pub reply: mpsc::Sender<Result<ServiceAnswer, ServiceError>>,
+    /// Where the answer (or error) goes; taken by [`Job::answer`].
+    pub reply: Option<mpsc::Sender<Result<ServiceAnswer, ServiceError>>>,
+    /// The service counters, for the `failed` count of a job dropped
+    /// unanswered.
+    pub metrics: Arc<Mutex<MetricsInner>>,
+}
+
+impl Job {
+    /// Sends the job's one reply. The caller has counted its outcome.
+    pub fn answer(mut self, result: Result<ServiceAnswer, ServiceError>) {
+        if let Some(reply) = self.reply.take() {
+            // The client may have given up; a dead receiver is not an error.
+            let _ = reply.send(result);
+        }
+    }
+}
+
+impl Drop for Job {
+    /// A job is dropped unanswered only when a panic unwinds the batch that
+    /// holds it: it is answered `internal_error` and counted `failed` in its
+    /// tenant row, so the client gets a reply and the row still balances.
+    /// The metrics lock may be poisoned by that panic; counters stay usable.
+    fn drop(&mut self) {
+        if let Some(reply) = self.reply.take() {
+            self.metrics
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .tenant(&self.request.tenant)
+                .failed += 1;
+            let _ = reply.send(Err(ServiceError::Internal));
+        }
+    }
 }
 
 struct TenantState {
@@ -83,18 +114,17 @@ impl Scheduler {
         self.total_queued
     }
 
-    /// Admits a job or rejects it with the policy's error: per-tenant quota
-    /// for deadline requests, the global capacity for deadline-less ones.
-    pub fn try_enqueue(&mut self, job: Job) -> Result<(), ServiceError> {
-        let global_vtime = self.global_vtime;
+    /// Whether a request of `tenant` may be queued, or the policy's error:
+    /// per-tenant quota for deadline requests, the global capacity for
+    /// deadline-less ones. Follow with [`Self::enqueue`] under the same lock.
+    pub fn admit(&mut self, tenant: &str, has_deadline: bool) -> Result<(), ServiceError> {
         let queue_capacity = self.queue_capacity;
         let total_queued = self.total_queued;
-        let tenant_name = job.request.tenant.clone();
-        let state = self.tenant_mut(&tenant_name);
-        if job.deadline.is_some() {
+        let state = self.tenant_mut(tenant);
+        if has_deadline {
             if state.queue.len() >= state.quota {
                 return Err(ServiceError::TenantQuotaExceeded {
-                    tenant: tenant_name,
+                    tenant: tenant.to_string(),
                     quota: state.quota,
                 });
             }
@@ -103,6 +133,13 @@ impl Scheduler {
                 capacity: queue_capacity,
             });
         }
+        Ok(())
+    }
+
+    /// Queues a job [`Self::admit`] let in.
+    pub fn enqueue(&mut self, job: Job) {
+        let global_vtime = self.global_vtime;
+        let state = self.tenant_mut(&job.request.tenant);
         if state.queue.is_empty() {
             // An idle tenant re-enters at the global clock: banking vtime
             // while idle would let it starve everyone on return.
@@ -110,7 +147,6 @@ impl Scheduler {
         }
         state.queue.push_back(job);
         self.total_queued += 1;
-        Ok(())
     }
 
     /// Checks out up to `max` jobs in weighted-fair order: each pick takes

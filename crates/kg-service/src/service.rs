@@ -13,9 +13,7 @@ use kg_aqp::{
     config_fingerprint, graph_fingerprint, BatchEngine, FleetPolicy, QueryAnswer,
     RemoteMetricsSnapshot, RoundOutcome, ShardFleet, ShardedSession, ShardedStats, TcpTransport,
 };
-use kg_core::{
-    DegreeBalancedPartitioner, EntityId, KnowledgeGraph, PredicateId, ShardedGraph, TypeId,
-};
+use kg_core::{DegreeBalancedPartitioner, KnowledgeGraph, ShardedGraph};
 use kg_core::{KgError, KgResult};
 use kg_embed::{PredicateSimilarity, PredicateVectorStore};
 use kg_estimate::achieved_error_bound;
@@ -36,9 +34,6 @@ struct EngineState {
     /// (`K = config.shards`; K = 1 owns every entity on shard 0).
     sharded: Arc<ShardedGraph>,
     similarity: Arc<dyn PredicateSimilarity>,
-    /// Prepared samplers shared across the service lifetime (one entry per
-    /// distinct simple component ever planned against this graph).
-    samplers: Arc<SamplerCache>,
 }
 
 /// Where compaction writes snapshots once
@@ -116,9 +111,9 @@ pub struct TenantMetrics {
 
 /// The service's counters. Request outcomes are counted once, in the tenant
 /// rows; [`Service::metrics`] sums them into the global totals.
-struct MetricsInner {
-    /// Worker batches abandoned to a panic (see `worker_loop`): counted
-    /// here because a panic cannot be attributed to one tenant.
+pub(crate) struct MetricsInner {
+    /// Batches unwound by a panic (see `answer_batch`); their unanswered
+    /// jobs are counted `failed` in their own tenant rows.
     worker_panics: u64,
     max_queue_depth: usize,
     /// End-to-end latency (admission → answer) in a fixed log2-bucket
@@ -146,8 +141,9 @@ struct MetricsInner {
     compactions: u64,
     /// Cached answers evicted by write footprints (cumulative).
     answers_evicted: u64,
-    /// Prepared samplers evicted by write footprints (cumulative).
-    samplers_evicted: u64,
+    /// Prepared-sampler lookups summed over every batch's own
+    /// [`SamplerCache`] (cumulative).
+    sampler_cache: CacheStats,
     /// Per-component write epochs, keyed by predicate name: bumped once per
     /// write for every predicate the write touched, so `kg_write_epoch`
     /// shows which components have churned and tests can assert a write to
@@ -181,7 +177,7 @@ impl Default for MetricsInner {
             write_ops: 0,
             compactions: 0,
             answers_evicted: 0,
-            samplers_evicted: 0,
+            sampler_cache: CacheStats::default(),
             component_epochs: BTreeMap::new(),
             snapshot_writes: 0,
             degraded_answers: 0,
@@ -191,7 +187,7 @@ impl Default for MetricsInner {
 }
 
 impl MetricsInner {
-    fn tenant(&mut self, name: &str) -> &mut TenantMetrics {
+    pub(crate) fn tenant(&mut self, name: &str) -> &mut TenantMetrics {
         if !self.tenants.contains_key(name) {
             self.tenants
                 .insert(name.to_string(), TenantMetrics::default());
@@ -219,11 +215,11 @@ pub struct MetricsSnapshot {
     pub deadline_exceeded: u64,
     /// Completed answers flagged `guarantee_met: false` (anytime answers).
     pub anytime: u64,
-    /// Requests that failed planning or validation of targets, plus
-    /// [`MetricsSnapshot::worker_panics`].
+    /// Requests that failed planning or validation of targets, expired
+    /// before planning, or were left unanswered by a panicked batch.
     pub failed: u64,
-    /// Worker batches abandoned to a panic (their clients see the reply
-    /// channel close); not attributed to any tenant.
+    /// Batches unwound by a panic; each of their unanswered requests got
+    /// `internal_error` and counts under `failed` in its tenant row.
     pub worker_panics: u64,
     /// Current admission-queue depth (all tenants).
     pub queue_depth: usize,
@@ -231,7 +227,8 @@ pub struct MetricsSnapshot {
     pub max_queue_depth: usize,
     /// Result-cache counters.
     pub cache: ResultCacheStats,
-    /// Prepared-sampler cache counters (current graph generation).
+    /// Prepared-sampler lookups, summed over the per-batch sampler caches
+    /// (cumulative; only the path-limit fallback prepares).
     pub sampler_cache: CacheStats,
     /// End-to-end latency histogram (log2 millisecond buckets); read
     /// percentiles with [`HistogramSnapshot::quantile`].
@@ -259,8 +256,6 @@ pub struct MetricsSnapshot {
     /// invalidations from [`Service::swap_graph`] are counted separately in
     /// `cache.invalidations`).
     pub answers_evicted: u64,
-    /// Prepared samplers evicted by write footprints (cumulative).
-    pub samplers_evicted: u64,
     /// Pending delta operations on the live graph (a gauge: 0 right after a
     /// compaction).
     pub delta_ops: usize,
@@ -368,7 +363,7 @@ impl MetricsSnapshot {
         let mut sampler_cache = MetricFamily::new(
             "kg_sampler_cache_total",
             MetricKind::Counter,
-            "Prepared-sampler cache lookups by event (current generation).",
+            "Prepared-sampler lookups by event, summed over per-batch caches.",
         );
         sampler_cache.push("", &[("event", "hit")], self.sampler_cache.hits as f64);
         sampler_cache.push("", &[("event", "miss")], self.sampler_cache.misses as f64);
@@ -399,7 +394,6 @@ impl MetricsSnapshot {
             ("ops", self.write_ops),
             ("compactions", self.compactions),
             ("answers_evicted", self.answers_evicted),
-            ("samplers_evicted", self.samplers_evicted),
         ] {
             writes.push("", &[("effect", effect)], value as f64);
         }
@@ -473,7 +467,7 @@ impl MetricsSnapshot {
         let mut panics = MetricFamily::new(
             "kg_worker_panics_total",
             MetricKind::Counter,
-            "Worker batches abandoned to a panic (their clients see the reply channel close).",
+            "Batches unwound by a panic (their unanswered requests count as failed).",
         );
         panics.push("", &[], self.worker_panics as f64);
         families.push(panics);
@@ -537,7 +531,9 @@ struct Inner {
     available: Condvar,
     shutdown: AtomicBool,
     cache: ResultCache,
-    metrics: Mutex<MetricsInner>,
+    /// Shared with every queued [`Job`], which counts itself `failed` if a
+    /// panic drops it unanswered.
+    metrics: Arc<Mutex<MetricsInner>>,
     /// Armed by [`Service::enable_snapshot_writes`]; compactions then
     /// persist the freshly compacted graph as a snapshot bundle.
     snapshot_sink: Mutex<Option<SnapshotSink>>,
@@ -577,10 +573,11 @@ impl PendingAnswer {
 
 /// A long-running query service over one knowledge graph.
 ///
-/// Owns the graph, a [`BatchEngine`], a lifetime-scoped sampler cache and
-/// the confidence-aware result cache; a pool of worker threads drains the
-/// per-tenant weighted-fair queues, interleaving refinement rounds across
-/// the checked-out queries so one expensive query cannot convoy the rest.
+/// Owns the graph, a [`BatchEngine`] and the confidence-aware result cache;
+/// it keeps no prepared sampler between batches. A pool of worker threads
+/// drains the per-tenant weighted-fair queues, interleaving refinement
+/// rounds across the checked-out queries so one expensive query cannot
+/// convoy the rest.
 /// See the [crate docs](crate) for the request lifecycle.
 pub struct Service {
     inner: Arc<Inner>,
@@ -596,10 +593,6 @@ impl Service {
         similarity: Arc<dyn PredicateSimilarity>,
         config: ServiceConfig,
     ) -> Self {
-        let samplers = Arc::new(SamplerCache::new(
-            config.engine.strategy,
-            config.engine.sampler_config(),
-        ));
         let sharded = Arc::new(partition(graph, config.shards));
         let sched = Scheduler::new(config.tenants.clone(), config.queue_capacity);
         let remote = config.remote.as_ref().map(|topology| {
@@ -625,13 +618,12 @@ impl Service {
             state: Mutex::new(EngineState {
                 sharded,
                 similarity,
-                samplers,
             }),
             sched: Mutex::new(sched),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             cache: ResultCache::new(),
-            metrics: Mutex::new(MetricsInner::default()),
+            metrics: Arc::new(Mutex::new(MetricsInner::default())),
             snapshot_sink: Mutex::new(None),
             snapshot_load: Mutex::new(None),
             remote,
@@ -709,17 +701,10 @@ impl Service {
                 return Err(ServiceError::ShuttingDown);
             }
             let mut metrics = self.inner.metrics.lock().unwrap();
-            metrics.tenant(&request.tenant).submitted += 1;
-            let tenant_name = request.tenant.clone();
-            if let Err(e) = sched.try_enqueue(Job {
-                request,
-                admitted,
-                deadline,
-                reply: tx,
-            }) {
-                // `try_enqueue` refuses only by tenant quota or by global
-                // capacity.
-                let tenant = metrics.tenant(&tenant_name);
+            let tenant = metrics.tenant(&request.tenant);
+            tenant.submitted += 1;
+            if let Err(e) = sched.admit(&request.tenant, deadline.is_some()) {
+                // `admit` refuses only by tenant quota or by global capacity.
                 if matches!(e, ServiceError::TenantQuotaExceeded { .. }) {
                     tenant.quota_shed += 1;
                 } else {
@@ -727,6 +712,13 @@ impl Service {
                 }
                 return Err(e);
             }
+            sched.enqueue(Job {
+                request,
+                admitted,
+                deadline,
+                reply: Some(tx),
+                metrics: Arc::clone(&self.inner.metrics),
+            });
             metrics.max_queue_depth = metrics.max_queue_depth.max(sched.ready());
         }
         self.inner.available.notify_one();
@@ -757,7 +749,7 @@ impl Service {
         };
         let n = jobs.len();
         if n > 0 {
-            handle_jobs(&self.inner, jobs);
+            answer_batch(&self.inner, jobs);
         }
         n
     }
@@ -768,31 +760,21 @@ impl Service {
     }
 
     /// Atomically replaces the graph (and its similarity provider): the
-    /// graph is re-partitioned into `config.shards` shards, the sampler
-    /// cache is recreated and the result cache invalidated by generation
-    /// — exactly as for an unsharded swap — so no answer computed against
-    /// the old graph can be served afterwards. Requests already checked out
+    /// graph is re-partitioned into `config.shards` shards and the result
+    /// cache invalidated by generation — exactly as for an unsharded swap —
+    /// so no answer computed against the old graph can be served afterwards. Requests already checked out
     /// by a worker still complete against the graph they started with.
     pub fn swap_graph(&self, graph: Arc<KnowledgeGraph>, similarity: Arc<dyn PredicateSimilarity>) {
         let sharded = Arc::new(partition(graph, self.inner.config.shards));
         let mut state = self.inner.state.lock().unwrap();
         state.sharded = sharded;
         state.similarity = similarity;
-        state.samplers = Arc::new(SamplerCache::new(
-            self.inner.config.engine.strategy,
-            self.inner.config.engine.sampler_config(),
-        ));
         self.inner.cache.invalidate();
     }
 
-    /// Explicitly invalidates the caches without changing the graph (for
-    /// external state changes the service cannot observe).
+    /// Explicitly invalidates the result cache without changing the graph
+    /// (for external state changes the service cannot observe).
     pub fn invalidate_caches(&self) {
-        let mut state = self.inner.state.lock().unwrap();
-        state.samplers = Arc::new(SamplerCache::new(
-            self.inner.config.engine.strategy,
-            self.inner.config.engine.sampler_config(),
-        ));
         self.inner.cache.invalidate();
     }
 
@@ -861,12 +843,13 @@ impl Service {
     ///
     /// Invalidation is **component-scoped**, not global: the write's name
     /// footprint (touched entities, predicates, endpoint types) evicts only
-    /// the cached answers and prepared samplers whose own footprint
-    /// intersects it. Cached answers, live sessions and samplers of
-    /// untouched components survive, and the cache generation does not move
-    /// — in-flight queries on unrelated components complete and cache
-    /// normally. Sharded deployments re-partition preservingly: existing
-    /// entities keep their shard, new entities join the least-loaded shard.
+    /// the cached answers whose own footprint intersects it. Cached answers
+    /// and live sessions of untouched components survive, and the cache
+    /// generation does not move — in-flight queries on unrelated components
+    /// complete and cache normally. The service keeps no prepared sampler
+    /// between batches, so a write has none to evict. Sharded deployments
+    /// re-partition preservingly: existing entities keep their shard, new
+    /// entities join the least-loaded shard.
     pub fn apply_write(&self, write: WriteRequest) -> Result<WriteOutcome, ServiceError> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(ServiceError::ShuttingDown);
@@ -882,7 +865,7 @@ impl Service {
         let mut entities: Vec<String> = Vec::new();
         let mut predicates: Vec<String> = Vec::new();
         let mut types: Vec<String> = Vec::new();
-        let (footprint, compacted, delta_ops, evicted_answers, evicted_samplers, epoch, to_persist) = {
+        let (footprint, compacted, delta_ops, evicted_answers, epoch, to_persist) = {
             let mut state = self.inner.state.lock().unwrap();
             let mut graph = (**state.sharded.global()).clone();
             for op in &write.ops {
@@ -938,29 +921,6 @@ impl Service {
             let sharded = state
                 .sharded
                 .repartition_preserving(Arc::clone(&new_global));
-            // Resolve the footprint names against the post-write graph (new
-            // names intern during application) and evict only the prepared
-            // samplers whose key touches them.
-            let touched_predicates: Vec<PredicateId> = footprint
-                .predicates
-                .iter()
-                .filter_map(|p| new_global.predicate_id(p))
-                .collect();
-            let touched_types: Vec<TypeId> = footprint
-                .types
-                .iter()
-                .filter_map(|t| new_global.type_id(t))
-                .collect();
-            let touched_entities: Vec<EntityId> = footprint
-                .entities
-                .iter()
-                .filter_map(|e| new_global.entity_by_name(e))
-                .collect();
-            let evicted_samplers = state.samplers.evict_touching(
-                &touched_predicates,
-                &touched_types,
-                &touched_entities,
-            );
             state.sharded = Arc::new(sharded);
             // Still under the state lock: a worker snapshotting (sharded,
             // write_seq) can never pair the new graph with the old seq.
@@ -975,7 +935,6 @@ impl Service {
                 compacted,
                 delta_ops,
                 evicted_answers,
-                evicted_samplers,
                 epoch,
                 to_persist,
             )
@@ -1005,7 +964,6 @@ impl Service {
                 metrics.compactions += 1;
             }
             metrics.answers_evicted += evicted_answers as u64;
-            metrics.samplers_evicted += evicted_samplers as u64;
             for predicate in &footprint.predicates {
                 *metrics
                     .component_epochs
@@ -1019,7 +977,6 @@ impl Service {
                 ("epoch", epoch.into()),
                 ("ops", applied.into()),
                 ("evicted_answers", evicted_answers.into()),
-                ("evicted_samplers", evicted_samplers.into()),
                 ("compacted", u64::from(compacted).into()),
             ],
         );
@@ -1029,7 +986,6 @@ impl Service {
             compacted,
             delta_ops,
             evicted_answers,
-            evicted_samplers,
             epoch,
         })
     }
@@ -1038,10 +994,14 @@ impl Service {
     /// are sums over the tenant rows, so the two can never disagree.
     pub fn metrics(&self) -> MetricsSnapshot {
         let queue_depth = self.inner.sched.lock().unwrap().ready();
-        let (sampler_cache, delta_ops) = {
-            let state = self.inner.state.lock().unwrap();
-            (state.samplers.stats(), state.sharded.global().delta_ops())
-        };
+        let delta_ops = self
+            .inner
+            .state
+            .lock()
+            .unwrap()
+            .sharded
+            .global()
+            .delta_ops();
         let cache = self.inner.cache.stats();
         let snapshot_load = *self.inner.snapshot_load.lock().unwrap();
         let remote = self
@@ -1064,12 +1024,12 @@ impl Service {
             quota_shed: sum(|t| t.quota_shed),
             deadline_exceeded: sum(|t| t.deadline_exceeded),
             anytime: sum(|t| t.anytime),
-            failed: sum(|t| t.failed) + metrics.worker_panics,
+            failed: sum(|t| t.failed),
             worker_panics: metrics.worker_panics,
             queue_depth,
             max_queue_depth: metrics.max_queue_depth,
             cache,
-            sampler_cache,
+            sampler_cache: metrics.sampler_cache,
             latency_hist: metrics.latency_hist.snapshot(),
             queue_hist: metrics.queue_hist.snapshot(),
             achieved_hist: metrics.achieved_hist.snapshot(),
@@ -1080,7 +1040,6 @@ impl Service {
             write_ops: metrics.write_ops,
             compactions: metrics.compactions,
             answers_evicted: metrics.answers_evicted,
-            samplers_evicted: metrics.samplers_evicted,
             delta_ops,
             component_epochs: metrics.component_epochs.clone(),
             snapshot_load,
@@ -1144,7 +1103,7 @@ impl Service {
         }
         let leftovers: Vec<Job> = self.inner.sched.lock().unwrap().drain_all();
         for job in leftovers {
-            let _ = job.reply.send(Err(ServiceError::ShuttingDown));
+            job.answer(Err(ServiceError::ShuttingDown));
         }
     }
 }
@@ -1175,18 +1134,26 @@ fn worker_loop(inner: &Arc<Inner>) {
             let n = fair.min(inner.config.drain_batch.max(1));
             sched.checkout(n)
         };
-        // A panicking job (an engine invariant violated by one query) must
-        // not take the worker thread down with it: the affected clients see
-        // their reply channel close, everyone else keeps being served.
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle_jobs(inner, jobs)));
-        if result.is_err() {
-            // Tolerate a poisoned metrics lock here: this path exists to
-            // keep the worker alive, not to die on bookkeeping.
-            if let Ok(mut metrics) = inner.metrics.lock() {
-                metrics.worker_panics += 1;
-            }
-        }
+        answer_batch(inner, jobs);
+    }
+}
+
+/// Answers one checked-out batch ([`handle_jobs`]), catching a panic so
+/// that one query violating an engine invariant cannot take the worker
+/// down with it. The unwind drops every job of the batch not yet answered,
+/// late admissions included, and a dropped job answers itself
+/// `internal_error` and counts `failed` in its tenant row (see [`Job`]);
+/// the panic itself is counted once here.
+fn answer_batch(inner: &Arc<Inner>, jobs: Vec<Job>) {
+    let result =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle_jobs(inner, jobs)));
+    if result.is_err() {
+        // The panic may have poisoned the lock; the counters stay usable.
+        inner
+            .metrics
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .worker_panics += 1;
     }
 }
 
@@ -1251,17 +1218,25 @@ fn handle_jobs(inner: &Arc<Inner>, jobs: Vec<Job>) {
     // *together*: swap_graph bumps the generation and apply_write bumps the
     // write seq under the same lock, so a worker can never pair a new graph
     // with an old stamp (or vice versa).
-    let (sharded, similarity, samplers, generation, snapshot_seq) = {
+    let (sharded, similarity, generation, snapshot_seq) = {
         let state = inner.state.lock().unwrap();
         (
             Arc::clone(&state.sharded),
             Arc::clone(&state.similarity),
-            Arc::clone(&state.samplers),
             inner.cache.generation(),
             inner.cache.write_seq(),
         )
     };
     let similarity: &dyn PredicateSimilarity = &*similarity;
+    // Prepared samplers live for this batch only: a prepared π depends on
+    // every edge of the mapping node's n-bounded subgraph (Eq. 5–6), which
+    // no name-level write footprint can bound, so none outlives the graph
+    // snapshot it was prepared against. Exact plans never touch it, and an
+    // empty cache allocates nothing.
+    let samplers = SamplerCache::new(
+        inner.config.engine.strategy,
+        inner.config.engine.sampler_config(),
+    );
 
     let mut tasks: BTreeMap<String, VecDeque<ActiveTask>> = BTreeMap::new();
     triage_jobs(
@@ -1449,9 +1424,15 @@ fn triage_jobs(
             .collect();
         // The whole batch is planned at once; in coordinator mode the
         // sessions scatter their refinement rounds to the shard fleet.
-        let (sessions, _) = inner
+        let (sessions, stats) = inner
             .batch
             .open_sessions_cached(sharded, &queries, similarity, samplers);
+        let lookups = stats.sampler_cache;
+        if lookups.hits + lookups.misses > 0 {
+            let mut metrics = inner.metrics.lock().unwrap();
+            metrics.sampler_cache.hits += lookups.hits;
+            metrics.sampler_cache.misses += lookups.misses;
+        }
         for ((job, key, queue_ms), session) in fresh.into_iter().zip(sessions) {
             match session {
                 Err(e) => {
@@ -1461,7 +1442,7 @@ fn triage_jobs(
                         .unwrap()
                         .tenant(&job.request.tenant)
                         .failed += 1;
-                    let _ = job.reply.send(Err(ServiceError::Rejected(Arc::new(e))));
+                    job.answer(Err(ServiceError::Rejected(Arc::new(e))));
                 }
                 Ok(session) => {
                     let footprint = job.request.query.footprint();
@@ -1668,8 +1649,7 @@ fn respond(
         .trace
         .then(|| trajectory_json(&answer, served_from, queue_ms, total_ms, rounds));
     let tenant = job.request.tenant.clone();
-    // The client may have given up; a dead receiver is not an error.
-    let _ = job.reply.send(Ok(ServiceAnswer {
+    job.answer(Ok(ServiceAnswer {
         answer,
         served_from,
         queue_ms,
@@ -1690,9 +1670,7 @@ fn respond_deadline_exceeded(inner: &Inner, job: Job) {
         tenant.deadline_exceeded += 1;
     }
     let deadline_ms = job.request.deadline_ms.unwrap_or(0.0);
-    let _ = job
-        .reply
-        .send(Err(ServiceError::DeadlineExceeded { deadline_ms }));
+    job.answer(Err(ServiceError::DeadlineExceeded { deadline_ms }));
 }
 
 // `ShardedSession` must stay shippable between the cache and workers.

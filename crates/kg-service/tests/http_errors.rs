@@ -257,7 +257,7 @@ fn expired_deadline_before_planning_is_a_structured_504() {
 #[test]
 fn the_service_error_table_is_stable() {
     use kg_service::ServiceError;
-    let cases: [(ServiceError, u16, &str); 7] = [
+    let cases: [(ServiceError, u16, &str); 8] = [
         (ServiceError::Overloaded { capacity: 4 }, 503, "overloaded"),
         (
             ServiceError::TenantQuotaExceeded {
@@ -292,6 +292,7 @@ fn the_service_error_table_is_stable() {
             501,
             "remote_write_unsupported",
         ),
+        (ServiceError::Internal, 500, "internal_error"),
     ];
     for (error, status, code) in cases {
         assert_eq!(error.http_status(), status, "{error}");

@@ -4,7 +4,9 @@
 //! forgets.
 
 use kg_aqp::{BatchEngine, EngineConfig};
+use kg_core::PredicateId;
 use kg_datagen::{domains, generate, DatasetScale, GeneratedDataset, GeneratorConfig};
+use kg_embed::{PredicateSimilarity, PredicateVectorStore};
 use kg_estimate::satisfies_error_bound;
 use kg_query::{AggregateFunction, AggregateQuery, Filter, GroupBy, SimpleQuery};
 use kg_service::{QueryRequest, ServedFrom, Service, ServiceConfig, ServiceError};
@@ -533,5 +535,108 @@ fn a_candidate_past_the_path_limit_is_answered_by_sampling() {
     let m = svc.metrics();
     assert_eq!((m.completed, m.exact_answers), (1, 0));
     assert!(m.sampler_cache.misses > 0);
+    svc.shutdown();
+}
+
+/// Panics when asked about one predicate: an engine invariant violated by
+/// the one query whose plan reaches it.
+struct PanicsOn {
+    store: PredicateVectorStore,
+    poison: PredicateId,
+}
+
+impl PredicateSimilarity for PanicsOn {
+    fn similarity(&self, a: PredicateId, b: PredicateId) -> f64 {
+        assert!(a != self.poison && b != self.poison, "poisoned predicate");
+        self.store.similarity(a, b)
+    }
+}
+
+/// A panic in one query of a batch unwinds the whole batch. Every job of it
+/// still gets a reply: the cache hit answered before the panic keeps its
+/// answer, and the two jobs planned with the poisoned query get
+/// `internal_error`. Each is counted once, so every tenant row balances,
+/// and the panic is counted once.
+#[test]
+fn a_panicking_batch_is_answered_and_counted() {
+    let mut b = kg_core::GraphBuilder::new();
+    b.add_entity("Germany", &["Country"]);
+    for i in 0..6 {
+        let car = b.add_entity(&format!("car{i}"), &["Automobile"]);
+        b.set_attribute(car, "price", 20_000.0 + 1_000.0 * i as f64);
+        b.add_edge_by_name("Germany", "product", &format!("car{i}"));
+    }
+    b.add_entity("Japan", &["Island"]);
+    for i in 0..5 {
+        b.add_entity(&format!("ship{i}"), &["Ship"]);
+        b.add_edge_by_name("Japan", "builds", &format!("ship{i}"));
+    }
+    let graph = b.build();
+    let builds = graph.predicate_id("builds").unwrap();
+    let store = kg_embed::oracle::oracle_store(&[
+        (graph.predicate_id("product").unwrap(), 0, 1.0),
+        (builds, 1, 1.0),
+    ]);
+    let svc = Service::new(
+        Arc::new(graph),
+        Arc::new(PanicsOn {
+            store,
+            poison: builds,
+        }),
+        ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        },
+    );
+    let cars = SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]);
+    let ships = SimpleQuery::new("Japan", &["Island"], "builds", &["Ship"]);
+    let count_cars = AggregateQuery::simple(cars.clone(), AggregateFunction::Count);
+    let request = |query: &AggregateQuery, tenant: &str| {
+        QueryRequest::new(query.clone(), 0.05, 0.95).with_tenant(tenant)
+    };
+    let warm = svc.submit(request(&count_cars, "a")).unwrap();
+    assert_eq!(svc.drain_once(), 1);
+    assert_eq!(warm.wait().unwrap().served_from, ServedFrom::Fresh);
+
+    let hit = svc.submit(request(&count_cars, "a")).unwrap();
+    let poisoned = svc
+        .submit(request(
+            &AggregateQuery::simple(ships, AggregateFunction::Count),
+            "b",
+        ))
+        .unwrap();
+    let planned_beside = svc
+        .submit(request(
+            &AggregateQuery::simple(cars, AggregateFunction::Sum("price".into())),
+            "a",
+        ))
+        .unwrap();
+    assert_eq!(svc.drain_once(), 3);
+    assert_eq!(hit.wait().unwrap().served_from, ServedFrom::CacheHit);
+    for pending in [poisoned, planned_beside] {
+        let err = pending.wait().unwrap_err();
+        assert!(matches!(err, ServiceError::Internal), "{err}");
+        assert_eq!((err.http_status(), err.code()), (500, "internal_error"));
+    }
+
+    let m = svc.metrics();
+    for (tenant, t) in &m.tenants {
+        assert_eq!(t.submitted, t.completed + t.failed, "tenant {tenant}");
+    }
+    assert_eq!((m.tenants["a"].completed, m.tenants["a"].failed), (2, 1));
+    assert_eq!((m.tenants["b"].completed, m.tenants["b"].failed), (0, 1));
+    assert_eq!((m.submitted, m.completed, m.failed), (4, 2, 2));
+    assert_eq!(m.worker_panics, 1);
+    let families = kg_telemetry::parse(&m.to_prometheus()).unwrap();
+    let panics = families
+        .iter()
+        .find(|f| f.name == "kg_worker_panics_total")
+        .expect("panic family exported");
+    assert_eq!(panics.samples[0].value, 1.0);
+
+    // The service keeps answering after the panic.
+    let again = svc.submit(request(&count_cars, "a")).unwrap();
+    assert_eq!(svc.drain_once(), 1);
+    assert_eq!(again.wait().unwrap().served_from, ServedFrom::CacheHit);
     svc.shutdown();
 }

@@ -1,6 +1,6 @@
 //! The write path through the live service: `/v2/write` delta writes are
-//! component-scoped. A write evicts exactly the cached answers and prepared
-//! samplers whose footprint intersects it — answers on untouched components
+//! component-scoped. A write evicts exactly the cached answers whose
+//! footprint intersects it — answers on untouched components
 //! keep serving from cache across writes, a post-write fresh execution is
 //! bitwise the answer of a service built from scratch at the same logical
 //! state (read-your-writes), and the per-component epoch counters
@@ -10,8 +10,12 @@
 //!
 //! The two workloads live on **disconnected** components (disjoint
 //! entities, predicates and types) — the regime where footprint
-//! intersection is exact, see the caveat on `QueryFootprint`.
+//! intersection is exact, see the caveat on `QueryFootprint`. The service
+//! keeps no prepared sampler between batches, so a sampled plan after a
+//! write sees the write even on one connected graph, where no name of the
+//! query is touched.
 
+use kg_aqp::EngineConfig;
 use kg_core::{GraphBuilder, KnowledgeGraph};
 use kg_embed::oracle::oracle_store;
 use kg_embed::PredicateVectorStore;
@@ -91,9 +95,9 @@ fn answer_bits(a: &ServiceAnswer) -> (u64, u64) {
 }
 
 /// A write to one component must not disturb the other: the untouched
-/// component's cached answer keeps serving as a hit, exactly one answer and
-/// one sampler (the touched component's) are evicted, and only the touched
-/// predicate's epoch moves.
+/// component's cached answer keeps serving as a hit, exactly one answer
+/// (the touched component's) is evicted, and only the touched predicate's
+/// epoch moves.
 #[test]
 fn write_evicts_only_the_intersecting_component() {
     for shards in [1usize, 2] {
@@ -123,9 +127,8 @@ fn write_evicts_only_the_intersecting_component() {
         assert_eq!(outcome.delta_ops, 1);
         assert_eq!(outcome.epoch, 1);
         // Exactly the ship answer dies; the car entry — there were exactly
-        // two — survives. The exact service prepared no sampler to evict.
+        // two — survives.
         assert_eq!(outcome.evicted_answers, 1);
-        assert_eq!(outcome.evicted_samplers, 0);
 
         let metrics = svc.metrics();
         assert_eq!(metrics.writes, 1);
@@ -175,7 +178,6 @@ fn compaction_is_invisible_to_cached_answers() {
     assert!(outcome.compacted);
     assert_eq!(outcome.delta_ops, 0);
     assert_eq!(outcome.evicted_answers, 0);
-    assert_eq!(outcome.evicted_samplers, 0);
     assert_eq!(svc.metrics().delta_ops, 0);
     assert_eq!(svc.metrics().compactions, 1);
 
@@ -187,6 +189,109 @@ fn compaction_is_invisible_to_cached_answers() {
     assert_eq!(answer_bits(&car_after), answer_bits(&car));
     assert_eq!(answer_bits(&ship_after), answer_bits(&ship));
     svc.shutdown();
+}
+
+/// One connected graph: Germany ─product→ 6 cars, CompA ─located→ Germany
+/// and CompB ─makes→ 4 more cars, which lie outside Germany's 3-bounded
+/// subgraph until CompA and CompB are linked. Both companies also own
+/// plants, which makes them the two highest-degree entities before and
+/// after that link: the degree-balanced partition puts one on each of two
+/// shards first, the link raises both shard loads by one, and so the
+/// partition of the written graph from scratch equals the one the live
+/// service preserves.
+fn connected_builder() -> GraphBuilder {
+    let mut b = GraphBuilder::new();
+    b.add_entity("Germany", &["Country"]);
+    for i in 0..6 {
+        let car = b.add_entity(&format!("car{i}"), &["Automobile"]);
+        b.set_attribute(car, "price", 20_000.0 + 1_000.0 * i as f64);
+        b.add_edge_by_name("Germany", "product", &format!("car{i}"));
+    }
+    b.add_entity("CompA", &["Company"]);
+    b.add_edge_by_name("CompA", "located", "Germany");
+    b.add_entity("CompB", &["Company"]);
+    for i in 0..4 {
+        let car = b.add_entity(&format!("made{i}"), &["Automobile"]);
+        b.set_attribute(car, "price", 30_000.0 + 1_000.0 * i as f64);
+        b.add_edge_by_name("CompB", "makes", &format!("made{i}"));
+    }
+    for (company, plants) in [("CompA", 8), ("CompB", 6)] {
+        for i in 0..plants {
+            let plant = format!("{company}_plant{i}");
+            b.add_entity(&plant, &["Plant"]);
+            b.add_edge_by_name(company, "owns", &plant);
+        }
+    }
+    b
+}
+
+/// A service answering by Algorithm 2 (`enumerate: false`), so every fresh
+/// plan prepares a sampler.
+fn sampled_service_over(graph: KnowledgeGraph, shards: usize) -> Service {
+    let oracle = oracle_store(&[
+        (graph.predicate_id("product").unwrap(), 0, 1.0),
+        (graph.predicate_id("located").unwrap(), 0, 0.9),
+        (graph.predicate_id("makes").unwrap(), 0, 0.95),
+    ]);
+    Service::new(
+        Arc::new(graph),
+        Arc::new(oracle),
+        ServiceConfig {
+            engine: EngineConfig {
+                enumerate: false,
+                ..EngineConfig::default()
+            },
+            workers: 0,
+            shards,
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+/// A prepared sampler's π depends on every edge of the mapping node's
+/// n-bounded subgraph (Eq. 5–6). A write that links CompA to CompB names
+/// none of the query's names (Germany, product, Country, Automobile), yet
+/// pulls CompB's cars into Germany's ball. A query key the service has not
+/// seen must be planned against the written graph: bitwise the answer of a
+/// service built from scratch there, even though a SUM over the same
+/// component was sampled before the write.
+#[test]
+fn a_write_inside_a_sampled_querys_ball_reaches_its_next_plan() {
+    let germany_cars = SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]);
+    let sum = AggregateQuery::simple(germany_cars.clone(), AggregateFunction::Sum("price".into()));
+    let count = AggregateQuery::simple(germany_cars, AggregateFunction::Count);
+    for shards in [1usize, 2] {
+        let svc = sampled_service_over(connected_builder().build(), shards);
+        let before = exec(&svc, sum.clone());
+        assert_eq!(before.served_from, ServedFrom::Fresh);
+        assert!(before.answer.sample_size > 0, "{:?}", before.answer);
+        svc.apply_write(WriteRequest::new(vec![WriteOp::UpsertEdge {
+            subject: "CompA".into(),
+            predicate: "partner".into(),
+            object: "CompB".into(),
+        }]))
+        .expect("write applies");
+        let after = exec(&svc, count.clone());
+        assert_eq!(after.served_from, ServedFrom::Fresh);
+
+        let mut replay = connected_builder();
+        replay.add_edge_by_name("CompA", "partner", "CompB");
+        let reference = sampled_service_over(replay.build(), shards);
+        let expected = exec(&reference, count.clone());
+        assert_eq!(
+            answer_bits(&after),
+            answer_bits(&expected),
+            "shards {shards}"
+        );
+        assert_eq!(
+            after.answer.candidate_count, expected.answer.candidate_count,
+            "shards {shards}"
+        );
+        // The write is inside the ball: all ten cars are candidates.
+        assert_eq!(after.answer.candidate_count, 10, "shards {shards}");
+        reference.shutdown();
+        svc.shutdown();
+    }
 }
 
 /// One step of the interleaving schedule, decoded from a byte pair.

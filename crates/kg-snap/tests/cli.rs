@@ -186,6 +186,28 @@ fn verify_names_a_section_with_a_hostile_count() {
     );
 }
 
+/// A checksummed, re-signed section of a kind format v4 does not define
+/// (101, v3's prepared samplers) fails `verify` naming it, instead of
+/// passing as a complete file.
+#[test]
+fn verify_refuses_an_undefined_section_kind() {
+    let path = build_snapshot("extra");
+    let snap = Snapshot::from_bytes(std::fs::read(&path).unwrap()).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let mut writer = SnapshotWriter::new();
+    for info in snap.sections() {
+        writer.add_section(info.kind, snap.section(info.kind).unwrap().to_vec());
+    }
+    writer.add_section(101, vec![0xAB; 100]);
+    let p = temp_path("extra-kind");
+    std::fs::write(&p, writer.finish()).unwrap();
+    let out = kg_snap(&["verify", p.to_str().unwrap()]);
+    std::fs::remove_file(&p).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("section kind 101:"), "stderr: {stderr}");
+}
+
 /// Asserts `out` is an exit 2 with one stderr line that names `flag`.
 fn assert_refused(out: Output, flag: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
