@@ -1,23 +1,24 @@
 //! Batch execution: answer many aggregate queries over one graph in a
 //! single call, amortising planning work across the batch.
 //!
-//! Much of the per-query cost of [`AqpEngine::execute`] under Algorithm 2
-//! (`enumerate: false`) is per-component, not per-query: preparing a
-//! sampler (building the n-bounded scope, its stationary distribution
-//! (Eq. 6) and alias table). An exact plan prepares no sampler, so the cache
-//! serves only sessions that sample. Realistic workloads
-//! repeat components — a plain query and its filtered / GROUP-BY /
-//! aggregate variants all share one underlying simple query, chain planning
-//! re-anchors the same hop queries, and dashboards re-issue the same shapes
-//! with different operators. [`BatchEngine`] plans the whole batch against a shared
-//! [`SamplerCache`] (each distinct component is prepared exactly once) and
-//! fans the per-query sampling–estimation loops out on the rayon pool.
+//! Much of the per-query cost of [`AqpEngine::execute`] is per-component,
+//! not per-query: an exact plan walks every admissible path of each simple
+//! component and anchored chain hop, and under Algorithm 2
+//! (`enumerate: false`) a plan prepares a sampler per component (the
+//! n-bounded scope, its stationary distribution (Eq. 6) and alias table).
+//! Realistic workloads repeat components — a plain query and its filtered /
+//! GROUP-BY / aggregate variants all share one underlying simple query,
+//! chain planning re-anchors the same hop queries, and dashboards re-issue
+//! the same shapes with different operators. [`BatchEngine`] plans the
+//! whole batch against a shared [`SamplerCache`] (each distinct hop is
+//! walked, and each distinct component prepared, exactly once) and fans the
+//! per-query sampling–estimation loops out on the rayon pool.
 //!
 //! Batched answers are **bitwise-identical** to the serial per-query loop
 //! for a fixed seed: every query still runs its own [`Session`] seeded from
-//! the engine configuration, and the only shared state — prepared samplers
-//! — is the result of deterministic computation, so sharing changes who
-//! computes a value, never the value.
+//! the engine configuration, and the only shared state — walk outcomes and
+//! prepared samplers — is the result of deterministic computation, so
+//! sharing changes who computes a value, never the value.
 //!
 //! The graph handle picks the executor, as for [`AqpEngine::open_session`]:
 //! the same two entry points run a [`kg_core::KnowledgeGraph`], a
@@ -45,10 +46,11 @@
 //! // Both queries share one component: it is prepared once and reused.
 //! assert_eq!(stats.sampler_cache.misses, 1);
 //! assert_eq!(stats.sampler_cache.hits, 1);
-//! // Exact plans (the default) prepare nothing.
+//! // Exact plans (the default) prepare nothing; the second walk is a hit.
 //! let exact = BatchEngine::new(EngineConfig::default());
 //! let (_, stats) = exact.execute(&dataset.graph, &queries, &dataset.oracle);
 //! assert_eq!((stats.sampler_cache.misses, stats.sampler_cache.hits), (0, 0));
+//! assert_eq!((stats.walk_cache.misses, stats.walk_cache.hits), (1, 1));
 //! ```
 
 use crate::config::EngineConfig;
@@ -96,6 +98,9 @@ pub struct BatchStats {
     /// simple components actually prepared, `hits` the preparations saved
     /// relative to the serial per-query loop.
     pub sampler_cache: CacheStats,
+    /// Exact-walk lookups of this call's plans: `misses` hops walked,
+    /// `hits` hops answered from the cache.
+    pub walk_cache: CacheStats,
     /// Wall-clock milliseconds per query, in input order (planning plus the
     /// sampling–estimation loop). Queries whose planning failed hold `NaN`
     /// so the slot-to-query alignment survives without zeros dragging the
@@ -136,12 +141,15 @@ impl std::fmt::Display for BatchStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} queries ({} failed), sampler cache {} hits / {} misses ({:.0}% hit rate)",
+            "{} queries ({} failed), sampler cache {} hits / {} misses ({:.0}% hit rate), \
+             walk cache {} hits / {} misses",
             self.queries,
             self.failures,
             self.sampler_cache.hits,
             self.sampler_cache.misses,
             self.sampler_cache.hit_rate() * 100.0,
+            self.walk_cache.hits,
+            self.walk_cache.misses,
         )?;
         if !self.per_query_ms.is_empty() {
             write!(
@@ -193,10 +201,11 @@ impl BatchEngine {
         SamplerCache::new(config.strategy, config.sampler_config())
     }
 
-    /// Executes every query in `queries` against a fresh sampler cache,
-    /// returning one result per query in input order and the batch
-    /// statistics. Equivalent to calling [`AqpEngine::execute`] in a loop,
-    /// but each distinct simple component is prepared once and the per-query
+    /// Executes every query in `queries` against a fresh cache, returning
+    /// one result per query in input order and the batch statistics.
+    /// Equivalent to calling [`AqpEngine::execute`] in a loop, but each
+    /// distinct hop is walked, and each distinct simple component prepared,
+    /// once and the per-query
     /// sampling–estimation loops run on the rayon pool. Over a sharded graph
     /// the stats also carry per-shard draw counts and merge time.
     pub fn execute<G: GraphHandle + Sync + ?Sized, S: PredicateSimilarity + ?Sized>(
@@ -243,11 +252,13 @@ impl BatchEngine {
     /// caller-owned [`SamplerCache`], so a caller can refine the error bound
     /// of each query incrementally (the batched counterpart of
     /// [`AqpEngine::open_session`]) and share one cache across several
-    /// calls against the same graph (the service plans a batch and its late
-    /// admissions through one cache, created per batch). The reported cache
-    /// stats cover only this call, not the cache's history. Sessions are identical to fresh-cache ones: sampler
-    /// preparation is deterministic, so a shared cache changes who prepares
-    /// a sampler, never its value.
+    /// calls against the same graph (the service plans every batch of a
+    /// graph epoch through one cache, replaced with the graph). The
+    /// reported walk stats count this call's lookups only; the sampler stats
+    /// are the cache's change over the call, which includes the lookups of
+    /// any concurrent caller. Sessions are identical to fresh-cache ones: walks
+    /// and sampler preparation are deterministic, so a shared cache changes
+    /// who computes a value, never the value.
     pub fn open_sessions_cached<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &G,
@@ -256,8 +267,14 @@ impl BatchEngine {
         cache: &SamplerCache,
     ) -> (Vec<KgResult<Session<G>>>, BatchStats) {
         let before = cache.stats();
-        let open = |query| self.engine.open(graph, query, similarity, Some(cache));
-        let sessions: Vec<KgResult<Session<G>>> = queries.iter().map(open).collect();
+        let mut walk_cache = CacheStats::default();
+        let sessions: Vec<KgResult<Session<G>>> = queries
+            .iter()
+            .map(|query| {
+                self.engine
+                    .open(graph, query, similarity, Some(cache), &mut walk_cache)
+            })
+            .collect();
         let after = cache.stats();
         let stats = BatchStats {
             queries: queries.len(),
@@ -266,6 +283,7 @@ impl BatchEngine {
                 hits: after.hits - before.hits,
                 misses: after.misses - before.misses,
             },
+            walk_cache,
             ..BatchStats::default()
         };
         (sessions, stats)

@@ -14,7 +14,7 @@ use kg_query::{
     ResolvedChainQuery, ResolvedComplexQuery, ResolvedComponent, ResolvedFilter,
     ResolvedSimpleQuery,
 };
-use kg_sampling::{prepare, AliasTable, PreparedSampler, SamplerCache};
+use kg_sampling::{prepare, AliasTable, CacheStats, PreparedSampler, SamplerCache, WalkSettings};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -140,19 +140,28 @@ fn resolve_outputs(graph: &KnowledgeGraph, query: &AggregateQuery) -> KgResult<O
     Ok((aggregate, filters, group_by))
 }
 
-/// The exact planner's state: one [`MatchWalk`] for every hop of a plan,
-/// and the largest n-ball candidate count seen.
+/// The exact planner's state: the cache each hop is looked up in, the
+/// [`MatchWalk`] buffers the hops it misses are walked with, and the
+/// largest n-ball candidate count seen.
 struct ExactWalks<'a> {
     config: &'a EngineConfig,
-    walk: MatchWalk,
+    cache: Option<&'a SamplerCache>,
+    settings: WalkSettings,
+    /// Allocated on the plan's first walk: a plan whose hops all hit the
+    /// cache allocates none.
+    walk: Option<MatchWalk>,
     candidate_count: usize,
+    /// This plan's cache hits and misses. Counted here rather than read
+    /// off the cache, which concurrent planners may share.
+    lookups: &'a mut CacheStats,
 }
 
 impl ExactWalks<'_> {
     /// The correct answers of one simple query, sorted by entity id, as
     /// [`kg_query::simple_ground_truth`] decides them — every n-ball
     /// candidate under `validate: false` (the Fig. 5(b) ablation). `None`
-    /// when a candidate passes SSB's path limit.
+    /// when a candidate passes SSB's path limit. Memoised in the cache, if
+    /// there is one.
     fn simple<S: PredicateSimilarity + ?Sized>(
         &mut self,
         graph: &KnowledgeGraph,
@@ -160,20 +169,27 @@ impl ExactWalks<'_> {
         similarity: &S,
     ) -> Option<Vec<EntityId>> {
         let config = self.config;
-        let candidates = self.walk.ball_candidates(graph, query, config.n_bound);
-        self.candidate_count = self.candidate_count.max(candidates.len());
-        if !config.validate {
-            let mut all = candidates.to_vec();
-            all.sort_unstable();
-            return Some(all);
-        }
-        let match_config = MatchConfig {
-            max_path_len: config.n_bound as usize,
-            aggregation: config.aggregation,
-            ..MatchConfig::default()
+        let buffers = &mut self.walk;
+        let mut walked = false;
+        let mut walk = || {
+            walked = true;
+            let walk = buffers.get_or_insert_with(|| MatchWalk::new(graph));
+            walk_hop(config, walk, graph, query, similarity)
         };
-        let complete = self.walk.walk(graph, query, similarity, &match_config);
-        complete.then(|| self.walk.correct(config.tau))
+        let (candidates, correct) = match self.cache {
+            Some(cache) => {
+                let outcome = cache.get_or_walk(query, self.settings, walk);
+                if walked {
+                    self.lookups.misses += 1;
+                } else {
+                    self.lookups.hits += 1;
+                }
+                outcome
+            }
+            None => walk(),
+        };
+        self.candidate_count = self.candidate_count.max(candidates);
+        correct
     }
 
     /// A chain hop by hop, as [`kg_query::chain_ground_truth`] evaluates
@@ -202,6 +218,31 @@ impl ExactWalks<'_> {
         }
         Some(frontier)
     }
+}
+
+/// One hop's walk: its n-ball candidate count, and its correct answers as
+/// [`ExactWalks::simple`] returns them.
+fn walk_hop<S: PredicateSimilarity + ?Sized>(
+    config: &EngineConfig,
+    walk: &mut MatchWalk,
+    graph: &KnowledgeGraph,
+    query: &ResolvedSimpleQuery,
+    similarity: &S,
+) -> (usize, Option<Vec<EntityId>>) {
+    let candidates = walk.ball_candidates(graph, query, config.n_bound);
+    let count = candidates.len();
+    if !config.validate {
+        let mut all = candidates.to_vec();
+        all.sort_unstable();
+        return (count, Some(all));
+    }
+    let match_config = MatchConfig {
+        max_path_len: config.n_bound as usize,
+        aggregation: config.aggregation,
+        ..MatchConfig::default()
+    };
+    let complete = walk.walk(graph, query, similarity, &match_config);
+    (count, complete.then(|| walk.correct(config.tau)))
 }
 
 /// The approximate aggregate query engine.
@@ -275,7 +316,7 @@ impl AqpEngine {
         query: &AggregateQuery,
         similarity: &S,
     ) -> KgResult<Session<G>> {
-        self.open(graph, query, similarity, None)
+        self.open(graph, query, similarity, None, &mut CacheStats::default())
     }
 
     // ------------------------------------------------------------------
@@ -291,12 +332,15 @@ impl AqpEngine {
     /// validation table or alias table is built. `None` when some candidate
     /// has more admissible paths than SSB's path limit
     /// ([`MatchConfig::path_limit`]): SSB truncates there, so the query is
-    /// not answered exactly.
+    /// not answered exactly. Each hop is looked up in `cache` first and
+    /// walked only on a miss; `lookups` counts this plan's hits and misses.
     pub(crate) fn plan_exact<S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &KnowledgeGraph,
         query: &AggregateQuery,
         similarity: &S,
+        cache: Option<&SamplerCache>,
+        lookups: &mut CacheStats,
     ) -> KgResult<Option<QueryPlan>> {
         let start = Instant::now();
         let (aggregate, filters, group_by) = resolve_outputs(graph, query)?;
@@ -304,10 +348,19 @@ impl AqpEngine {
             QuerySpec::Simple(simple) => vec![ResolvedComponent::Simple(simple.resolve(graph)?)],
             QuerySpec::Complex(complex) => complex.resolve(graph)?.components,
         };
+        let config = &self.config;
         let mut walks = ExactWalks {
-            config: &self.config,
-            walk: MatchWalk::new(graph),
+            config,
+            cache,
+            settings: WalkSettings::new(
+                config.tau,
+                config.n_bound,
+                config.aggregation,
+                config.validate,
+            ),
+            walk: None,
             candidate_count: 0,
+            lookups,
         };
         let mut answers: Option<Vec<EntityId>> = None;
         for component in &components {

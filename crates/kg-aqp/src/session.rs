@@ -22,7 +22,8 @@
 //!
 //! **The exact outcome.** When [`EngineConfig::enumerate`] is set, the query
 //! is planned by `AqpEngine::plan_exact`: one path walk per simple
-//! component and per anchored chain hop, composed as SSB composes them, so
+//! component and per anchored chain hop (looked up first in the planner's
+//! `SamplerCache`, when it has one), composed as SSB composes them, so
 //! the plan carries τ-GT's answers and no sampler. The session does not
 //! sample, whatever the graph handle: it runs as the whole executor, and its
 //! one round applies the aggregate to those answers (margin of error 0, no
@@ -45,7 +46,7 @@ use kg_estimate::{
     merge_strata, neutral_point_terms, satisfies_error_bound, MergedEstimate, StratumEstimate,
 };
 use kg_query::{group_values, AggregateQuery, ResolvedAggregate};
-use kg_sampling::{BucketTerm, SamplerCache, StratumReport};
+use kg_sampling::{BucketTerm, CacheStats, SamplerCache, StratumReport};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
@@ -739,19 +740,21 @@ impl AqpEngine {
     /// executor the engine and graph select: the whole graph for an exact
     /// session, else remote when the engine has a fleet and the graph is
     /// sharded, one in-process stratum per shard for a graph of two or more
-    /// shards, the whole graph otherwise. Only a session that samples plans
-    /// through `cache`.
+    /// shards, the whole graph otherwise. An exact plan looks its hops up
+    /// in `cache` (counting them in `walks`), and a session that samples
+    /// takes its samplers from it.
     pub(crate) fn open<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &G,
         query: &AggregateQuery,
         similarity: &S,
         cache: Option<&SamplerCache>,
+        walks: &mut CacheStats,
     ) -> KgResult<Session<G>> {
         let config = self.config().clone();
         let view = graph.view();
         if config.enumerate {
-            if let Some(plan) = self.plan_exact(view.global(), query, similarity)? {
+            if let Some(plan) = self.plan_exact(view.global(), query, similarity, cache, walks)? {
                 let strata = Strata::whole(config.seed);
                 return Ok(Session::new(config, plan, strata));
             }

@@ -10,7 +10,7 @@ use kg_embed::PredicateSimilarity;
 /// \[13\], but notes that the method only requires the aggregate to be monotone
 /// in the per-edge similarities. `Min` and `Product` are provided for the
 /// ablation called out in DESIGN.md.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum PathAggregation {
     /// Geometric mean of the edge similarities (the paper's Eq. 2).
     #[default]

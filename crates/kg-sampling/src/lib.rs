@@ -72,7 +72,7 @@ pub mod wire;
 pub const SAMPLER_REVISION: u64 = 2;
 
 pub use alias::{AliasTable, WeightError};
-pub use cache::{CacheStats, SamplerCache};
+pub use cache::{CacheStats, SamplerCache, WalkSettings};
 pub use sampler::{prepare, PreparedSampler, SampledAnswer, SamplerConfig};
 pub use shard::ShardSampler;
 pub use snapshot::{

@@ -7,7 +7,7 @@
 //! It stores no prepared sampler: served plans within SSB's path limit are
 //! answered by exact path walks and prepare nothing, and the path-limit
 //! fallback prepares through a [`crate::SamplerCache`] that lives for one
-//! service batch.
+//! service graph epoch.
 
 use kg_core::snapshot::{section_kind, write_snapshot_file, Snapshot};
 use kg_core::{KgResult, KnowledgeGraph};

@@ -20,8 +20,10 @@
 //!      ├─ cached CI dominates targets ──► answer instantly   (cache hit)
 //!      ├─ component known, CI too wide ─► resume refinement  (cache resume)
 //!      └─ unknown ──► plan: one exact path walk per hop      (fresh)
-//!                     (past SSB's path limit: Algorithm 2 through the
-//!                      batch's own SamplerCache, answered with an interval)
+//!                     not yet walked in this graph epoch (the epoch's
+//!                     SamplerCache, replaced on every swap and write;
+//!                     past SSB's path limit: Algorithm 2 through its
+//!                     samplers, answered with an interval)
 //!      ▼
 //!   round-interleaved refinement: each refinement round goes to the
 //!   smallest-virtual-time tenant; a deadline firing mid-refinement

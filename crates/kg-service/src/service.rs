@@ -34,6 +34,17 @@ struct EngineState {
     /// (`K = config.shards`; K = 1 owns every entity on shard 0).
     sharded: Arc<ShardedGraph>,
     similarity: Arc<dyn PredicateSimilarity>,
+    /// The epoch's planning cache: exact walk outcomes and path-limit
+    /// fallback samplers, computed against `sharded` and `similarity`.
+    /// Whatever replaces either replaces it too, under the same lock, so no
+    /// entry outlives the graph it was computed against.
+    planning: Arc<SamplerCache>,
+}
+
+/// An empty planning cache for the engine `config` runs.
+fn planning_cache(config: &ServiceConfig) -> Arc<SamplerCache> {
+    let engine = &config.engine;
+    Arc::new(SamplerCache::new(engine.strategy, engine.sampler_config()))
 }
 
 /// Where compaction writes snapshots once
@@ -141,9 +152,11 @@ pub(crate) struct MetricsInner {
     compactions: u64,
     /// Cached answers evicted by write footprints (cumulative).
     answers_evicted: u64,
-    /// Prepared-sampler lookups summed over every batch's own
-    /// [`SamplerCache`] (cumulative).
+    /// Prepared-sampler lookups summed over every planning call
+    /// (cumulative).
     sampler_cache: CacheStats,
+    /// Exact-walk lookups summed over every planning call (cumulative).
+    walk_cache: CacheStats,
     /// Per-component write epochs, keyed by predicate name: bumped once per
     /// write for every predicate the write touched, so `kg_write_epoch`
     /// shows which components have churned and tests can assert a write to
@@ -178,6 +191,7 @@ impl Default for MetricsInner {
             compactions: 0,
             answers_evicted: 0,
             sampler_cache: CacheStats::default(),
+            walk_cache: CacheStats::default(),
             component_epochs: BTreeMap::new(),
             snapshot_writes: 0,
             degraded_answers: 0,
@@ -227,9 +241,13 @@ pub struct MetricsSnapshot {
     pub max_queue_depth: usize,
     /// Result-cache counters.
     pub cache: ResultCacheStats,
-    /// Prepared-sampler lookups, summed over the per-batch sampler caches
-    /// (cumulative; only the path-limit fallback prepares).
+    /// Prepared-sampler lookups, summed over planning calls (cumulative;
+    /// only the path-limit fallback prepares).
     pub sampler_cache: CacheStats,
+    /// Exact-walk lookups, summed over planning calls (cumulative): a hit
+    /// is a hop answered from the graph epoch's planning cache, a miss a
+    /// hop walked.
+    pub walk_cache: CacheStats,
     /// End-to-end latency histogram (log2 millisecond buckets); read
     /// percentiles with [`HistogramSnapshot::quantile`].
     pub latency_hist: HistogramSnapshot,
@@ -363,10 +381,17 @@ impl MetricsSnapshot {
         let mut sampler_cache = MetricFamily::new(
             "kg_sampler_cache_total",
             MetricKind::Counter,
-            "Prepared-sampler lookups by event, summed over per-batch caches.",
+            "Prepared-sampler lookups by event, summed over planning calls.",
         );
         sampler_cache.push("", &[("event", "hit")], self.sampler_cache.hits as f64);
         sampler_cache.push("", &[("event", "miss")], self.sampler_cache.misses as f64);
+        let mut walk_cache = MetricFamily::new(
+            "kg_walk_cache_total",
+            MetricKind::Counter,
+            "Exact-walk lookups by event: hops answered from the epoch's planning cache or walked.",
+        );
+        walk_cache.push("", &[("event", "hit")], self.walk_cache.hits as f64);
+        walk_cache.push("", &[("event", "miss")], self.walk_cache.misses as f64);
 
         let mut shard_samples = MetricFamily::new(
             "kg_shard_samples_total",
@@ -427,6 +452,7 @@ impl MetricsSnapshot {
             queue_depth,
             result_cache,
             sampler_cache,
+            walk_cache,
             shard_samples,
             merge_overhead,
             writes,
@@ -594,6 +620,7 @@ impl Service {
         config: ServiceConfig,
     ) -> Self {
         let sharded = Arc::new(partition(graph, config.shards));
+        let planning = planning_cache(&config);
         let sched = Scheduler::new(config.tenants.clone(), config.queue_capacity);
         let remote = config.remote.as_ref().map(|topology| {
             let policy = FleetPolicy {
@@ -618,6 +645,7 @@ impl Service {
             state: Mutex::new(EngineState {
                 sharded,
                 similarity,
+                planning,
             }),
             sched: Mutex::new(sched),
             available: Condvar::new(),
@@ -760,21 +788,27 @@ impl Service {
     }
 
     /// Atomically replaces the graph (and its similarity provider): the
-    /// graph is re-partitioned into `config.shards` shards and the result
-    /// cache invalidated by generation — exactly as for an unsharded swap —
-    /// so no answer computed against the old graph can be served afterwards. Requests already checked out
-    /// by a worker still complete against the graph they started with.
+    /// graph is re-partitioned into `config.shards` shards, the planning
+    /// cache replaced by an empty one and the result cache invalidated by
+    /// generation — exactly as for an unsharded swap — so no answer or hop
+    /// computed against the old graph can be served afterwards. Requests
+    /// already checked out by a worker still complete against the graph
+    /// they started with.
     pub fn swap_graph(&self, graph: Arc<KnowledgeGraph>, similarity: Arc<dyn PredicateSimilarity>) {
         let sharded = Arc::new(partition(graph, self.inner.config.shards));
         let mut state = self.inner.state.lock().unwrap();
         state.sharded = sharded;
         state.similarity = similarity;
+        state.planning = planning_cache(&self.inner.config);
         self.inner.cache.invalidate();
     }
 
-    /// Explicitly invalidates the result cache without changing the graph
-    /// (for external state changes the service cannot observe).
+    /// Explicitly invalidates the result cache and replaces the planning
+    /// cache by an empty one without changing the graph (for external state
+    /// changes the service cannot observe): the next request plans cold.
     pub fn invalidate_caches(&self) {
+        let mut state = self.inner.state.lock().unwrap();
+        state.planning = planning_cache(&self.inner.config);
         self.inner.cache.invalidate();
     }
 
@@ -846,10 +880,15 @@ impl Service {
     /// the cached answers whose own footprint intersects it. Cached answers
     /// and live sessions of untouched components survive, and the cache
     /// generation does not move — in-flight queries on unrelated components
-    /// complete and cache normally. The service keeps no prepared sampler
-    /// between batches, so a write has none to evict. Sharded deployments
+    /// complete and cache normally. The planning cache (walk outcomes and
+    /// fallback samplers) is replaced by an empty one, because a write can
+    /// change a hop whose names it does not touch. Sharded deployments
     /// re-partition preservingly: existing entities keep their shard, new
-    /// entities join the least-loaded shard.
+    /// entities join the least-loaded shard. So a fresh answer after a
+    /// write is bitwise a from-scratch service's when it is exact or the
+    /// service has one shard; a sampled answer at K ≥ 2 runs on the
+    /// preserved strata, which a from-scratch partition of the written
+    /// graph may draw differently.
     pub fn apply_write(&self, write: WriteRequest) -> Result<WriteOutcome, ServiceError> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(ServiceError::ShuttingDown);
@@ -922,6 +961,7 @@ impl Service {
                 .sharded
                 .repartition_preserving(Arc::clone(&new_global));
             state.sharded = Arc::new(sharded);
+            state.planning = planning_cache(&self.inner.config);
             // Still under the state lock: a worker snapshotting (sharded,
             // write_seq) can never pair the new graph with the old seq.
             let evicted_answers = self.inner.cache.note_write(&footprint);
@@ -1030,6 +1070,7 @@ impl Service {
             max_queue_depth: metrics.max_queue_depth,
             cache,
             sampler_cache: metrics.sampler_cache,
+            walk_cache: metrics.walk_cache,
             latency_hist: metrics.latency_hist.snapshot(),
             queue_hist: metrics.queue_hist.snapshot(),
             achieved_hist: metrics.achieved_hist.snapshot(),
@@ -1214,33 +1255,28 @@ fn deadline_expired(job: &Job) -> bool {
 /// reserved for deadlines that expire before planning has produced any
 /// round at all.
 fn handle_jobs(inner: &Arc<Inner>, jobs: Vec<Job>) {
-    // Snapshot graph state, the cache generation and the write sequence
-    // *together*: swap_graph bumps the generation and apply_write bumps the
-    // write seq under the same lock, so a worker can never pair a new graph
-    // with an old stamp (or vice versa).
-    let (sharded, similarity, generation, snapshot_seq) = {
+    // Snapshot graph state, its planning cache, the cache generation and
+    // the write sequence *together*: swap_graph bumps the generation,
+    // apply_write bumps the write seq and both replace the planning cache
+    // under the same lock, so a worker can never pair a new graph with an
+    // old stamp or an old graph's walks (or vice versa). The batch and its
+    // late admissions plan through the epoch's cache, so a hop walked for
+    // an earlier batch of the epoch is not walked again.
+    let (sharded, similarity, planning, generation, snapshot_seq) = {
         let state = inner.state.lock().unwrap();
         (
             Arc::clone(&state.sharded),
             Arc::clone(&state.similarity),
+            Arc::clone(&state.planning),
             inner.cache.generation(),
             inner.cache.write_seq(),
         )
     };
     let similarity: &dyn PredicateSimilarity = &*similarity;
-    // Prepared samplers live for this batch only: a prepared π depends on
-    // every edge of the mapping node's n-bounded subgraph (Eq. 5–6), which
-    // no name-level write footprint can bound, so none outlives the graph
-    // snapshot it was prepared against. Exact plans never touch it, and an
-    // empty cache allocates nothing.
-    let samplers = SamplerCache::new(
-        inner.config.engine.strategy,
-        inner.config.engine.sampler_config(),
-    );
 
     let mut tasks: BTreeMap<String, VecDeque<ActiveTask>> = BTreeMap::new();
     triage_jobs(
-        inner, &sharded, similarity, &samplers, generation, jobs, &mut tasks,
+        inner, &sharded, similarity, &planning, generation, jobs, &mut tasks,
     );
 
     // Round-interleaved refinement: every iteration grants ONE refinement
@@ -1261,7 +1297,7 @@ fn handle_jobs(inner: &Arc<Inner>, jobs: Vec<Job>) {
         };
         if !late.is_empty() {
             triage_jobs(
-                inner, &sharded, similarity, &samplers, generation, late, &mut tasks,
+                inner, &sharded, similarity, &planning, generation, late, &mut tasks,
             );
         }
 
@@ -1338,7 +1374,7 @@ fn triage_jobs(
     inner: &Arc<Inner>,
     sharded: &ShardedGraph,
     similarity: &dyn PredicateSimilarity,
-    samplers: &SamplerCache,
+    planning: &SamplerCache,
     generation: u64,
     jobs: Vec<Job>,
     tasks: &mut BTreeMap<String, VecDeque<ActiveTask>>,
@@ -1426,12 +1462,13 @@ fn triage_jobs(
         // sessions scatter their refinement rounds to the shard fleet.
         let (sessions, stats) = inner
             .batch
-            .open_sessions_cached(sharded, &queries, similarity, samplers);
-        let lookups = stats.sampler_cache;
-        if lookups.hits + lookups.misses > 0 {
+            .open_sessions_cached(sharded, &queries, similarity, planning);
+        {
             let mut metrics = inner.metrics.lock().unwrap();
-            metrics.sampler_cache.hits += lookups.hits;
-            metrics.sampler_cache.misses += lookups.misses;
+            metrics.sampler_cache.hits += stats.sampler_cache.hits;
+            metrics.sampler_cache.misses += stats.sampler_cache.misses;
+            metrics.walk_cache.hits += stats.walk_cache.hits;
+            metrics.walk_cache.misses += stats.walk_cache.misses;
         }
         for ((job, key, queue_ms), session) in fresh.into_iter().zip(sessions) {
             match session {

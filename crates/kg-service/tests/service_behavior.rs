@@ -470,6 +470,42 @@ fn an_exact_answer_serves_the_refinement_ladder_from_the_cache() {
     svc.shutdown();
 }
 
+/// The planning cache lives for one graph epoch: a variant over an already
+/// walked component walks nothing, and after `invalidate_caches` the
+/// repeated query plans cold and walks its component again.
+#[test]
+fn invalidating_the_caches_walks_a_repeated_query_again() {
+    let d = dataset();
+    let svc = Service::new(
+        Arc::new(d.graph.clone()),
+        Arc::new(d.oracle.clone()),
+        ServiceConfig {
+            engine: EngineConfig::default(),
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let queries = workload();
+    let walks = || {
+        let m = svc.metrics();
+        (m.walk_cache.hits, m.walk_cache.misses)
+    };
+    let count = QueryRequest::new(queries[0].clone(), 0.05, 0.95);
+    let avg = QueryRequest::new(queries[1].clone(), 0.05, 0.95);
+    assert_eq!(
+        svc.execute(count.clone()).unwrap().served_from,
+        ServedFrom::Fresh
+    );
+    assert_eq!(walks(), (0, 1));
+    assert_eq!(svc.execute(avg).unwrap().served_from, ServedFrom::Fresh);
+    assert_eq!(walks(), (1, 1));
+
+    svc.invalidate_caches();
+    assert_eq!(svc.execute(count).unwrap().served_from, ServedFrom::Fresh);
+    assert_eq!(walks(), (1, 2));
+    svc.shutdown();
+}
+
 /// SSB's `best_match` stops at `MatchConfig::path_limit` (10 000) paths per
 /// candidate, so a candidate with more is not answered exactly: its query
 /// opens the Algorithm 2 session it would get with `enumerate` off, answers

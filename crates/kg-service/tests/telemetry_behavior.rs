@@ -423,6 +423,10 @@ fn prometheus_exposition_carries_every_snapshot_counter() {
         let scraped = sample(families, "kg_sampler_cache_total", &[("event", event)]);
         assert_eq!(scraped, value as f64, "{event}");
     }
+    for (event, value) in [("hit", m.walk_cache.hits), ("miss", m.walk_cache.misses)] {
+        let scraped = sample(families, "kg_walk_cache_total", &[("event", event)]);
+        assert_eq!(scraped, value as f64, "{event}");
+    }
     for (effect, value) in [
         ("applied", m.writes),
         ("ops", m.write_ops),
