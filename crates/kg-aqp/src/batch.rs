@@ -54,7 +54,7 @@
 //! ```
 
 use crate::config::EngineConfig;
-use crate::engine::AqpEngine;
+use crate::engine::{AqpEngine, Lookups};
 use crate::remote::fleet::ShardFleet;
 use crate::result::QueryAnswer;
 use crate::session::Session;
@@ -253,12 +253,11 @@ impl BatchEngine {
     /// of each query incrementally (the batched counterpart of
     /// [`AqpEngine::open_session`]) and share one cache across several
     /// calls against the same graph (the service plans every batch of a
-    /// graph epoch through one cache, replaced with the graph). The
-    /// reported walk stats count this call's lookups only; the sampler stats
-    /// are the cache's change over the call, which includes the lookups of
-    /// any concurrent caller. Sessions are identical to fresh-cache ones: walks
-    /// and sampler preparation are deterministic, so a shared cache changes
-    /// who computes a value, never the value.
+    /// graph epoch through one cache). The reported walk and sampler stats
+    /// count this call's lookups only, whoever else plans through the
+    /// cache at the same time. Sessions are identical to fresh-cache ones:
+    /// walks and sampler preparation are deterministic, so a shared cache
+    /// changes who computes a value, never the value.
     pub fn open_sessions_cached<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &G,
@@ -266,24 +265,19 @@ impl BatchEngine {
         similarity: &S,
         cache: &SamplerCache,
     ) -> (Vec<KgResult<Session<G>>>, BatchStats) {
-        let before = cache.stats();
-        let mut walk_cache = CacheStats::default();
+        let mut lookups = Lookups::default();
         let sessions: Vec<KgResult<Session<G>>> = queries
             .iter()
             .map(|query| {
                 self.engine
-                    .open(graph, query, similarity, Some(cache), &mut walk_cache)
+                    .open(graph, query, similarity, Some(cache), &mut lookups)
             })
             .collect();
-        let after = cache.stats();
         let stats = BatchStats {
             queries: queries.len(),
             failures: sessions.iter().filter(|s| s.is_err()).count(),
-            sampler_cache: CacheStats {
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-            },
-            walk_cache,
+            sampler_cache: lookups.samplers,
+            walk_cache: lookups.walks,
             ..BatchStats::default()
         };
         (sessions, stats)
@@ -556,5 +550,67 @@ mod tests {
         let coarse = session.refine_to(&d.graph, &d.oracle, 0.10);
         let fine = session.refine_to(&d.graph, &d.oracle, 0.02);
         assert!(fine.sample_size >= coarse.sample_size);
+    }
+
+    /// The oracle, with its first two similarity calls held until both
+    /// have arrived.
+    struct Rendezvous<'a> {
+        inner: &'a kg_embed::PredicateVectorStore,
+        barrier: std::sync::Barrier,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl PredicateSimilarity for Rendezvous<'_> {
+        fn similarity(&self, a: kg_core::PredicateId, b: kg_core::PredicateId) -> f64 {
+            if self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) < 2 {
+                self.barrier.wait();
+            }
+            self.inner.similarity(a, b)
+        }
+    }
+
+    /// Two planning calls on one shared cache each count their own sampler
+    /// lookups, so their counts sum to the true total. Both calls open with
+    /// the same component: the first to prepare it waits inside `prepare`
+    /// until the other has missed and is preparing too, so each call's
+    /// preparation runs while the other call is open.
+    #[test]
+    fn concurrent_planning_calls_count_only_their_own_sampler_lookups() {
+        let d = dataset();
+        let queries = workload();
+        let batch = BatchEngine::new(EngineConfig {
+            enumerate: false,
+            ..EngineConfig::default()
+        });
+        // A call's lookups do not depend on what the cache holds.
+        let alone = batch
+            .open_sessions_cached(&d.graph, &queries, &d.oracle, &batch.fresh_cache())
+            .1
+            .sampler_cache;
+        let lookups = alone.hits + alone.misses;
+        assert!(lookups > queries.len(), "{alone:?}");
+
+        let cache = batch.fresh_cache();
+        let similarity = Rendezvous {
+            inner: &d.oracle,
+            barrier: std::sync::Barrier::new(2),
+            calls: Default::default(),
+        };
+        let plan = || {
+            batch
+                .open_sessions_cached(&d.graph, &queries, &similarity, &cache)
+                .1
+                .sampler_cache
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(plan);
+            let b = scope.spawn(plan);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.hits + a.misses, lookups, "{a:?}");
+        assert_eq!(b.hits + b.misses, lookups, "{b:?}");
+        // Both prepared the component they raced on.
+        assert!(a.misses >= 1 && b.misses >= 1, "{a:?} {b:?}");
+        assert!(a.misses + b.misses >= alone.misses, "{a:?} {b:?} {alone:?}");
     }
 }

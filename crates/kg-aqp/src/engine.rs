@@ -140,6 +140,16 @@ fn resolve_outputs(graph: &KnowledgeGraph, query: &AggregateQuery) -> KgResult<O
     Ok((aggregate, filters, group_by))
 }
 
+/// One planning call's lookups in a [`SamplerCache`]: counted by the call
+/// rather than read off the cache, which concurrent planners may share.
+#[derive(Debug, Default)]
+pub(crate) struct Lookups {
+    /// Prepared-sampler lookups (the path-limit fallback and Algorithm 2).
+    pub(crate) samplers: CacheStats,
+    /// Exact-walk lookups, one per hop.
+    pub(crate) walks: CacheStats,
+}
+
 /// The exact planner's state: the cache each hop is looked up in, the
 /// [`MatchWalk`] buffers the hops it misses are walked with, and the
 /// largest n-ball candidate count seen.
@@ -316,7 +326,7 @@ impl AqpEngine {
         query: &AggregateQuery,
         similarity: &S,
     ) -> KgResult<Session<G>> {
-        self.open(graph, query, similarity, None, &mut CacheStats::default())
+        self.open(graph, query, similarity, None, &mut Lookups::default())
     }
 
     // ------------------------------------------------------------------
@@ -396,14 +406,16 @@ impl AqpEngine {
 
     /// Plans a query for Algorithm 2, optionally reusing prepared samplers
     /// from `cache` for simple components (batch execution prepares each
-    /// distinct component once). Cached and fresh planning produce
-    /// identical plans: sampler preparation is deterministic.
+    /// distinct component once); `lookups` counts this plan's sampler hits
+    /// and misses. Cached and fresh planning produce identical plans:
+    /// sampler preparation is deterministic.
     pub(crate) fn plan_with_cache<S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &KnowledgeGraph,
         query: &AggregateQuery,
         similarity: &S,
         cache: Option<&SamplerCache>,
+        lookups: &mut CacheStats,
     ) -> KgResult<QueryPlan> {
         let start = Instant::now();
         let (aggregate, filters, group_by) = resolve_outputs(graph, query)?;
@@ -411,7 +423,7 @@ impl AqpEngine {
         let components = match &query.query {
             QuerySpec::Simple(simple) => {
                 let resolved = simple.resolve(graph)?;
-                vec![self.plan_simple(graph, &resolved, similarity, cache)?]
+                vec![self.plan_simple(graph, &resolved, similarity, cache, lookups)?]
             }
             QuerySpec::Complex(complex) => {
                 let resolved: ResolvedComplexQuery = complex.resolve(graph)?;
@@ -420,9 +432,11 @@ impl AqpEngine {
                     .iter()
                     .map(|c| match c {
                         ResolvedComponent::Simple(q) => {
-                            self.plan_simple(graph, q, similarity, cache)
+                            self.plan_simple(graph, q, similarity, cache, lookups)
                         }
-                        ResolvedComponent::Chain(q) => self.plan_chain(graph, q, similarity, cache),
+                        ResolvedComponent::Chain(q) => {
+                            self.plan_chain(graph, q, similarity, cache, lookups)
+                        }
                     })
                     .collect::<KgResult<Vec<_>>>()?
             }
@@ -488,9 +502,10 @@ impl AqpEngine {
         query: &ResolvedSimpleQuery,
         similarity: &S,
         cache: Option<&SamplerCache>,
+        lookups: &mut CacheStats,
     ) -> KgResult<ComponentPlan> {
         let sampler = match cache {
-            Some(cache) => cache.get_or_prepare(graph, query, similarity)?,
+            Some(cache) => cache.get_or_prepare(graph, query, similarity, lookups)?,
             None => Arc::new(prepare(
                 graph,
                 query,
@@ -521,6 +536,7 @@ impl AqpEngine {
         chain: &ResolvedChainQuery,
         similarity: &S,
         cache: Option<&SamplerCache>,
+        lookups: &mut CacheStats,
     ) -> KgResult<ComponentPlan> {
         let (validate, validation) = (self.config.validate, validation_config(&self.config));
         // First-level sampling from the specific node towards the first hop.
@@ -535,14 +551,23 @@ impl AqpEngine {
             // One sampler and validation table per anchor, in parallel (the
             // paper runs each second sampling as a thread). An inner hop
             // passes on only the answers its table says are correct, as
-            // `chain_ground_truth` does, each weighted by its π.
-            type HopResult = KgResult<(usize, Option<ComponentSearch>, Vec<(EntityId, f64)>)>;
+            // `chain_ground_truth` does, each weighted by its π. Each anchor
+            // counts its own sampler lookup.
+            type HopResult = KgResult<(
+                CacheStats,
+                usize,
+                Option<ComponentSearch>,
+                Vec<(EntityId, f64)>,
+            )>;
             let hop_results: Vec<HopResult> = anchors
                 .par_iter()
                 .map(|&(anchor, anchor_prob)| {
                     let hop_query = chain.hop_as_simple(hop, anchor);
+                    let mut hop_lookups = CacheStats::default();
                     let sampler = match cache {
-                        Some(cache) => cache.get_or_prepare(graph, &hop_query, similarity)?,
+                        Some(cache) => {
+                            cache.get_or_prepare(graph, &hop_query, similarity, &mut hop_lookups)?
+                        }
                         None => Arc::new(prepare(
                             graph,
                             &hop_query,
@@ -568,13 +593,15 @@ impl AqpEngine {
                         .map(|a| (a.entity, anchor_prob * a.probability))
                         .collect();
                     let candidates = search.sampler.candidate_count();
-                    Ok((candidates, is_last.then_some(search), answers))
+                    Ok((hop_lookups, candidates, is_last.then_some(search), answers))
                 })
                 .collect();
 
             let mut next_anchors: BTreeMap<EntityId, f64> = BTreeMap::new();
             for hop_result in hop_results {
-                let (candidates, search, answers) = hop_result?;
+                let (hop_lookups, candidates, search, answers) = hop_result?;
+                lookups.hits += hop_lookups.hits;
+                lookups.misses += hop_lookups.misses;
                 candidate_count = candidate_count.max(candidates);
                 let hop_index = hops.len();
                 hops.extend(search);
@@ -747,7 +774,13 @@ mod tests {
             calls: Default::default(),
         };
         let plan = engine
-            .plan_with_cache(&d.graph, &query, &counting, None)
+            .plan_with_cache(
+                &d.graph,
+                &query,
+                &counting,
+                None,
+                &mut CacheStats::default(),
+            )
             .unwrap();
         let validation = validation_config(engine.config());
         let ComponentValidator::Simple(search) = &plan.components[0].validator else {
@@ -816,7 +849,13 @@ mod tests {
             AggregateFunction::Count,
         );
         let plan = engine
-            .plan_with_cache(&d.graph, &query, &d.oracle, None)
+            .plan_with_cache(
+                &d.graph,
+                &query,
+                &d.oracle,
+                None,
+                &mut CacheStats::default(),
+            )
             .unwrap();
         let validation = crate::stratum::validation_config(engine.config());
         let ComponentValidator::Simple(search) = &plan.components[0].validator else {
@@ -919,7 +958,7 @@ mod tests {
 
         let query = AggregateQuery::complex(ComplexQuery::chain(chain), AggregateFunction::Count);
         let plan = engine
-            .plan_with_cache(&graph, &query, &oracle, None)
+            .plan_with_cache(&graph, &query, &oracle, None, &mut CacheStats::default())
             .unwrap();
         let answers = crate::session::estimand_answers(&plan, config, &graph, &oracle);
         assert!(answers.contains(&entity("weak_car0")));

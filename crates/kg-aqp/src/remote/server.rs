@@ -25,7 +25,7 @@ use kg_core::{Codec, EntityId, ShardedGraph};
 use kg_embed::PredicateSimilarity;
 use kg_estimate::{StratumEstimate, ValidatedAnswer};
 use kg_query::AggregateQuery;
-use kg_sampling::{SamplerCache, StratumTask};
+use kg_sampling::{CacheStats, SamplerCache, StratumTask};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -283,6 +283,7 @@ impl ShardServerCore {
                 &query,
                 self.similarity.as_ref(),
                 Some(&self.sampler_cache),
+                &mut CacheStats::default(),
             )
             .map_err(|e| ("plan_failed".to_string(), e.to_string()))
     }

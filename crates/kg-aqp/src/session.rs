@@ -34,7 +34,7 @@
 //! with `enumerate` off, so [`Session::is_exact`] is decided per session.
 
 use crate::config::EngineConfig;
-use crate::engine::{AqpEngine, QueryPlan};
+use crate::engine::{AqpEngine, Lookups, QueryPlan};
 use crate::remote::session::RemoteStrata;
 use crate::result::{QueryAnswer, RoundTrace, StepTimings};
 use crate::sharded::ShardedStats;
@@ -46,7 +46,7 @@ use kg_estimate::{
     merge_strata, neutral_point_terms, satisfies_error_bound, MergedEstimate, StratumEstimate,
 };
 use kg_query::{group_values, AggregateQuery, ResolvedAggregate};
-use kg_sampling::{BucketTerm, CacheStats, SamplerCache, StratumReport};
+use kg_sampling::{BucketTerm, SamplerCache, StratumReport};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
@@ -741,25 +741,32 @@ impl AqpEngine {
     /// session, else remote when the engine has a fleet and the graph is
     /// sharded, one in-process stratum per shard for a graph of two or more
     /// shards, the whole graph otherwise. An exact plan looks its hops up
-    /// in `cache` (counting them in `walks`), and a session that samples
-    /// takes its samplers from it.
+    /// in `cache`, and a session that samples takes its samplers from it;
+    /// `lookups` counts both.
     pub(crate) fn open<G: GraphHandle + ?Sized, S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &G,
         query: &AggregateQuery,
         similarity: &S,
         cache: Option<&SamplerCache>,
-        walks: &mut CacheStats,
+        lookups: &mut Lookups,
     ) -> KgResult<Session<G>> {
         let config = self.config().clone();
         let view = graph.view();
         if config.enumerate {
+            let walks = &mut lookups.walks;
             if let Some(plan) = self.plan_exact(view.global(), query, similarity, cache, walks)? {
                 let strata = Strata::whole(config.seed);
                 return Ok(Session::new(config, plan, strata));
             }
         }
-        let plan = self.plan_with_cache(view.global(), query, similarity, cache)?;
+        let plan = self.plan_with_cache(
+            view.global(),
+            query,
+            similarity,
+            cache,
+            &mut lookups.samplers,
+        )?;
         let strata = match (view, &self.fleet) {
             (GraphView::Sharded(sharded), Some(fleet)) => {
                 Strata::Remote(RemoteStrata::new(&plan, sharded, Arc::clone(fleet), query))
@@ -782,6 +789,7 @@ mod tests {
     use kg_core::{DegreeBalancedPartitioner, GraphBuilder};
     use kg_datagen::{domains, generate, DatasetScale, GeneratorConfig};
     use kg_query::{AggregateFunction, AggregateQuery, ComplexQuery, Filter, GroupBy, SimpleQuery};
+    use kg_sampling::CacheStats;
     use std::collections::HashMap;
 
     fn dataset() -> kg_datagen::GeneratedDataset {
@@ -1009,7 +1017,10 @@ mod tests {
             vec![vec!["server".to_string()]; sharded.shard_count()],
             FleetPolicy::default(),
         ));
-        let plan = || engine.plan_with_cache(sharded.global(), query, similarity, None);
+        let plan = || {
+            let lookups = &mut CacheStats::default();
+            engine.plan_with_cache(sharded.global(), query, similarity, None, lookups)
+        };
         let whole = Session::new(config.clone(), plan().unwrap(), Strata::whole(config.seed));
         let local_plan = plan().unwrap();
         let strata = Strata::local(&local_plan, sharded, config.seed);
@@ -1194,7 +1205,7 @@ mod tests {
         similarity: &kg_embed::PredicateVectorStore,
     ) -> f64 {
         let plan = engine
-            .plan_with_cache(graph, query, similarity, None)
+            .plan_with_cache(graph, query, similarity, None, &mut CacheStats::default())
             .unwrap();
         let answers = estimand_answers(&plan, engine.config(), graph, similarity);
         plan.aggregate.apply_exact(graph, &answers)

@@ -43,6 +43,7 @@ pub mod filter;
 pub mod ground_truth;
 pub mod matching;
 pub mod query_graph;
+pub mod reach;
 pub mod shapes;
 pub mod similarity;
 pub mod ssb;
@@ -63,6 +64,7 @@ pub use matching::{
     admissible_intermediate, best_match, best_similarity, MatchConfig, MatchWalk, SubgraphMatch,
 };
 pub use query_graph::{QueryNode, ResolvedSimpleQuery, SimpleQuery};
+pub use reach::{HopBall, WriteReach};
 pub use shapes::{
     ChainHop, ChainQuery, ComplexQuery, QueryComponent, QueryShape, ResolvedChainHop,
     ResolvedChainQuery, ResolvedComplexQuery, ResolvedComponent,

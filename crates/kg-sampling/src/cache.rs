@@ -11,12 +11,16 @@
 //! work once per distinct component and share the result. Sharing is sound
 //! because both are deterministic: a cached value is identical to a fresh
 //! one.
+//!
+//! A write need not throw the walks away: [`SamplerCache::carry_walks`]
+//! copies into the next epoch's cache every walk outcome that
+//! [`kg_query::reach`]'s test shows the write cannot change.
 
 use crate::sampler::{prepare, PreparedSampler, SamplerConfig};
 use crate::strategies::SamplingStrategy;
 use kg_core::{EntityId, KgResult, KnowledgeGraph, PredicateId, TypeId};
 use kg_embed::PredicateSimilarity;
-use kg_query::{PathAggregation, ResolvedSimpleQuery};
+use kg_query::{HopBall, PathAggregation, ResolvedSimpleQuery};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -36,6 +40,15 @@ impl ComponentKey {
             specific: query.specific,
             predicate: query.predicate,
             target_types: query.target_types.clone(),
+        }
+    }
+
+    /// The hop a walk of this component under `settings` reads.
+    fn hop(&self, settings: &WalkSettings) -> HopBall {
+        HopBall {
+            anchor: self.specific,
+            target_types: self.target_types.clone(),
+            n_bound: settings.n_bound,
         }
     }
 }
@@ -67,7 +80,7 @@ impl WalkSettings {
 /// A memoised walk outcome, stored compactly: the n-ball candidate count,
 /// and the sorted answers as delta-LEB128 bytes (`None` past the path
 /// limit).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct WalkEntry {
     candidates: u32,
     answers: Option<Box<[u8]>>,
@@ -122,7 +135,8 @@ fn decode_sorted(bytes: &[u8]) -> Vec<EntityId> {
     ids
 }
 
-/// Hit/miss counters of a [`SamplerCache`], for reporting and tests.
+/// Hit/miss counters of a planning call's lookups in a [`SamplerCache`],
+/// for reporting and tests.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -143,14 +157,27 @@ impl CacheStats {
     }
 }
 
+/// Walk entries a write carried into its new epoch's cache, and walk
+/// entries it dropped ([`SamplerCache::carry_walks`]).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct WalkCarry {
+    /// Entries copied: the write cannot reach their hops.
+    pub kept: usize,
+    /// Entries left behind, to be walked again on the written graph.
+    pub dropped: usize,
+}
+
 /// A cache of per-component planning work, keyed by resolved simple-query
 /// component: prepared samplers ([`Self::get_or_prepare`]) and exact walk
 /// outcomes ([`Self::get_or_walk`]). One cache instance is bound to one
 /// graph, one similarity store, one sampling strategy and one sampler
-/// configuration: the service keeps one per graph epoch and replaces it
-/// with the graph. A prepared π (Eq. 5–6) and a walk outcome both depend on
-/// every edge of the mapping node's n-bounded subgraph, so a cache must not
-/// outlive the graph it was filled against.
+/// configuration: the service keeps one per graph epoch. A prepared π
+/// (Eq. 5–6) and a walk outcome both depend on every edge of the mapping
+/// node's n-bounded subgraph, so no entry may outlive the graph it was
+/// computed against. A graph swap therefore starts an empty cache, and a
+/// write starts one from [`Self::carry_walks`]: the walk outcomes whose
+/// n-ball the write provably cannot reach, and no sampler, since π reads
+/// degrees across the whole scope.
 ///
 /// The cache is interior-mutable (`&self` lookups) so parallel planning
 /// stages — the per-anchor hop samplings of a chain query run on the rayon
@@ -163,7 +190,6 @@ pub struct SamplerCache {
     strategy: SamplingStrategy,
     config: SamplerConfig,
     entries: Mutex<HashMap<ComponentKey, Arc<PreparedSampler>>>,
-    stats: Mutex<CacheStats>,
     walks: Mutex<HashMap<(ComponentKey, WalkSettings), WalkEntry>>,
 }
 
@@ -174,24 +200,26 @@ impl SamplerCache {
             strategy,
             config,
             entries: Mutex::new(HashMap::new()),
-            stats: Mutex::new(CacheStats::default()),
             walks: Mutex::new(HashMap::new()),
         }
     }
 
     /// Returns the prepared sampler for `query`, preparing and memoising it
-    /// on first sight of the component. Preparation failures (degenerate
-    /// weights) are returned, not cached: a broken component errors on
-    /// every lookup rather than poisoning the cache.
+    /// on first sight of the component, and counts the lookup in
+    /// `lookups` — the caller's own counter, since concurrent planners may
+    /// share the cache. Preparation failures (degenerate weights) are
+    /// returned, not cached or counted: a broken component errors on every
+    /// lookup rather than poisoning the cache.
     pub fn get_or_prepare<S: PredicateSimilarity + ?Sized>(
         &self,
         graph: &KnowledgeGraph,
         query: &ResolvedSimpleQuery,
         similarity: &S,
+        lookups: &mut CacheStats,
     ) -> KgResult<Arc<PreparedSampler>> {
         let key = ComponentKey::of(query);
         if let Some(sampler) = self.entries.lock().unwrap().get(&key) {
-            self.stats.lock().unwrap().hits += 1;
+            lookups.hits += 1;
             kg_telemetry::point(
                 "sampler.cache_hit",
                 &[
@@ -223,15 +251,10 @@ impl SamplerCache {
                 ),
             ],
         );
-        self.stats.lock().unwrap().misses += 1;
+        lookups.misses += 1;
         Ok(Arc::clone(
             self.entries.lock().unwrap().entry(key).or_insert(sampler),
         ))
-    }
-
-    /// Sampler hit/miss counters accumulated so far.
-    pub fn stats(&self) -> CacheStats {
-        *self.stats.lock().unwrap()
     }
 
     /// Returns the exact walk outcome of `query` under `settings` — its
@@ -239,9 +262,8 @@ impl SamplerCache {
     /// limit — running `walk` and memoising what it returns on first sight
     /// of the pair. `walk` runs outside the lock and must be deterministic.
     ///
-    /// The cache does not count walk lookups ([`Self::stats`] counts
-    /// samplers only): a caller that shares the cache with concurrent
-    /// planners counts its own, by whether `walk` ran.
+    /// The cache does not count lookups: a caller that shares the cache
+    /// with concurrent planners counts its own, by whether `walk` ran.
     pub fn get_or_walk(
         &self,
         query: &ResolvedSimpleQuery,
@@ -256,6 +278,41 @@ impl SamplerCache {
         let entry = WalkEntry::encode(&outcome);
         self.walks.lock().unwrap().entry(key).or_insert(entry);
         outcome
+    }
+
+    /// The distinct hops the cached walk outcomes were walked for, sorted:
+    /// what a write's reach test ([`kg_query::WriteReach`]) filters.
+    pub fn walk_hops(&self) -> Vec<HopBall> {
+        let walks = self.walks.lock().unwrap();
+        let mut hops: Vec<HopBall> = walks
+            .keys()
+            .map(|(key, settings)| key.hop(settings))
+            .collect();
+        hops.sort_unstable();
+        hops.dedup();
+        hops
+    }
+
+    /// A new cache of the same strategy and configuration for the graph a
+    /// write produced: a copy of every walk outcome whose hop `keep`
+    /// accepts, and no prepared sampler. `keep` must accept only hops the
+    /// write cannot change (the reach test of [`kg_query::reach`]).
+    pub fn carry_walks(&self, keep: impl Fn(&HopBall) -> bool) -> (Self, WalkCarry) {
+        let walks = self.walks.lock().unwrap();
+        let kept: HashMap<_, _> = walks
+            .iter()
+            .filter(|((key, settings), _)| keep(&key.hop(settings)))
+            .map(|(key, entry)| (key.clone(), entry.clone()))
+            .collect();
+        let carry = WalkCarry {
+            kept: kept.len(),
+            dropped: walks.len() - kept.len(),
+        };
+        let cache = Self {
+            walks: Mutex::new(kept),
+            ..Self::new(self.strategy, self.config)
+        };
+        (cache, carry)
     }
 }
 
@@ -281,11 +338,12 @@ mod tests {
         let store = oracle_store(&[(g.predicate_id("product").unwrap(), 0, 1.0)]);
 
         let cache = SamplerCache::new(SamplingStrategy::SemanticAware, SamplerConfig::default());
-        let first = cache.get_or_prepare(&g, &q, &store).unwrap();
-        let second = cache.get_or_prepare(&g, &q, &store).unwrap();
+        let mut lookups = CacheStats::default();
+        let first = cache.get_or_prepare(&g, &q, &store, &mut lookups).unwrap();
+        let second = cache.get_or_prepare(&g, &q, &store, &mut lookups).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(lookups, CacheStats { hits: 1, misses: 1 });
+        assert!((lookups.hit_rate() - 0.5).abs() < 1e-12);
 
         // The cached sampler is value-identical to a fresh preparation.
         let fresh = prepare(
@@ -342,6 +400,58 @@ mod tests {
             truncated
         );
         assert_eq!(walks.get(), 3);
-        assert_eq!(cache.stats(), CacheStats::default());
+        // No sampler was prepared along the way.
+        assert!(cache.entries.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn carrying_walks_copies_the_kept_hops_and_no_sampler() {
+        let mut b = GraphBuilder::new();
+        let de = b.add_entity("Germany", &["Country"]);
+        let car = b.add_entity("car", &["Automobile"]);
+        b.add_edge(de, "product", car);
+        let g = b.build();
+        let germany = SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"])
+            .resolve(&g)
+            .unwrap();
+        let store = oracle_store(&[(g.predicate_id("product").unwrap(), 0, 1.0)]);
+        let cache = SamplerCache::new(SamplingStrategy::SemanticAware, SamplerConfig::default());
+        cache
+            .get_or_prepare(&g, &germany, &store, &mut CacheStats::default())
+            .unwrap();
+        let other = ResolvedSimpleQuery {
+            specific: car,
+            ..germany.clone()
+        };
+        let strict = WalkSettings::new(0.85, 3, PathAggregation::GeometricMean, true);
+        let loose = WalkSettings::new(0.5, 3, PathAggregation::GeometricMean, true);
+        let outcome = (1, Some(vec![car]));
+        for (query, settings) in [(&germany, strict), (&germany, loose), (&other, strict)] {
+            cache.get_or_walk(query, settings, || outcome.clone());
+        }
+        // Two settings of one component are one hop.
+        let hops = cache.walk_hops();
+        assert_eq!(hops.len(), 2);
+        assert!(hops.windows(2).all(|w| w[0] < w[1]));
+
+        let (carried, carry) = cache.carry_walks(|hop| hop.anchor == de);
+        assert_eq!(
+            carry,
+            WalkCarry {
+                kept: 2,
+                dropped: 1
+            }
+        );
+        assert!(carried.entries.lock().unwrap().is_empty());
+        let walked = std::cell::Cell::new(false);
+        for settings in [strict, loose] {
+            let kept = carried.get_or_walk(&germany, settings, || {
+                walked.set(true);
+                (0, None)
+            });
+            assert_eq!(kept, outcome);
+        }
+        assert!(!walked.get());
+        assert_eq!(carried.get_or_walk(&other, strict, || (0, None)), (0, None));
     }
 }

@@ -17,8 +17,8 @@ use kg_core::{DegreeBalancedPartitioner, KnowledgeGraph, ShardedGraph};
 use kg_core::{KgError, KgResult};
 use kg_embed::{PredicateSimilarity, PredicateVectorStore};
 use kg_estimate::achieved_error_bound;
-use kg_query::{AggregateQuery, QueryFootprint};
-use kg_sampling::{write_bundle, CacheStats, SamplerCache};
+use kg_query::{AggregateQuery, QueryFootprint, WriteReach};
+use kg_sampling::{write_bundle, CacheStats, SamplerCache, WalkCarry};
 use kg_telemetry::{Histogram, HistogramSnapshot, MetricFamily, MetricKind};
 use serde_json::{Map, Value};
 use std::collections::{BTreeMap, VecDeque};
@@ -37,8 +37,12 @@ struct EngineState {
     /// The epoch's planning cache: exact walk outcomes and path-limit
     /// fallback samplers, computed against `sharded` and `similarity`.
     /// Whatever replaces either replaces it too, under the same lock, so no
-    /// entry outlives the graph it was computed against.
+    /// entry outlives the graph it was computed against: a swap with an
+    /// empty cache, a write with the walks it cannot reach
+    /// ([`SamplerCache::carry_walks`]).
     planning: Arc<SamplerCache>,
+    /// The buffers of a write's reach test, kept from write to write.
+    reach: WriteReach,
 }
 
 /// An empty planning cache for the engine `config` runs.
@@ -157,6 +161,9 @@ pub(crate) struct MetricsInner {
     sampler_cache: CacheStats,
     /// Exact-walk lookups summed over every planning call (cumulative).
     walk_cache: CacheStats,
+    /// Walk entries writes carried into their epoch or dropped
+    /// (cumulative).
+    write_walks: WalkCarry,
     /// Per-component write epochs, keyed by predicate name: bumped once per
     /// write for every predicate the write touched, so `kg_write_epoch`
     /// shows which components have churned and tests can assert a write to
@@ -192,6 +199,7 @@ impl Default for MetricsInner {
             answers_evicted: 0,
             sampler_cache: CacheStats::default(),
             walk_cache: CacheStats::default(),
+            write_walks: WalkCarry::default(),
             component_epochs: BTreeMap::new(),
             snapshot_writes: 0,
             degraded_answers: 0,
@@ -248,6 +256,10 @@ pub struct MetricsSnapshot {
     /// is a hop answered from the graph epoch's planning cache, a miss a
     /// hop walked.
     pub walk_cache: CacheStats,
+    /// Cached walk outcomes writes carried into the written graph's epoch
+    /// (`kept`: the write's reach test shows it cannot change them) or
+    /// dropped, to be walked again (cumulative).
+    pub write_walks: WalkCarry,
     /// End-to-end latency histogram (log2 millisecond buckets); read
     /// percentiles with [`HistogramSnapshot::quantile`].
     pub latency_hist: HistogramSnapshot,
@@ -392,6 +404,13 @@ impl MetricsSnapshot {
         );
         walk_cache.push("", &[("event", "hit")], self.walk_cache.hits as f64);
         walk_cache.push("", &[("event", "miss")], self.walk_cache.misses as f64);
+        let mut write_walks = MetricFamily::new(
+            "kg_write_walks_total",
+            MetricKind::Counter,
+            "Cached walk outcomes writes kept (out of their reach) or dropped.",
+        );
+        write_walks.push("", &[("event", "kept")], self.write_walks.kept as f64);
+        write_walks.push("", &[("event", "dropped")], self.write_walks.dropped as f64);
 
         let mut shard_samples = MetricFamily::new(
             "kg_shard_samples_total",
@@ -453,6 +472,7 @@ impl MetricsSnapshot {
             result_cache,
             sampler_cache,
             walk_cache,
+            write_walks,
             shard_samples,
             merge_overhead,
             writes,
@@ -646,6 +666,7 @@ impl Service {
                 sharded,
                 similarity,
                 planning,
+                reach: WriteReach::new(),
             }),
             sched: Mutex::new(sched),
             available: Condvar::new(),
@@ -880,9 +901,13 @@ impl Service {
     /// the cached answers whose own footprint intersects it. Cached answers
     /// and live sessions of untouched components survive, and the cache
     /// generation does not move — in-flight queries on unrelated components
-    /// complete and cache normally. The planning cache (walk outcomes and
-    /// fallback samplers) is replaced by an empty one, because a write can
-    /// change a hop whose names it does not touch. Sharded deployments
+    /// complete and cache normally. The planning cache is not scoped by
+    /// names, because a write can change a hop whose names it does not
+    /// touch: the written graph's epoch starts with a copy of every walk
+    /// outcome the write provably cannot change — no op of it is within
+    /// reach of the hop's n-ball by the rule of [`kg_query::reach`], checked
+    /// op by op — and with no fallback sampler, since π reads degrees
+    /// across its whole scope. Sharded deployments
     /// re-partition preservingly: existing entities keep their shard, new
     /// entities join the least-loaded shard. So a fresh answer after a
     /// write is bitwise a from-scratch service's when it is exact or the
@@ -904,14 +929,28 @@ impl Service {
         let mut entities: Vec<String> = Vec::new();
         let mut predicates: Vec<String> = Vec::new();
         let mut types: Vec<String> = Vec::new();
-        let (footprint, compacted, delta_ops, evicted_answers, epoch, to_persist) = {
+        let (footprint, compacted, delta_ops, evicted_answers, epoch, to_persist, carried) = {
             let mut state = self.inner.state.lock().unwrap();
+            let state = &mut *state;
             let mut graph = (**state.sharded.global()).clone();
+            // The hops of the cached walks, narrowed op by op to those no op
+            // so far can reach.
+            let mut hops = state.planning.walk_hops();
             for op in &write.ops {
                 match op {
                     WriteOp::UpsertEntity { name, types: tys } => {
                         let type_refs: Vec<&str> = tys.iter().map(String::as_str).collect();
-                        graph.upsert_entity(name, &type_refs);
+                        let types_before = graph
+                            .entity_by_name(name)
+                            .map(|id| graph.entity(id).types.len());
+                        let id = graph.upsert_entity(name, &type_refs);
+                        // A new entity has no edge yet: only an existing
+                        // entity's grown type set can reach a hop.
+                        if types_before.is_some_and(|n| n < graph.entity(id).types.len()) {
+                            state
+                                .reach
+                                .retain_unreached_by_retype(&graph, id, &mut hops);
+                        }
                         entities.push(name.clone());
                         types.extend(tys.iter().cloned());
                     }
@@ -921,6 +960,10 @@ impl Service {
                         object,
                     } => {
                         let triple = graph.upsert_edge_by_name(subject, predicate, object);
+                        let (u, v) = (triple.subject, triple.object);
+                        state
+                            .reach
+                            .retain_unreached_by_edge(&graph, u, v, &mut hops);
                         entities.push(subject.clone());
                         entities.push(object.clone());
                         predicates.push(predicate.clone());
@@ -942,6 +985,11 @@ impl Service {
                         // A no-op delete changes nothing, so it must not
                         // widen the invalidation footprint either.
                         if n > 0 {
+                            let id = |name| graph.entity_by_name(name).expect("deleted endpoint");
+                            let (u, v) = (id(subject), id(object));
+                            state
+                                .reach
+                                .retain_unreached_by_edge(&graph, u, v, &mut hops);
                             entities.push(subject.clone());
                             entities.push(object.clone());
                             predicates.push(predicate.clone());
@@ -961,7 +1009,10 @@ impl Service {
                 .sharded
                 .repartition_preserving(Arc::clone(&new_global));
             state.sharded = Arc::new(sharded);
-            state.planning = planning_cache(&self.inner.config);
+            let (planning, carried) = state
+                .planning
+                .carry_walks(|hop| hops.binary_search(hop).is_ok());
+            state.planning = Arc::new(planning);
             // Still under the state lock: a worker snapshotting (sharded,
             // write_seq) can never pair the new graph with the old seq.
             let evicted_answers = self.inner.cache.note_write(&footprint);
@@ -977,6 +1028,7 @@ impl Service {
                 evicted_answers,
                 epoch,
                 to_persist,
+                carried,
             )
         };
         if let Some(graph) = to_persist {
@@ -1004,6 +1056,8 @@ impl Service {
                 metrics.compactions += 1;
             }
             metrics.answers_evicted += evicted_answers as u64;
+            metrics.write_walks.kept += carried.kept;
+            metrics.write_walks.dropped += carried.dropped;
             for predicate in &footprint.predicates {
                 *metrics
                     .component_epochs
@@ -1017,6 +1071,8 @@ impl Service {
                 ("epoch", epoch.into()),
                 ("ops", applied.into()),
                 ("evicted_answers", evicted_answers.into()),
+                ("walks_kept", carried.kept.into()),
+                ("walks_dropped", carried.dropped.into()),
                 ("compacted", u64::from(compacted).into()),
             ],
         );
@@ -1071,6 +1127,7 @@ impl Service {
             cache,
             sampler_cache: metrics.sampler_cache,
             walk_cache: metrics.walk_cache,
+            write_walks: metrics.write_walks,
             latency_hist: metrics.latency_hist.snapshot(),
             queue_hist: metrics.queue_hist.snapshot(),
             achieved_hist: metrics.achieved_hist.snapshot(),

@@ -361,6 +361,10 @@ fn prometheus_exposition_carries_every_snapshot_counter() {
     assert_eq!((m.cache.hits, m.cache.misses), (1, 2));
     assert_eq!((m.writes, m.compactions, m.answers_evicted), (2, 1, 2));
     assert_eq!((m.snapshot_writes, m.exact_answers), (1, 2));
+    // A self-loop changes no walk, and a compaction no edge: both writes
+    // carry every cached walk into their epoch.
+    assert_eq!(m.write_walks.dropped, 0);
+    assert!(m.write_walks.kept > 0, "{:?}", m.write_walks);
 
     let families = kg_telemetry::parse(&m.to_prometheus()).expect("valid exposition format");
     let families = families.as_slice();
@@ -425,6 +429,13 @@ fn prometheus_exposition_carries_every_snapshot_counter() {
     }
     for (event, value) in [("hit", m.walk_cache.hits), ("miss", m.walk_cache.misses)] {
         let scraped = sample(families, "kg_walk_cache_total", &[("event", event)]);
+        assert_eq!(scraped, value as f64, "{event}");
+    }
+    for (event, value) in [
+        ("kept", m.write_walks.kept),
+        ("dropped", m.write_walks.dropped),
+    ] {
+        let scraped = sample(families, "kg_write_walks_total", &[("event", event)]);
         assert_eq!(scraped, value as f64, "{event}");
     }
     for (effect, value) in [

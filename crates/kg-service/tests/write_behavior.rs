@@ -18,10 +18,12 @@
 //!
 //! The two workloads live on **disconnected** components (disjoint
 //! entities, predicates and types) — the regime where footprint
-//! intersection is exact, see the caveat on `QueryFootprint`. Every write
-//! replaces the service's planning cache (walk outcomes and samplers), so
+//! intersection is exact, see the caveat on `QueryFootprint`. The planning
+//! cache is scoped by reach instead of names: a write keeps only the exact
+//! walks whose n-ball it provably cannot reach and drops every sampler, so
 //! the next plan after a write sees the write even on one connected graph,
-//! where no name of the query is touched.
+//! where no name of the query is touched. The `reach_*` tests below drive
+//! each way a write can reach a hop, and two that cannot.
 
 use kg_aqp::EngineConfig;
 use kg_core::{GraphBuilder, KnowledgeGraph};
@@ -373,6 +375,137 @@ fn a_write_inside_an_exact_hops_ball_reaches_the_next_plan() {
         reference.shutdown();
         svc.shutdown();
     }
+}
+
+/// Germany's cars on the connected graph: COUNT walks the hop, and SUM,
+/// which has a result-cache key of its own, is planned after `write`. The
+/// SUM must equal a from-scratch service over the graph `replay` builds,
+/// bit for bit. Returns whether SUM walked the hop again, and the walks the
+/// write kept and dropped.
+fn sum_after_write(
+    write: Vec<WriteOp>,
+    replay: impl FnOnce(&mut GraphBuilder),
+) -> (bool, (usize, usize)) {
+    let germany_cars = SimpleQuery::new("Germany", &["Country"], "product", &["Automobile"]);
+    let count = AggregateQuery::simple(germany_cars.clone(), AggregateFunction::Count);
+    let sum = AggregateQuery::simple(germany_cars, AggregateFunction::Sum("price".into()));
+    let svc = exact_service_over(connected_builder().build(), 1);
+    exec(&svc, count);
+    svc.apply_write(WriteRequest::new(write))
+        .expect("write applies");
+    let before = svc.metrics().walk_cache;
+    let after = exec(&svc, sum.clone());
+    assert_eq!(after.served_from, ServedFrom::Fresh);
+    let metrics = svc.metrics();
+    assert_eq!(
+        metrics.walk_cache.hits + metrics.walk_cache.misses,
+        before.hits + before.misses + 1
+    );
+    let rewalked = metrics.walk_cache.misses > before.misses;
+
+    let mut builder = connected_builder();
+    replay(&mut builder);
+    let reference = exact_service_over(builder.build(), 1);
+    let expected = exec(&reference, sum);
+    assert_eq!(answer_bits(&after), answer_bits(&expected));
+    assert_eq!(
+        after.answer.candidate_count,
+        expected.answer.candidate_count
+    );
+    reference.shutdown();
+    svc.shutdown();
+    let carried = metrics.write_walks;
+    (rewalked, (carried.kept, carried.dropped))
+}
+
+fn upsert_edge(subject: &str, predicate: &str, object: &str) -> WriteOp {
+    WriteOp::UpsertEdge {
+        subject: subject.into(),
+        predicate: predicate.into(),
+        object: object.into(),
+    }
+}
+
+/// An inserted edge with a candidate on its far side: Germany ←located–
+/// CompA –partner→ CompB –makes→ made0 is three edges long.
+#[test]
+fn reach_an_inserted_edge_with_a_candidate_on_the_far_side() {
+    let write = vec![upsert_edge("CompA", "partner", "CompB")];
+    let replay = |b: &mut GraphBuilder| {
+        b.add_edge_by_name("CompA", "partner", "CompB");
+    };
+    assert_eq!(sum_after_write(write, replay), (true, (0, 1)));
+}
+
+/// A deleted edge on an admissible path: Germany –product→ car0.
+#[test]
+fn reach_a_deleted_edge_on_an_admissible_path() {
+    let write = vec![WriteOp::DeleteEdge {
+        subject: "Germany".into(),
+        predicate: "product".into(),
+        object: "car0".into(),
+    }];
+    let replay = |b: &mut GraphBuilder| {
+        assert_eq!(b.remove_edge_by_name("Germany", "product", "car0"), 1);
+    };
+    assert_eq!(sum_after_write(write, replay), (true, (0, 1)));
+}
+
+/// A type upsert that makes a ball node a candidate: a plant two hops from
+/// Germany becomes an Automobile.
+#[test]
+fn reach_a_type_upsert_that_makes_a_ball_node_a_candidate() {
+    let write = vec![WriteOp::UpsertEntity {
+        name: "CompA_plant0".into(),
+        types: vec!["Automobile".into()],
+    }];
+    let replay = |b: &mut GraphBuilder| {
+        b.add_entity("CompA_plant0", &["Automobile"]);
+    };
+    assert_eq!(sum_after_write(write, replay), (true, (0, 1)));
+}
+
+/// A type upsert on the anchor itself: a Company-typed Germany no longer
+/// walks through the companies.
+#[test]
+fn reach_a_type_upsert_on_the_anchor() {
+    let write = vec![WriteOp::UpsertEntity {
+        name: "Germany".into(),
+        types: vec!["Company".into()],
+    }];
+    let replay = |b: &mut GraphBuilder| {
+        b.add_entity("Germany", &["Company"]);
+    };
+    assert_eq!(sum_after_write(write, replay), (true, (0, 1)));
+}
+
+/// A write outside the n-ball keeps the walk: CompB is not connected to
+/// Germany, so a new car of CompB's changes nothing Germany's hop reads.
+#[test]
+fn a_far_write_keeps_the_walk() {
+    let write = vec![
+        WriteOp::UpsertEntity {
+            name: "made_new".into(),
+            types: vec!["Automobile".into()],
+        },
+        upsert_edge("CompB", "makes", "made_new"),
+    ];
+    let replay = |b: &mut GraphBuilder| {
+        b.add_entity("made_new", &["Automobile"]);
+        b.add_edge_by_name("CompB", "makes", "made_new");
+    };
+    assert_eq!(sum_after_write(write, replay), (false, (1, 0)));
+}
+
+/// A new untyped leaf on the anchor keeps the walk: the leaf is no
+/// candidate, and a path on from it would pass through the anchor again.
+#[test]
+fn a_new_untyped_leaf_on_the_anchor_keeps_the_walk() {
+    let write = vec![upsert_edge("Germany", "product", "leaf")];
+    let replay = |b: &mut GraphBuilder| {
+        b.add_edge_by_name("Germany", "product", "leaf");
+    };
+    assert_eq!(sum_after_write(write, replay), (false, (1, 0)));
 }
 
 /// One step of the interleaving schedule, decoded from a byte pair.
